@@ -4,33 +4,22 @@ Runs the registered suites and emits deterministic text or JSON reports:
 one line per check in text mode, the documented object schema in JSON mode.
 Exit status: 0 when no check failed (findings do not fail a run), 1 on any
 failing check, 2 on usage or internal errors.
-
-The environment variable BPUVERIFY_THREADS caps the worker count used by
-the degree sweeps of the kernel-certification suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from . import dga, ssverify, symfun
 from .mod2alg import suites as mod2suites
+from .poly import monomial_basis
 from .report import VerificationReport, serialize
 
 
-def _threads() -> int:
-    raw = os.environ.get("BPUVERIFY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_k4(opts) -> VerificationReport:
-    return symfun.certify_k4_presentation(opts.max_degree or 16, threads=_threads())
+    return symfun.certify_k4_presentation(opts.max_degree or 16)
 
 
 def _run_coker(opts) -> VerificationReport:
@@ -41,11 +30,7 @@ def _run_coker(opts) -> VerificationReport:
     al = symfun.alpha_generators(ctx)
     max_degree = opts.max_degree or 16
     for d in range(0, max_degree + 1):
-        for c in range(d // 4 + 1):
-            rest = d - 4 * c
-            if rest % 6 or rest < 0:
-                continue
-            e = rest // 6
+        for c, e in reversed(monomial_basis(d, 2, (4, 6)).monomials):
             f = al.a4 ** c * al.a6 ** e
             order = symfun.coker_order(ctx, f, degree=d)
             label = f"a4^{c}*a6^{e}" if (c or e) else "1"
@@ -64,7 +49,7 @@ def _run_coker(opts) -> VerificationReport:
 
 
 def _run_vistoli(opts) -> VerificationReport:
-    return symfun.vistoli_delta_check(opts.prime or 3)
+    return symfun.vistoli_delta_check(opts.prime)
 
 
 def _run_steenrod(opts) -> VerificationReport:
@@ -113,6 +98,16 @@ def run_suite(name: str, opts) -> VerificationReport:
     raise KeyError(name)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpuverify",
@@ -126,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-degree",
-        type=int,
+        type=_positive_int,
         default=None,
         help="degree bound for the graded sweeps (defaults: k4/coker 16, "
         "section10 24, dga 40)",
     )
     parser.add_argument(
-        "--prime", type=int, default=3, help="odd prime for the vistoli suite"
+        "--prime", type=_positive_int, default=3, help="odd prime for the vistoli suite"
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"

@@ -121,20 +121,6 @@ def homotopy_p(p: Poly) -> Poly:
     return out
 
 
-def _degree_masks(d: int):
-    alg = w_algebra()
-    monos = alg.monomials_of_degree(d)
-    index = {m: i for i, m in enumerate(monos)}
-    return monos, index
-
-
-def _mask_of(p: Poly, index) -> int:
-    mask = 0
-    for m in p:
-        mask |= 1 << index[m]
-    return mask
-
-
 def verify_differential_squares_to_zero(max_degree: int) -> bool:
     alg = w_algebra()
     for d in range(max_degree + 1):
@@ -144,6 +130,15 @@ def verify_differential_squares_to_zero(max_degree: int) -> bool:
     return True
 
 
+def _rank_of_d(d: int) -> int:
+    """GF(2) rank of D from degree d to degree d + 1."""
+    alg = w_algebra()
+    return gf2.rank(
+        [alg.coordinates(differential(frozenset({m})), d + 1)
+         for m in alg.monomials_of_degree(d)]
+    )
+
+
 def homology_dimension(d: int) -> int:
     """dim ker(D at degree d) - dim im(D from degree d-1), over GF(2).
 
@@ -151,18 +146,10 @@ def homology_dimension(d: int) -> int:
     """
     if not verify_differential_squares_to_zero(d + 1):
         raise ArithmeticError("the differential does not square to zero")
-    alg = w_algebra()
-    monos_d, _ = _degree_masks(d)
-    _, index_up = _degree_masks(d + 1)
-    vectors = [_mask_of(differential(frozenset({m})), index_up) for m in monos_d]
-    rank_d = gf2.rank(vectors)
-    kernel_dim = len(monos_d) - rank_d
+    kernel_dim = len(w_algebra().monomials_of_degree(d)) - _rank_of_d(d)
     if d == 0:
         return kernel_dim
-    monos_prev, _ = _degree_masks(d - 1)
-    _, index_d = _degree_masks(d)
-    prev_vectors = [_mask_of(differential(frozenset({m})), index_d) for m in monos_prev]
-    return kernel_dim - gf2.rank(prev_vectors)
+    return kernel_dim - _rank_of_d(d - 1)
 
 
 def stated_answer_series(max_degree: int) -> list:
@@ -273,42 +260,9 @@ def ker_d_generators_check(max_degree: int = 30) -> VerificationReport:
     report = VerificationReport("dga-kernel")
     alg = w_algebra()
     gens = [alg.parse(s) for s in KERNEL_GENERATORS]
-    gdegs = [alg.poly_degree(g) for g in gens]
-    power_cache = {}
-
-    def gen_power(idx, k):
-        key = (idx, k)
-        if key not in power_cache:
-            power_cache[key] = alg.power(gens[idx], k)
-        return power_cache[key]
-
     first_bad = None
-    for d in range(max_degree + 1):
-        monos, index = _degree_masks(d)
-        _, index_up = _degree_masks(d + 1)
-        vectors = [_mask_of(differential(frozenset({m})), index_up) for m in monos]
-        kernel_dim = len(monos) - gf2.rank(vectors)
-        expos = []
-
-        def rec(i, remaining, prefix):
-            if i == len(gens):
-                if remaining == 0:
-                    expos.append(tuple(prefix))
-                return
-            for k in range(remaining // gdegs[i], -1, -1):
-                rec(i + 1, remaining - k * gdegs[i], prefix + [k])
-
-        rec(0, d, [])
-        span = []
-        for expo in expos:
-            prod = alg.one()
-            for idx, k in enumerate(expo):
-                if k:
-                    prod = alg.mul(prod, gen_power(idx, k))
-            mask = _mask_of(prod, index)
-            if mask:
-                span.append(mask)
-        sub_dim = gf2.rank(span) if d else 1
+    for d, (sub_dim, _) in enumerate(alg.subalgebra_ranks(gens, max_degree)):
+        kernel_dim = len(alg.monomials_of_degree(d)) - _rank_of_d(d)
         if sub_dim != kernel_dim and first_bad is None:
             first_bad = (d, kernel_dim, sub_dim)
     report.add(

@@ -7,17 +7,6 @@ and affine solves both exact and fast.
 
 from __future__ import annotations
 
-def rank(vectors) -> int:
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def reduce_against(v: int, basis) -> int:
     """Fully reduce ``v`` against an echelonized basis (largest leading bit first)."""
     for b in basis:
@@ -35,6 +24,10 @@ def echelon_basis(vectors) -> list:
             basis.append(v)
             basis.sort(reverse=True)
     return basis
+
+
+def rank(vectors) -> int:
+    return len(echelon_basis(vectors))
 
 
 def in_span(v: int, basis_echelon) -> bool:

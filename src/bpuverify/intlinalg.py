@@ -314,40 +314,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def rank_mod_p(a: IntMatrix, p: int) -> int:
-    """Rank of A over the field with p elements (Gaussian elimination)."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    rows = [[x % p for x in row] for row in a.entries]
-    rank = 0
-    col = 0
-    m, n = a.rows, a.cols
-    while rank < m and col < n:
-        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def nullspace_mod_p(a: IntMatrix, p: int) -> list:
-    """Basis of the kernel of A over GF(p), as vectors of entries in [0, p)."""
+def _row_reduce_mod_p(a: IntMatrix, p: int):
+    """Reduced row echelon form of A over GF(p): (rows, pivot columns)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     m, n = a.rows, a.cols
     rows = [[x % p for x in row] for row in a.entries]
     pivots = []
-    rank = 0
     for col in range(n):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, m) if rows[i][col]), None)
         if pivot is None:
             continue
@@ -359,11 +334,22 @@ def nullspace_mod_p(a: IntMatrix, p: int) -> list:
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
-        rank += 1
-    free = [j for j in range(n) if j not in pivots]
+    return rows, pivots
+
+
+def rank_mod_p(a: IntMatrix, p: int) -> int:
+    """Rank of A over the field with p elements (Gaussian elimination)."""
+    return len(_row_reduce_mod_p(a, p)[1])
+
+
+def nullspace_mod_p(a: IntMatrix, p: int) -> list:
+    """Basis of the kernel of A over GF(p), as vectors of entries in [0, p)."""
+    rows, pivots = _row_reduce_mod_p(a, p)
     basis = []
-    for j in free:
-        vec = [0] * n
+    for j in range(a.cols):
+        if j in pivots:
+            continue
+        vec = [0] * a.cols
         vec[j] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = (-rows[r][j]) % p

@@ -16,8 +16,6 @@ from .steenrod import (
     chern_rule,
     solve_sq,
     stiefel_whitney_rule,
-    wu_sq_chern,
-    wu_sq_sw,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "poly_mul",
     "solve_sq",
     "stiefel_whitney_rule",
-    "wu_sq_chern",
-    "wu_sq_sw",
 ]

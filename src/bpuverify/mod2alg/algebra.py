@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from ..poly import Ring, parse_polynomial
+from .. import gf2
+from ..poly import Ring, monomial_basis, parse_polynomial
 
 Monomial = tuple
 Poly = frozenset  # of Monomial
@@ -94,7 +95,7 @@ class PresentedAlgebra:
         for r in self.relations:
             if self.normal_form(r):
                 raise ArithmeticError("a defining relation does not reduce to zero")
-        self._nf_monomial_cache = {}
+        self._graded_cache = {}
 
     # -- monomial order ----------------------------------------------------
     def degree(self, m: Monomial) -> int:
@@ -230,43 +231,35 @@ class PresentedAlgebra:
     # -- graded pieces -------------------------------------------------------
     def monomials_of_degree(self, d: int) -> tuple:
         """Normal-form monomials of weighted degree d, order-descending."""
-        if d in self._nf_monomial_cache:
-            return self._nf_monomial_cache[d]
-        leads = [lead for lead, _ in self.groebner]
-        n = len(self.gen_names)
-        found = []
-
-        def rec(i, remaining, prefix):
-            if i == n:
-                if remaining == 0:
-                    m = tuple(prefix)
-                    if not any(mono_divides(l, m) for l in leads):
-                        found.append(m)
-                return
-            w = self.gen_degrees[i]
-            for k in range(remaining // w, -1, -1):
-                rec(i + 1, remaining - k * w, prefix + [k])
-
-        rec(0, d, [])
-        found.sort(key=self.order_key, reverse=True)
-        out = tuple(found)
-        self._nf_monomial_cache[d] = out
-        return out
+        if d not in self._graded_cache:
+            leads = [lead for lead, _ in self.groebner]
+            exponents = monomial_basis(d, len(self.gen_names), self.gen_degrees)
+            monos = sorted(
+                (m for m in exponents.monomials
+                 if not any(mono_divides(l, m) for l in leads)),
+                key=self.order_key,
+                reverse=True,
+            )
+            self._graded_cache[d] = (tuple(monos), {m: i for i, m in enumerate(monos)})
+        return self._graded_cache[d][0]
 
     def graded_dimension(self, d: int):
         monos = self.monomials_of_degree(d)
         return len(monos), monos
 
     def coordinates(self, p: Poly, d: int) -> int:
-        """Bitmask of a degree-d normal-form element over monomials_of_degree(d)."""
-        nf = self.normal_form(p)
-        monos = self.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
+        """Bitmask over monomials_of_degree(d) of an element already in normal form.
+
+        Raises ValueError on any monomial outside the degree-d normal-form
+        basis, so a reducible or wrong-degree monomial fails loudly.
+        """
+        self.monomials_of_degree(d)
+        index = self._graded_cache[d][1]
         mask = 0
-        for m in nf:
+        for m in p:
             if m not in index:
                 raise ValueError(
-                    f"element not homogeneous of degree {d}: {self.format(nf)}"
+                    f"not a degree-{d} normal-form element: {self.format(p)}"
                 )
             mask |= 1 << index[m]
         return mask
@@ -281,6 +274,35 @@ class PresentedAlgebra:
             mask >>= 1
             i += 1
         return frozenset(out)
+
+    def subalgebra_ranks(self, generators, max_degree: int) -> list:
+        """(rank, count) for each degree 0..max_degree: the GF(2) rank of the
+        span of the generator monomials of that degree, and how many there are.
+
+        The rank is the dimension of the generated subalgebra in that degree;
+        rank < count marks a linear dependence among the generator monomials.
+        """
+        gens = [self.normal_form(g) for g in generators]
+        degrees = [self.poly_degree(g) for g in gens]
+        powers = {}
+
+        def power(idx, k):
+            if (idx, k) not in powers:
+                powers[idx, k] = self.power(gens[idx], k)
+            return powers[idx, k]
+
+        out = []
+        for d in range(max_degree + 1):
+            exponents = monomial_basis(d, len(gens), degrees).monomials
+            vectors = []
+            for expo in exponents:
+                prod = self.one()
+                for idx, k in enumerate(expo):
+                    if k:
+                        prod = self.mul(prod, power(idx, k))
+                vectors.append(self.coordinates(prod, d))
+            out.append((gf2.rank(vectors), len(exponents)))
+        return out
 
     def with_relations(self, extra, name: Optional[str] = None) -> "PresentedAlgebra":
         """Quotient by additional homogeneous relations (e.g. truncations)."""

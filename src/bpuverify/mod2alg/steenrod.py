@@ -240,21 +240,6 @@ def chern_rule(algebra: PresentedAlgebra, class_index: dict) -> Callable:
     return rule
 
 
-def wu_sq_sw(action: SteenrodAction, i: int, k: int, class_index: dict) -> Poly:
-    """Sq^i(w_k) through a Wu-complete action (convenience wrapper)."""
-    name = {v: key for key, v in class_index.items()}[k]
-    return action.sq(i, action.algebra.gen(name))
-
-
-def wu_sq_chern(action: SteenrodAction, two_i: int, k: int, class_index: dict) -> Poly:
-    """Sq^(2i)(c_k) through a Wu-complete action; an odd index gives zero
-    (the ring is concentrated in even degrees), not an error."""
-    if two_i % 2:
-        return frozenset()
-    name = {v: key for key, v in class_index.items()}[k]
-    return action.sq(two_i, action.algebra.gen(name))
-
-
 # -- candidate solving ---------------------------------------------------------
 
 def solve_sq(
@@ -276,55 +261,24 @@ def solve_sq(
     gdeg = source.gen_degrees[source.gen_names.index(gen_name)]
     d = gdeg + i
     basis = source.monomials_of_degree(d)
-    vectors = []
-    target_mask_parts = []
-    offsets = []
-    offset = 0
-    images_per_map = []
-    for fmap, taction in maps:
-        target_value = taction.sq(i, fmap.apply(g))
-        tdeg = d
-        tmonos = fmap.target.monomials_of_degree(tdeg)
-        index = {m: idx for idx, m in enumerate(tmonos)}
-        img_masks = []
-        for m in basis:
-            img = fmap.apply(frozenset({m}))
-            mask = 0
-            for mm in img:
-                mask |= 1 << index[mm]
-            img_masks.append(mask)
-        tmask = 0
-        for mm in target_value:
-            tmask |= 1 << index[mm]
-        images_per_map.append((img_masks, tmask, len(tmonos)))
-        offsets.append(offset)
-        offset += len(tmonos)
-    # stack the three coordinate blocks into single bitmask vectors
-    stacked = []
-    for bi in range(len(basis)):
-        v = 0
-        for (img_masks, _, _), off in zip(images_per_map, offsets):
-            v |= img_masks[bi] << off
-        stacked.append(v)
+    # stack the coordinate blocks of the listed maps into single bitmask vectors
+    stacked = [0] * len(basis)
     target = 0
-    for (_, tmask, _), off in zip(images_per_map, offsets):
-        target |= tmask << off
+    offset = 0
+    for fmap, taction in maps:
+        tgt = fmap.target
+        target |= tgt.coordinates(taction.sq(i, fmap.apply(g)), d) << offset
+        for bi, m in enumerate(basis):
+            stacked[bi] |= tgt.coordinates(fmap.apply(frozenset({m})), d) << offset
+        offset += len(tgt.monomials_of_degree(d))
     solved = gf2.solve_affine(stacked, target)
     if solved is None:
         return []
     particular, nullspace = solved
-    masks = gf2.enumerate_affine(particular, nullspace, limit=enumeration_limit)
-    candidates = []
-    for mask in masks:
-        s = set()
-        mm = mask
-        bi = 0
-        while mm:
-            if mm & 1:
-                s.add(basis[bi])
-            mm >>= 1
-            bi += 1
-        candidates.append(frozenset(s))
+    candidates = [
+        source.from_mask(mask, d)
+        for mask in gf2.enumerate_affine(particular, nullspace, limit=enumeration_limit)
+    ]
     # forced Sq^1 compatibility filters
     if i == 1:
         candidates = [s for s in candidates if not sq1_action.sq(1, s)]

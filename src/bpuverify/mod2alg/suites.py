@@ -4,7 +4,6 @@ the integral classes under mod-2 reduction."""
 
 from __future__ import annotations
 
-from .. import gf2
 from ..report import VerificationReport
 from .algebra import Poly, PresentedAlgebra, poly_mul
 from .rings import (
@@ -166,7 +165,7 @@ def verify_bpu2_images(k_max: int = 3) -> VerificationReport:
         monos = trunc.monomials_of_degree(deg)
         hits = []
         for bits in range(1 << len(monos)):
-            elem = frozenset(m for j, m in enumerate(monos) if bits >> j & 1)
+            elem = trunc.from_mask(bits, deg)
             if tact.sq(1, elem) == target:
                 hits.append(elem)
         report.add(
@@ -281,35 +280,10 @@ def verify_reduction_image_claims(max_degree: int = 24) -> VerificationReport:
     )
 
     # (c) algebraic independence of g1..g4 through max_degree
-    names = ("g1", "g2", "g3", "g4")
-    ok_indep = True
-    witness = ""
-    for d in range(1, max_degree + 1):
-        expos = [
-            (a, b, c, e)
-            for a in range(d // 3 + 1)
-            for b in range((d - 3 * a) // 10 + 1)
-            for c in range((d - 3 * a - 10 * b) // 8 + 1)
-            for e in range((d - 3 * a - 10 * b - 8 * c) // 12 + 1)
-            if 3 * a + 10 * b + 8 * c + 12 * e == d
-        ]
-        if not expos:
-            continue
-        monos = W6.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        vectors = []
-        for expo in expos:
-            prod = W6.one()
-            for name, e in zip(names, expo):
-                prod = W6.mul(prod, W6.power(g[name], e))
-            mask = 0
-            for m in prod:
-                mask |= 1 << index[m]
-            vectors.append(mask)
-        if gf2.rank(vectors) != len(vectors):
-            ok_indep = False
-            witness = f"dependence among g-monomials at degree {d}"
-            break
+    ranks = W6.subalgebra_ranks([g[name] for name in ("g1", "g2", "g3", "g4")], max_degree)
+    dependent = next((d for d, (rank, count) in enumerate(ranks) if rank != count), None)
+    ok_indep = dependent is None
+    witness = "" if ok_indep else f"dependence among g-monomials at degree {dependent}"
     report.add(
         "g-independence",
         ok_indep,
@@ -324,8 +298,8 @@ def verify_reduction_image_claims(max_degree: int = 24) -> VerificationReport:
         T.parse(s)
         for s in ("y2^2", "y2^3", "y3", "y5^2", "y8 + y3*y5", "y12 + y3*y9", "y3^2*y9 + y5^3")
     ]
-    dims_image = _subalgebra_dimensions(T, image_gens, max_degree)
-    dims_stated = _subalgebra_dimensions(T, stated, max_degree)
+    dims_image = [rank for rank, _ in T.subalgebra_ranks(image_gens, max_degree)]
+    dims_stated = [rank for rank, _ in T.subalgebra_ranks(stated, max_degree)]
     report.add(
         "image-subalgebra-dimensions",
         dims_image == dims_stated,
@@ -333,46 +307,3 @@ def verify_reduction_image_claims(max_degree: int = 24) -> VerificationReport:
         witness=f"image {dims_image} vs stated {dims_stated}" if dims_image != dims_stated else "",
     )
     return report
-
-
-def _subalgebra_dimensions(algebra: PresentedAlgebra, generators, max_degree: int) -> list:
-    """Graded dimensions of the subalgebra generated by the given elements,
-    by spanning-set rank in each degree."""
-    gens = [algebra.normal_form(g) for g in generators]
-    degs = [algebra.poly_degree(g) for g in gens]
-    power_cache = {}
-
-    def gen_power(idx, k):
-        key = (idx, k)
-        if key not in power_cache:
-            power_cache[key] = algebra.power(gens[idx], k)
-        return power_cache[key]
-
-    dims = []
-    for d in range(max_degree + 1):
-        expos = []
-
-        def rec(i, remaining, prefix):
-            if i == len(gens):
-                if remaining == 0:
-                    expos.append(tuple(prefix))
-                return
-            for k in range(remaining // degs[i], -1, -1):
-                rec(i + 1, remaining - k * degs[i], prefix + [k])
-
-        rec(0, d, [])
-        monos = algebra.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        vectors = []
-        for expo in expos:
-            prod = algebra.one()
-            for idx, k in enumerate(expo):
-                if k:
-                    prod = algebra.mul(prod, gen_power(idx, k))
-            mask = 0
-            for m in prod:
-                mask |= 1 << index[m]
-            if mask:
-                vectors.append(mask)
-        dims.append(gf2.rank(vectors) if d else 1)
-    return dims

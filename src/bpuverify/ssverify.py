@@ -9,9 +9,7 @@ the degree-3 class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .intlinalg import IntMatrix, nullspace_mod_p, rank_mod_p
+from .intlinalg import nullspace_mod_p, rank_mod_p
 from .poly import Polynomial, Ring
 from .report import VerificationReport
 from .symfun import (
@@ -20,21 +18,6 @@ from .symfun import (
     h3_order,
     nabla_matrix,
 )
-
-
-@dataclass(frozen=True)
-class D3Check:
-    """One bidegree-specific third-differential statement.
-
-    ``torsion`` records the coefficient annotation of the entry (e.g. the
-    cube of the degree-3 class is 2-torsion), which is what reduces the
-    integral statement to linear algebra over a prime field.
-    """
-
-    source_bidegree: tuple
-    target_bidegree: tuple
-    torsion: int
-    matrix: IntMatrix
 
 
 def d3_image(ctx: SymmetricContext, f: Polynomial) -> Polynomial:
@@ -54,8 +37,7 @@ def verify_E4_9_4() -> VerificationReport:
     """
     report = VerificationReport("E4-9-4")
     ctx = SymmetricContext(4)
-    check = D3Check((9, 4), (12, 2), 2, nabla_matrix(ctx, 2, modulus=2))
-    kernel = nullspace_mod_p(check.matrix, 2)
+    kernel = nullspace_mod_p(nabla_matrix(ctx, 2, modulus=2), 2)
     basis = ctx.sigma_basis(2)
     report.add(
         "kernel",

@@ -40,6 +40,21 @@ def test_unknown_suite_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_bounds_below_one_are_usage_errors(capsys):
+    for argv in (
+        ["section10", "--max-degree", "0"],
+        ["k4", "--max-degree", "0"],
+        ["vistoli", "--prime", "0"],
+        ["coker", "--max-degree", "-3"],
+        ["dga", "--max-degree", "-1"],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage:"), (argv, captured.err)
+
+
 def test_internal_error_exits_two(capsys, monkeypatch):
     def boom(opts):
         raise RuntimeError("injected")
@@ -106,6 +121,11 @@ def test_golden_reports(capsys):
         (["spectral"], "spectral.txt"),
         (["coker", "--max-degree", "12"], "coker.txt"),
         (["vistoli", "--format", "json"], "vistoli.json"),
+        (["steenrod"], "steenrod.txt"),
+        (["bpu2"], "bpu2.txt"),
+        (["dga", "--max-degree", "20"], "dga.txt"),
+        (["section10", "--max-degree", "16"], "section10.txt"),
+        (["k4", "--max-degree", "8"], "k4.txt"),
     ):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()
@@ -127,11 +147,3 @@ def test_serialize_empty_report():
     assert text == "suite empty\nelapsed_ms 0\n"
     with pytest.raises(ValueError):
         serialize(empty, "yaml")
-
-
-def test_threads_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("BPUVERIFY_THREADS", "3")
-    _, threaded = run_cli(["k4", "--max-degree", "6"], capsys)
-    monkeypatch.setenv("BPUVERIFY_THREADS", "1")
-    _, serial = run_cli(["k4", "--max-degree", "6"], capsys)
-    assert strip_elapsed(threaded) == strip_elapsed(serial)

@@ -104,6 +104,30 @@ def test_dimensions_match_transfer_matrix_oracle_through_24():
         assert T.graded_dimension(d)[0] == toda_dimension_oracle(d), d
 
 
+def test_coordinates_round_trip_and_reject_non_normal_forms():
+    from bpuverify.dga import w_algebra
+
+    W = w_algebra()
+    d = 18
+    monos = W.monomials_of_degree(d)
+    assert len(monos) == 9
+    for i, m in enumerate(monos):
+        assert W.coordinates(frozenset({m}), d) == 1 << i
+    for mask in range(1 << len(monos)):
+        p = W.from_mask(mask, d)
+        assert W.coordinates(p, d) == mask
+        assert W.from_mask(W.coordinates(p, d), d) == p
+    # x2*x3 is reducible (a Groebner leading monomial), so it is not in normal form
+    with pytest.raises(ValueError):
+        W.coordinates(W.parse("x2*x3"), 5)
+    with pytest.raises(ValueError):
+        W.coordinates(W.gen("x5") | W.parse("x2*x3"), 5)
+    # a normal-form monomial of the wrong degree
+    with pytest.raises(ValueError):
+        W.coordinates(W.gen("x3"), 5)
+    assert W.coordinates(W.gen("x5"), 5) == 1
+
+
 def test_standard_maps_are_certified():
     # constructors raise unless every relation maps to zero
     for build in (pi_star, phi_star, delta_star, chi_star, reduction_map):

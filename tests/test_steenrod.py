@@ -26,7 +26,6 @@ from bpuverify.mod2alg.rings import (
     toda_action,
     toda_ring,
 )
-from bpuverify.mod2alg.steenrod import wu_sq_sw
 
 
 def test_binom_general():
@@ -41,11 +40,10 @@ def test_binom_general():
 
 def test_wu_values_on_so3():
     alg, act = bso3_ring(), bso3_action()
-    idx = {"wp2": 2, "wp3": 3}
-    assert wu_sq_sw(act, 1, 2, idx) == alg.gen("wp3")
-    assert wu_sq_sw(act, 2, 3, idx) == alg.parse("wp2*wp3")
-    assert wu_sq_sw(act, 0, 2, idx) == alg.gen("wp2")
-    assert wu_sq_sw(act, 1, 3, idx) == frozenset()
+    assert act.sq(1, alg.gen("wp2")) == alg.gen("wp3")
+    assert act.sq(2, alg.gen("wp3")) == alg.parse("wp2*wp3")
+    assert act.sq(0, alg.gen("wp2")) == alg.gen("wp2")
+    assert act.sq(1, alg.gen("wp3")) == frozenset()
 
 
 def test_wu_values_on_so6():
@@ -195,11 +193,8 @@ def test_solve_sq_examples():
 
 
 def test_wu_chern_wrapper():
-    from bpuverify.mod2alg import wu_sq_chern
-
     alg, act = bu4_ring(), bu4_action()
-    idx = {"c1": 1, "c2": 2, "c3": 3, "c4": 4}
-    assert wu_sq_chern(act, 2, 2, idx) == alg.parse("c1*c2 + c3")
-    assert wu_sq_chern(act, 4, 3, idx) == alg.parse("c1*c4 + c2*c3")
-    assert wu_sq_chern(act, 8, 4, idx) == alg.parse("c4^2")
-    assert wu_sq_chern(act, 3, 2, idx) == frozenset()
+    assert act.sq(2, alg.gen("c2")) == alg.parse("c1*c2 + c3")
+    assert act.sq(4, alg.gen("c3")) == alg.parse("c1*c4 + c2*c3")
+    assert act.sq(8, alg.gen("c4")) == alg.parse("c4^2")
+    assert act.sq(3, alg.gen("c2")) == frozenset()  # odd squares vanish

@@ -14,7 +14,6 @@ from bpuverify.symfun import (
     coker_order,
     coordinates,
     delta_polynomial,
-    elementary_symmetric,
     h3_order,
     k3_generators,
     kernel_basis,
@@ -34,11 +33,11 @@ def sp(text, ctx=CTX4):
 
 def test_elementary_examples():
     ctx2 = SymmetricContext(2)
-    assert elementary_symmetric(1, ctx2) == parse_polynomial("v1 + v2", ctx2.v_ring)
-    assert elementary_symmetric(4, CTX4) == parse_polynomial("v1*v2*v3*v4", CTX4.v_ring)
-    assert elementary_symmetric(0, CTX4) == CTX4.v_ring.one()
+    assert ctx2.elementary(1) == parse_polynomial("v1 + v2", ctx2.v_ring)
+    assert CTX4.elementary(4) == parse_polynomial("v1*v2*v3*v4", CTX4.v_ring)
+    assert CTX4.elementary(0) == CTX4.v_ring.one()
     with pytest.raises(ValueError):
-        elementary_symmetric(5, CTX4)
+        CTX4.elementary(5)
 
 
 def test_divergence_of_elementary_classes():
@@ -222,14 +221,6 @@ def test_certify_k4_rank_and_hilbert_pass_lattice_fails_three_locally():
             factors = c.detail.split("factors")[1]
             assert "3" in factors or "9" in factors or "27" in factors
     assert any(c.name == "three-primary-defect" for c in report.checks)
-
-
-def test_certify_k4_threaded_matches_serial():
-    serial = certify_k4_presentation(8, threads=1)
-    threaded = certify_k4_presentation(8, threads=3)
-    assert [(c.name, c.status, c.detail) for c in serial.checks] == [
-        (c.name, c.status, c.detail) for c in threaded.checks
-    ]
 
 
 def test_kernel_element_outside_generator_span():
