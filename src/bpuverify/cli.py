@@ -13,6 +13,7 @@ import sys
 import time
 
 from . import dga, ssverify, symfun
+from .intlinalg import _is_prime
 from .mod2alg import suites as mod2suites
 from .poly import monomial_basis
 from .report import VerificationReport, serialize
@@ -49,7 +50,7 @@ def _run_coker(opts) -> VerificationReport:
 
 
 def _run_vistoli(opts) -> VerificationReport:
-    return symfun.vistoli_delta_check(opts.prime)
+    return symfun.vistoli_delta_check(opts.prime or 3)
 
 
 def _run_steenrod(opts) -> VerificationReport:
@@ -59,7 +60,7 @@ def _run_steenrod(opts) -> VerificationReport:
 
 
 def _run_bpu2(opts) -> VerificationReport:
-    return mod2suites.verify_bpu2_images(3)
+    return mod2suites.verify_bpu2_images()
 
 
 def _run_reduction_image(opts) -> VerificationReport:
@@ -67,8 +68,7 @@ def _run_reduction_image(opts) -> VerificationReport:
 
 
 def _run_dga(opts) -> VerificationReport:
-    max_degree = opts.max_degree or 40
-    return dga.dga_suite(max_degree, kernel_degree=min(30, max_degree))
+    return dga.dga_suite(opts.max_degree or 40)
 
 
 def _run_spectral(opts) -> VerificationReport:
@@ -98,6 +98,13 @@ def run_suite(name: str, opts) -> VerificationReport:
     raise KeyError(name)
 
 
+# the suites that read each option; "all" reads both
+_OPTION_READERS = {
+    "max_degree": ("k4", "coker", "section10", "dga"),
+    "prime": ("vistoli",),
+}
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -105,6 +112,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _odd_prime(text: str) -> int:
+    value = _positive_int(text)
+    if value % 2 == 0 or not _is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be an odd prime, got {value}")
     return value
 
 
@@ -123,11 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=_positive_int,
         default=None,
-        help="degree bound for the graded sweeps (defaults: k4/coker 16, "
-        "section10 24, dga 40)",
+        help="degree bound for the graded sweeps of k4 (at least 2), coker, "
+        "section10 and dga (defaults: k4/coker 16, section10 24, dga 40)",
     )
     parser.add_argument(
-        "--prime", type=_positive_int, default=3, help="odd prime for the vistoli suite"
+        "--prime", type=_odd_prime, default=None,
+        help="odd prime for the vistoli suite (default 3)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
@@ -140,6 +155,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         opts = parser.parse_args(argv)
+        for option, readers in _OPTION_READERS.items():
+            if getattr(opts, option) is not None and opts.suite not in readers + ("all",):
+                parser.error(f"suite {opts.suite} does not read --{option.replace('_', '-')}")
+        if opts.suite in ("k4", "all") and opts.max_degree == 1:
+            parser.error("k4 needs --max-degree of at least 2")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from . import gf2
-from .mod2alg.algebra import AlgebraMap, Poly, PresentedAlgebra
+from .mod2alg.algebra import AlgebraMap, Poly, PresentedAlgebra, poly_mul
 from .mod2alg.rings import toda_action, toda_ring
 from .report import VerificationReport
 from .series import geometric_product, series_mul
@@ -57,10 +57,7 @@ def differential(p: Poly) -> Poly:
                 continue  # char 2: even exponents differentiate to zero
             rest = list(m)
             rest[gidx] -= 1
-            term = set()
-            for im in images[name]:
-                term ^= {tuple(a + b for a, b in zip(rest, im))}
-            out = out ^ frozenset(term)
+            out = out ^ poly_mul(frozenset({tuple(rest)}), images[name])
     return alg.normal_form(out)
 
 
@@ -111,13 +108,8 @@ def homotopy_p(p: Poly) -> Poly:
         elif j == 0 and k >= 2 and k % 2 == 0:
             new = list(m)
             new[ix9] -= 2
-            base = frozenset({tuple(new)})
             tail = alg.parse("x5*x12 + x8*x9 + x3*x5*x9")
-            prod = frozenset()
-            for t in tail:
-                for bmono in base:
-                    prod = prod ^ {tuple(a + b for a, b in zip(bmono, t))}
-            out = out ^ alg.normal_form(prod)
+            out = out ^ alg.normal_form(poly_mul(frozenset({tuple(new)}), tail))
     return out
 
 
@@ -307,9 +299,11 @@ def verify_sq1_correspondence(max_degree: int = 20) -> bool:
     return True
 
 
-def dga_suite(max_degree: int = 40, kernel_degree: int = 30) -> VerificationReport:
+def dga_suite(max_degree: int = 40) -> VerificationReport:
+    """The homotopy suite through max_degree, with the kernel generators
+    checked through min(30, max_degree)."""
     report = verify_homotopy(max_degree)
-    report.extend(ker_d_generators_check(kernel_degree))
+    report.extend(ker_d_generators_check(min(30, max_degree)))
     report.add(
         "sq1-correspondence",
         verify_sq1_correspondence(min(20, max_degree)),

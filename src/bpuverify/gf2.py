@@ -40,48 +40,26 @@ def solve_affine(vectors, target: int):
     Returns (particular, nullspace) where ``particular`` is one solution as a
     choice bitmask over the input vectors and ``nullspace`` is a basis of
     homogeneous solutions (also choice bitmasks), or None if inconsistent.
+    Each vector carries its choice bit below its own bits, so one echelon
+    basis tracks both: the members with no vector bits left span the
+    homogeneous solutions.
     """
-    rows = []  # (vector residue, choice mask)
-    for idx, v in enumerate(vectors):
-        rows.append((v, 1 << idx))
-    basis = []  # list of (residue with unique leading bit, mask)
-    null = []
-    for v, mask in rows:
-        for bv, bm in basis:
-            if v ^ bv < v:
-                v ^= bv
-                mask ^= bm
-        if v:
-            basis.append((v, mask))
-            basis.sort(key=lambda t: t[0], reverse=True)
-        else:
-            null.append(mask)
-    t = target
-    tmask = 0
-    for bv, bm in basis:
-        if t ^ bv < t:
-            t ^= bv
-            tmask ^= bm
-    if t:
+    k = len(vectors)
+    basis = echelon_basis((v << k) | (1 << i) for i, v in enumerate(vectors))
+    particular = reduce_against(target << k, basis)
+    if particular >> k:
         return None
-    return tmask, null
+    return particular, [b for b in basis if not b >> k]
 
 
-def enumerate_affine(particular: int, nullspace, limit: int = 4096):
-    """All solution masks particular + span(nullspace); capped at ``limit``."""
-    if len(nullspace) > limit.bit_length():
+ENUMERATION_LIMIT = 4096  # most solutions enumerate_affine will list
+
+
+def enumerate_affine(particular: int, nullspace):
+    """All solution masks particular + span(nullspace), at most ENUMERATION_LIMIT."""
+    if 1 << len(nullspace) > ENUMERATION_LIMIT:
         raise ValueError(f"solution space too large to enumerate ({2**len(nullspace)})")
-    out = []
-    for bits in range(1 << len(nullspace)):
-        mask = particular
-        b = bits
-        i = 0
-        while b:
-            if b & 1:
-                mask ^= nullspace[i]
-            b >>= 1
-            i += 1
-        out.append(mask)
-        if len(out) > limit:
-            raise ValueError("solution space too large to enumerate")
+    out = [particular]
+    for n in nullspace:
+        out += [mask ^ n for mask in out]
     return out

@@ -37,7 +37,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix(_identity_rows(n))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -62,9 +62,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.entries)) if self.entries else [])
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def apply(self, vector) -> tuple:
         vector = tuple(vector)
@@ -119,6 +116,10 @@ class SnfDecomposition:
         return sum(1 for x in self.invariant_factors if x != 0)
 
 
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def _is_diagonal(entries) -> bool:
     for i, row in enumerate(entries):
         for j, x in enumerate(row):
@@ -133,31 +134,26 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     Diagonalization alternates size-reduced row and column Hermite passes
     (pivots are smallest nonzero absolute values, ties at the lowest index),
     which keeps transform entries far smaller than an unstructured two-sided
-    elimination; the divisibility chain is then enforced by gcd-folding
-    adjacent diagonal entries.  The result is re-multiplied and compared
-    against the input before being returned.
+    elimination.  Each pass applies its row operations in place to U, or to
+    the rows of V transposed for a column pass.  The divisibility chain is
+    then enforced by gcd-folding adjacent diagonal entries.  The result is
+    re-multiplied and compared against the input before being returned.
     """
     m, n = a.rows, a.cols
-    work = a
-    u = IntMatrix.identity(m)
-    v = IntMatrix.identity(n)
+    d = [list(row) for row in a.entries]
+    u = _identity_rows(m)
+    vt = _identity_rows(n)  # V transposed: column passes act on its rows
     for _ in range(200):
-        h, u1 = hermite_normal_form(work)
-        work = h
-        u = u1 @ u
-        if _is_diagonal(work.entries):
+        _hermite_rows(d, u)
+        if _is_diagonal(d):
             break
-        ht, v1 = hermite_normal_form(work.transpose())
-        work = ht.transpose()
-        v = v @ v1.transpose()
-        if _is_diagonal(work.entries):
+        dt = [list(col) for col in zip(*d)]
+        _hermite_rows(dt, vt)
+        d = [list(row) for row in zip(*dt)]
+        if _is_diagonal(d):
             break
     else:
         raise ArithmeticError("diagonalization did not stabilize")
-
-    d = [list(row) for row in work.entries]
-    u = [list(row) for row in u.entries]
-    v = [list(row) for row in v.entries]
 
     def add_row(src, dst, q):
         if q:
@@ -168,8 +164,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         if q:
             for row in d:
                 row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
+            vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -179,24 +174,9 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
 
-    # move zero diagonal entries behind nonzero ones (paired row/col swaps)
-    diag_len = min(m, n)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(diag_len - 1):
-            if d[i][i] == 0 and d[i + 1][i + 1] != 0:
-                swap_rows(i, i + 1)
-                for row in d:
-                    row[i], row[i + 1] = row[i + 1], row[i]
-                for row in v:
-                    row[i], row[i + 1] = row[i + 1], row[i]
-                moved = True
-    for i in range(diag_len):
-        if d[i][i] < 0:
-            negate_row(i)
-
-    rank = sum(1 for i in range(diag_len) if d[i][i])
+    # a Hermite pass leaves positive pivots and its zero rows last, so the
+    # diagonal is nonnegative with its zeros behind the nonzero entries
+    rank = sum(1 for i in range(min(m, n)) if d[i][i])
     changed = True
     while changed:
         changed = False
@@ -217,7 +197,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                 if d[i + 1][i + 1] < 0:
                     negate_row(i + 1)
 
-    um, dm, vm = IntMatrix(u), IntMatrix(d), IntMatrix(v)
+    um, dm, vm = IntMatrix(u), IntMatrix(d), IntMatrix(zip(*vt))
     if (um @ a) @ vm != dm:
         raise ArithmeticError("Smith normal form certificate failed")
     diag = tuple(dm[i, i] for i in range(min(m, n)))
@@ -237,11 +217,18 @@ def hermite_normal_form(a: IntMatrix):
     as the elimination proceeds, which keeps the transform far smaller than
     an unstructured two-sided reduction would.
     """
-    m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = _identity_rows(a.rows)
+    _hermite_rows(h, u)
+    return IntMatrix(h), IntMatrix(u)
+
+
+def _hermite_rows(h: list, companion: list) -> None:
+    """Bring the row list ``h`` to row Hermite form in place, applying every
+    row operation to the row list ``companion`` as well."""
+    m = len(h)
     row = 0
-    for col in range(n):
+    for col in range(len(h[0]) if h else 0):
         while True:
             support = [i for i in range(row, m) if h[i][col]]
             if not support:
@@ -249,28 +236,27 @@ def hermite_normal_form(a: IntMatrix):
             best = min(support, key=lambda i: (abs(h[i][col]), i))
             if best != row:
                 h[row], h[best] = h[best], h[row]
-                u[row], u[best] = u[best], u[row]
+                companion[row], companion[best] = companion[best], companion[row]
             clean = True
             for i in range(row + 1, m):
                 if h[i][col]:
                     q = h[i][col] // h[row][col]
                     if q:
                         h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[row])]
+                        companion[i] = [x - q * y for x, y in zip(companion[i], companion[row])]
                     if h[i][col]:
                         clean = False
             if clean:
                 if h[row][col] < 0:
                     h[row] = [-x for x in h[row]]
-                    u[row] = [-x for x in u[row]]
+                    companion[row] = [-x for x in companion[row]]
                 for i in range(row):
                     q = h[i][col] // h[row][col]
                     if q:
                         h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[row])]
+                        companion[i] = [x - q * y for x, y in zip(companion[i], companion[row])]
                 row += 1
                 break
-    return IntMatrix(h), IntMatrix(u)
 
 
 def integer_kernel(a: IntMatrix) -> list:

@@ -6,7 +6,6 @@ from .algebra import (
     PresentedAlgebra,
     load_algebra,
     load_map_tables,
-    poly_add,
     poly_mul,
 )
 from .steenrod import (
@@ -28,7 +27,6 @@ __all__ = [
     "chern_rule",
     "load_algebra",
     "load_map_tables",
-    "poly_add",
     "poly_mul",
     "solve_sq",
     "stiefel_whitney_rule",

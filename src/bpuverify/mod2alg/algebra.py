@@ -6,8 +6,8 @@ difference.  Each algebra caches a reduced Groebner basis at construction,
 certified confluent by reducing every S-polynomial to zero; equality of
 normal forms is then a decision procedure for equality in the quotient.
 
-Monomial order: graded-lex on a declared generator precedence (first listed
-is compared first).  Presentations and map tables are loadable from a plain
+Monomial order: graded-lex on the generator listing order (first listed is
+compared first).  Presentations and map tables are loadable from a plain
 text format (``gen name deg`` / ``rel <poly>`` / ``map src -> tgt: g = poly``
 lines) so the standard ring corpus ships as data.
 """
@@ -24,10 +24,6 @@ Monomial = tuple
 Poly = frozenset  # of Monomial
 
 ZERO: Poly = frozenset()
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a ^ b
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -54,6 +50,13 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def s_polynomial(li: Monomial, fi: Poly, lj: Monomial, fj: Poly) -> Poly:
+    """S-polynomial of fi and fj, whose leading monomials are li and lj."""
+    lcm = mono_lcm(li, lj)
+    left = poly_mul(frozenset({mono_quotient(lcm, li)}), fi)
+    return left ^ poly_mul(frozenset({mono_quotient(lcm, lj)}), fj)
+
+
 class MapNotWellDefined(ValueError):
     """A generator-image table does not kill every source relation."""
 
@@ -61,13 +64,7 @@ class MapNotWellDefined(ValueError):
 class PresentedAlgebra:
     """Graded-commutative GF(2) algebra from weighted generators and relations."""
 
-    def __init__(
-        self,
-        name: str,
-        generators: Iterable,
-        relations: Iterable = (),
-        precedence: Optional[Iterable] = None,
-    ):
+    def __init__(self, name: str, generators: Iterable, relations: Iterable = ()):
         self.name = name
         gens = list(generators)
         self.gen_names = tuple(g for g, _ in gens)
@@ -76,11 +73,6 @@ class PresentedAlgebra:
             raise ValueError("duplicate generator names")
         if any(d <= 0 for d in self.gen_degrees):
             raise ValueError("generator degrees must be positive")
-        self.precedence = (
-            tuple(precedence) if precedence is not None else tuple(range(len(gens)))
-        )
-        if sorted(self.precedence) != list(range(len(gens))):
-            raise ValueError("precedence must be a permutation of the generators")
         self._parse_ring = Ring(self.gen_names, self.gen_degrees, 2)
         rels = []
         for r in relations:
@@ -102,7 +94,7 @@ class PresentedAlgebra:
         return sum(e * d for e, d in zip(m, self.gen_degrees))
 
     def order_key(self, m: Monomial):
-        return (self.degree(m), tuple(m[i] for i in self.precedence))
+        return (self.degree(m), m)
 
     def leading_monomial(self, p: Poly) -> Monomial:
         return max(p, key=self.order_key)
@@ -177,13 +169,7 @@ class PresentedAlgebra:
             lj, fj = basis[j]
             if all(a == 0 or b == 0 for a, b in zip(li, lj)):
                 continue  # coprime leading monomials: S-pair reduces to zero
-            lcm = mono_lcm(li, lj)
-            s = frozenset()
-            for gm in fi:
-                s ^= {mono_mul(mono_quotient(lcm, li), gm)}
-            for gm in fj:
-                s ^= {mono_mul(mono_quotient(lcm, lj), gm)}
-            s = self._reduce(s, basis)
+            s = self._reduce(s_polynomial(li, fi, lj, fj), basis)
             if s:
                 basis.append((self.leading_monomial(s), s))
                 pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
@@ -203,13 +189,7 @@ class PresentedAlgebra:
         basis.sort(key=lambda t: self.order_key(t[0]))
         # confluence certificate: every S-polynomial of the final basis -> 0
         for (li, fi), (lj, fj) in itertools.combinations(basis, 2):
-            lcm = mono_lcm(li, lj)
-            s = frozenset()
-            for gm in fi:
-                s ^= {mono_mul(mono_quotient(lcm, li), gm)}
-            for gm in fj:
-                s ^= {mono_mul(mono_quotient(lcm, lj), gm)}
-            if self._reduce(s, basis):
+            if self._reduce(s_polynomial(li, fi, lj, fj), basis):
                 raise ArithmeticError("Groebner basis failed the confluence check")
         return tuple(basis)
 
@@ -242,10 +222,6 @@ class PresentedAlgebra:
             )
             self._graded_cache[d] = (tuple(monos), {m: i for i, m in enumerate(monos)})
         return self._graded_cache[d][0]
-
-    def graded_dimension(self, d: int):
-        monos = self.monomials_of_degree(d)
-        return len(monos), monos
 
     def coordinates(self, p: Poly, d: int) -> int:
         """Bitmask over monomials_of_degree(d) of an element already in normal form.
@@ -312,7 +288,6 @@ class PresentedAlgebra:
             name or f"{self.name}-quotient",
             list(zip(self.gen_names, self.gen_degrees)),
             rels,
-            precedence=self.precedence,
         )
 
 
@@ -373,7 +348,7 @@ class AlgebraMap:
 def load_algebra(text: str, name: str) -> PresentedAlgebra:
     """Parse ``gen <name> <deg>`` and ``rel <polynomial>`` lines.
 
-    Generator precedence is the listing order (first gen is highest).
+    The listing order of the generators fixes the monomial order (first is highest).
     """
     gens, rels = [], []
     for raw in text.splitlines():

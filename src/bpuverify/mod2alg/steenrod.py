@@ -57,7 +57,6 @@ class SteenrodAction:
         algebra: PresentedAlgebra,
         table: Optional[dict] = None,
         generator_rule: Optional[Callable] = None,
-        check_relations_up_to: int = 0,
     ):
         self.algebra = algebra
         self.table = {}
@@ -70,8 +69,6 @@ class SteenrodAction:
         self.generator_rule = generator_rule
         self._gen_cache = {}
         self._mono_cache = {}
-        if check_relations_up_to:
-            self.certify_relations(check_relations_up_to)
 
     # -- squares on generators ----------------------------------------------
     def sq_gen(self, i: int, gidx: int) -> Poly:
@@ -184,60 +181,48 @@ class SteenrodAction:
 
 # -- Wu formulas ---------------------------------------------------------------
 
+def _wu_rule(algebra: PresentedAlgebra, class_index: dict, step: int) -> Callable:
+    """Wu formula for classes c_k of degree step * k: Sq^(step * i)(c_k) is the
+    sum of binom(k - j - 1, i - j) c_(k+i-j) c_j, and Sq^m vanishes for m not
+    a multiple of step."""
+    by_index = {k: name for name, k in class_index.items()}
+
+    def class_poly(k: int) -> Poly:
+        if k == 0:
+            return algebra.one()
+        if k in by_index:
+            return algebra.gen(by_index[k])
+        return frozenset()  # unlisted classes: w_1, and those above the top index
+
+    def rule(index: int, gname: str) -> Poly:
+        if index % step:
+            return frozenset()
+        i = index // step
+        k = class_index[gname]
+        out = frozenset()
+        for j in range(0, i + 1):
+            if binom_general(k - j - 1, i - j) % 2:
+                out = out ^ algebra.normal_form(
+                    poly_mul(class_poly(k + i - j), class_poly(j))
+                )
+        return out
+
+    return rule
+
+
 def stiefel_whitney_rule(algebra: PresentedAlgebra, class_index: dict) -> Callable:
     """Complete generator rule for a ring of Stiefel-Whitney classes.
 
     ``class_index`` maps generator name -> k for w_k; w_0 = 1, w_1 = 0 and
     classes above the top listed index vanish.
     """
-    by_index = {k: name for name, k in class_index.items()}
-
-    def class_poly(k: int) -> Poly:
-        if k == 0:
-            return algebra.one()
-        if k in by_index:
-            return algebra.gen(by_index[k])
-        return frozenset()  # w_1 and classes above the ambient dimension
-
-    def rule(i: int, gname: str) -> Poly:
-        k = class_index[gname]
-        out = frozenset()
-        for j in range(0, i + 1):
-            if binom_general(k - j - 1, i - j) % 2:
-                out = out ^ algebra.normal_form(
-                    poly_mul(class_poly(k + i - j), class_poly(j))
-                )
-        return out
-
-    return rule
+    return _wu_rule(algebra, class_index, 1)
 
 
 def chern_rule(algebra: PresentedAlgebra, class_index: dict) -> Callable:
     """Complete generator rule for mod-2 Chern classes; odd squares vanish
     because the ring is concentrated in even degrees."""
-    by_index = {k: name for name, k in class_index.items()}
-
-    def class_poly(k: int) -> Poly:
-        if k == 0:
-            return algebra.one()
-        if k in by_index:
-            return algebra.gen(by_index[k])
-        return frozenset()
-
-    def rule(two_i: int, gname: str) -> Poly:
-        if two_i % 2:
-            return frozenset()
-        i = two_i // 2
-        k = class_index[gname]
-        out = frozenset()
-        for j in range(0, i + 1):
-            if binom_general(k - j - 1, i - j) % 2:
-                out = out ^ algebra.normal_form(
-                    poly_mul(class_poly(k + i - j), class_poly(j))
-                )
-        return out
-
-    return rule
+    return _wu_rule(algebra, class_index, 2)
 
 
 # -- candidate solving ---------------------------------------------------------
@@ -248,7 +233,6 @@ def solve_sq(
     sq1_action: SteenrodAction,
     gen_name: str,
     i: int,
-    enumeration_limit: int = 4096,
 ):
     """All degree-(deg g + i) elements s with F(s) = Sq^i(F(g)) for every
     listed map F, filtered by the forced Sq^1 compatibilities.
@@ -276,8 +260,7 @@ def solve_sq(
         return []
     particular, nullspace = solved
     candidates = [
-        source.from_mask(mask, d)
-        for mask in gf2.enumerate_affine(particular, nullspace, limit=enumeration_limit)
+        source.from_mask(mask, d) for mask in gf2.enumerate_affine(particular, nullspace)
     ]
     # forced Sq^1 compatibility filters
     if i == 1:

@@ -80,10 +80,6 @@ class Ring:
         return monomial_basis(degree, self.nvars, self.weights)
 
 
-def _lex_key(exponents: Exponents):
-    return exponents
-
-
 class Polynomial:
     """Immutable sparse polynomial over a :class:`Ring`."""
 
@@ -241,7 +237,7 @@ class Polynomial:
         """Terms in graded-lex descending order (the canonical print order)."""
         return sorted(
             self.terms.items(),
-            key=lambda item: (self.ring.degree_of(item[0]), _lex_key(item[0])),
+            key=lambda item: (self.ring.degree_of(item[0]), item[0]),
             reverse=True,
         )
 
@@ -311,7 +307,7 @@ def monomial_basis(degree: int, nvars: int, weights) -> GradedBasis:
             rec(i + 1, remaining - k * w, prefix + [k])
 
     rec(0, degree, [])
-    found.sort(key=_lex_key, reverse=True)
+    found.sort(reverse=True)
     return GradedBasis(degree, tuple(found))
 
 

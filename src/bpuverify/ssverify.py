@@ -37,7 +37,7 @@ def verify_E4_9_4() -> VerificationReport:
     """
     report = VerificationReport("E4-9-4")
     ctx = SymmetricContext(4)
-    kernel = nullspace_mod_p(nabla_matrix(ctx, 2, modulus=2), 2)
+    kernel = nullspace_mod_p(nabla_matrix(ctx, 2), 2)
     basis = ctx.sigma_basis(2)
     report.add(
         "kernel",
@@ -78,7 +78,7 @@ def verify_E4_11_2() -> VerificationReport:
     # the target entry is one-dimensional (Z/3 on the degree-1 piece)
     target_dim = len(ctx.sigma_basis(1))
     report.add("target-dimension", target_dim == 1, f"target is rank {target_dim}")
-    onto = rank_mod_p(nabla_matrix(ctx, 2, modulus=3), 3) == 1
+    onto = rank_mod_p(nabla_matrix(ctx, 2), 3) == 1
     report.add(
         "conclusion",
         onto and image_mod3 == minus_s1,

@@ -23,7 +23,6 @@ from .intlinalg import (
     IntMatrix,
     element_order_in_cokernel,
     integer_kernel,
-    nullspace_mod_p,
     smith_normal_form,
     solve_integer,
     _is_prime,
@@ -161,7 +160,7 @@ def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
     return tuple(f.coefficient(m) for m in basis.monomials)
 
 
-def nabla_matrix(ctx: SymmetricContext, degree: int, modulus: int = 0) -> IntMatrix:
+def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
     """Matrix of the divergence from degree d to degree d-1 sigma-bases."""
     if degree < 1:
         raise ValueError("matrix defined for degree >= 1")
@@ -171,35 +170,19 @@ def nabla_matrix(ctx: SymmetricContext, degree: int, modulus: int = 0) -> IntMat
     for mono in src.monomials:
         image = ctx.nabla_sigma(ctx.sigma_ring.monomial(mono))
         cols.append([image.coefficient(t) for t in tgt.monomials])
-    entries = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
-    if modulus:
-        entries = [[x % modulus for x in row] for row in entries]
-    return IntMatrix(entries)
+    return IntMatrix([[cols[j][i] for j in range(len(src))] for i in range(len(tgt))])
 
 
-def kernel_basis(ctx: SymmetricContext, degree: int, modulus: int = 0) -> list:
-    """Basis of the degree-d kernel of the divergence, in sigma-coordinates.
-
-    Over Z this is a lattice basis of the full (saturated) kernel; for a prime
-    modulus it is a GF(p) vector-space basis.
-    """
-    ring = (
-        ctx.sigma_ring
-        if not modulus
-        else Ring(ctx.sigma_ring.variables, ctx.sigma_ring.weights, modulus)
-    )
+def kernel_basis(ctx: SymmetricContext, degree: int) -> list:
+    """Lattice basis of the full (saturated) degree-d kernel of the divergence,
+    in sigma-coordinates."""
     if degree == 0:
-        return [ring.one()]
+        return [ctx.sigma_ring.one()]
     basis = ctx.sigma_basis(degree)
-    mat = nabla_matrix(ctx, degree)
-    vectors = (
-        integer_kernel(mat) if not modulus else nullspace_mod_p(mat, modulus)
-    )
-    out = []
-    for vec in vectors:
-        terms = {m: c for m, c in zip(basis.monomials, vec) if c}
-        out.append(Polynomial(ring, terms))
-    return out
+    return [
+        Polynomial(ctx.sigma_ring, {m: c for m, c in zip(basis.monomials, vec) if c})
+        for vec in integer_kernel(nabla_matrix(ctx, degree))
+    ]
 
 
 # -- the divergence-free generators for n = 4 --------------------------------
@@ -439,8 +422,9 @@ class EtaPolynomial:
         return " + ".join(pieces)
 
 
-def theta_map(ctx: SymmetricContext, f: Polynomial, modulus: int) -> EtaPolynomial:
-    """Image of f under v_i |-> i * eta, with positive degrees reduced mod n."""
+def theta_map(ctx: SymmetricContext, f: Polynomial) -> EtaPolynomial:
+    """Image of f in Z[eta]/(n*eta) under v_i |-> i * eta, so positive degrees
+    are reduced mod n."""
     vf = ctx.expand(f) if f.ring == ctx.sigma_ring else f
     if vf.ring != ctx.v_ring:
         raise ValueError("expected a polynomial of this context")
@@ -451,7 +435,7 @@ def theta_map(ctx: SymmetricContext, f: Polynomial, modulus: int) -> EtaPolynomi
             factor *= i ** k
         d = sum(e)
         out[d] = out.get(d, 0) + c * factor
-    return EtaPolynomial.make(modulus, out)
+    return EtaPolynomial.make(ctx.n, out)
 
 
 def theta_restricted_kernel(p: int, degree: int) -> list:
@@ -467,7 +451,7 @@ def theta_restricted_kernel(p: int, degree: int) -> list:
         return []
     functional = []
     for g in kern:
-        image = theta_map(ctx, g, p)
+        image = theta_map(ctx, g)
         coeff = dict(image.coeffs).get(degree, 0)
         functional.append(coeff % p)
     if all(c == 0 for c in functional):
@@ -527,11 +511,9 @@ class DeltaClass:
 def vistoli_delta_check(p: int = 3) -> VerificationReport:
     """Certify the behaviour of the alternating product under the divergence
     and the cyclic restriction, for an odd prime p."""
-    if p % 2 == 0 or not _is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    delta = DeltaClass.make(p).polynomial
     report = VerificationReport("vistoli")
     ctx = SymmetricContext(p)
-    delta = DeltaClass.make(p).polynomial
     d = p * p - p
 
     deg = delta.homogeneous_degree()
@@ -542,7 +524,7 @@ def vistoli_delta_check(p: int = 3) -> VerificationReport:
     grad = ctx.nabla(delta)
     report.add("delta/divergence", grad.is_zero(), f"divergence(delta) = {grad if not grad.is_zero() else 0}")
 
-    image = theta_map(ctx, delta, p)
+    image = theta_map(ctx, delta)
     expected = EtaPolynomial.make(p, {d: p - 1})
     report.add(
         "delta/theta",

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from bpuverify import cli
 from bpuverify.report import VerificationReport, serialize, strip_elapsed
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(argv, capsys):
@@ -53,6 +57,96 @@ def test_bounds_below_one_are_usage_errors(capsys):
         assert code == 2, argv
         assert captured.out == "", argv
         assert captured.err.startswith("usage:"), (argv, captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["k4", "--max-degree", "1"],
+        ["all", "--max-degree", "1"],
+        ["vistoli", "--prime", "1"],
+        ["vistoli", "--prime", "2"],
+        ["vistoli", "--prime", "4"],
+        ["vistoli", "--prime", "9"],
+        ["all", "--prime", "9"],
+        ["vistoli", "--prime", "three"],
+        ["spectral", "--prime", "7"],
+        ["steenrod", "--max-degree", "5"],
+        ["coker", "--prime", "5"],
+        ["bpu2", "--max-degree", "3"],
+        ["section10", "--prime", "3"],
+        ["dga", "--prime", "3"],
+        ["k4", "--prime", "3"],
+        ["vistoli", "--max-degree", "4"],
+    ],
+    ids="_".join,
+)
+def test_options_a_suite_cannot_use_are_usage_errors(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:"), captured.err
+
+
+SMALLEST_BOUNDS = (
+    ["k4", "--max-degree", "2"],
+    ["coker", "--max-degree", "1"],
+    ["vistoli"],
+    ["steenrod"],
+    ["bpu2"],
+    ["section10", "--max-degree", "1"],
+    ["dga", "--max-degree", "1"],
+    ["spectral"],
+)
+
+
+def test_smallest_bounds_cover_every_suite():
+    assert [argv[0] for argv in SMALLEST_BOUNDS] == [name for name, _ in cli.SUITES]
+
+
+@pytest.mark.parametrize("argv", SMALLEST_BOUNDS, ids=lambda argv: argv[0])
+def test_no_suite_passes_vacuously(argv, capsys):
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0, argv
+    statuses = [check["status"] for check in json.loads(out)["checks"]]
+    assert any(s in ("pass", "fail") for s in statuses), argv
+
+
+def _src_env():
+    env = dict(os.environ)
+    paths = [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["coker", "--max-degree", "6"], ["dga", "--max-degree", "8"]],
+    ids=lambda argv: argv[0],
+)
+def test_trace_mode_matches_the_plain_cli(argv):
+    """perfbench/traced_cli.py patches entry points by name and raises if one
+    is missing; its report and exit code must equal the plain CLI's."""
+    env = _src_env()
+    plain = subprocess.run(
+        [sys.executable, "-m", "bpuverify.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    read_fd, write_fd = os.pipe()
+    try:
+        # the span summary is about two kilobytes, well inside the pipe buffer
+        traced = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(write_fd), *argv],
+            capture_output=True, text=True, env=env, pass_fds=(write_fd,),
+        )
+    finally:
+        os.close(write_fd)
+    with os.fdopen(read_fd) as fh:
+        spans = json.load(fh)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert strip_elapsed(traced.stdout) == strip_elapsed(plain.stdout)
+    assert "cli.run_suite" in spans
 
 
 def test_internal_error_exits_two(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from bpuverify.intlinalg import (
     smith_normal_form,
     solve_integer,
 )
+from bpuverify.symfun import SymmetricContext, nabla_matrix
 
 
 def test_snf_examples():
@@ -144,6 +145,49 @@ def test_solve_integer_detects_non_members():
     assert solve_integer([[2, 4]], (3, 6)) is None
     assert solve_integer([], (0, 0)) == ()
     assert solve_integer([], (1, 0)) is None
+
+
+def _dense_product_smith(a):
+    """The alternating-Hermite route that keeps U and V by dense products."""
+    def diagonal(m):
+        return all(not x for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j)
+
+    work, u, v = a, IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
+    while True:
+        work, u1 = hermite_normal_form(work)
+        u = u1 @ u
+        if diagonal(work):
+            break
+        ht, v1 = hermite_normal_form(work.transpose())
+        work, v = ht.transpose(), v @ v1.transpose()
+        if diagonal(work):
+            break
+    # work is diagonal, nonnegative and zeros-last, so smith_normal_form(work)
+    # runs only the shared divisibility tail; compose its transforms
+    tail = smith_normal_form(work)
+    return tail.u @ u, tail.d, v @ tail.v
+
+
+SMALL_MATRICES = (
+    IntMatrix.zero(0, 3),
+    IntMatrix([[], [], []]),
+    IntMatrix.zero(2, 3),
+    IntMatrix([[2, 0], [0, 3]]),
+    IntMatrix([[2, 4, 6], [1, 2, 3], [3, 6, 9]]),
+    IntMatrix([[2, 4, 4], [-6, 6, 12]]),
+    IntMatrix([[6, 0], [0, 4], [2, 2]]),
+)
+
+
+def test_smith_transforms_match_the_dense_product_route():
+    ctx = SymmetricContext(4)
+    cases = list(SMALL_MATRICES) + [nabla_matrix(ctx, d) for d in range(1, 13)]
+    for a in cases:
+        snf = smith_normal_form(a)
+        u, d, v = _dense_product_smith(a)
+        assert (snf.u.entries, snf.d.entries, snf.v.entries) == (
+            u.entries, d.entries, v.entries
+        ), a
 
 
 def test_determinant_bareiss():

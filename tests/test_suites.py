@@ -35,7 +35,7 @@ def test_restriction_square_identities():
 
 
 def test_bpu2_images():
-    report = verify_bpu2_images(3)
+    report = verify_bpu2_images()
     assert report.passed
     names = {c.name for c in report.checks}
     assert "k0/degree5-dimension" in names
