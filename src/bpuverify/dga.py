@@ -38,26 +38,32 @@ def w_algebra() -> PresentedAlgebra:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _w_parse(text: str) -> Poly:
+    """An element of W from its text, parsed once per text."""
+    return w_algebra().parse(text)
+
+
 _DIFFERENTIAL_TABLE = {"x5": "x3^2", "x9": "x5^2"}
 
 
 def differential(p: Poly) -> Poly:
     """Leibniz extension of x5 -> x3^2, x9 -> x5^2 (zero on x2, x3, x8, x12)."""
     alg = w_algebra()
-    images = {name: alg.parse(v) for name, v in _DIFFERENTIAL_TABLE.items()}
     out = frozenset()
     for m in alg.normal_form(p):
         for gidx, e in enumerate(m):
             if not e:
                 continue
             name = alg.gen_names[gidx]
-            if name not in images:
+            if name not in _DIFFERENTIAL_TABLE:
                 continue
             if e % 2 == 0:
                 continue  # char 2: even exponents differentiate to zero
             rest = list(m)
             rest[gidx] -= 1
-            out = out ^ poly_mul(frozenset({tuple(rest)}), images[name])
+            image = _w_parse(_DIFFERENTIAL_TABLE[name])
+            out = out ^ poly_mul(frozenset({tuple(rest)}), image)
     return alg.normal_form(out)
 
 
@@ -108,7 +114,7 @@ def homotopy_p(p: Poly) -> Poly:
         elif j == 0 and k >= 2 and k % 2 == 0:
             new = list(m)
             new[ix9] -= 2
-            tail = alg.parse("x5*x12 + x8*x9 + x3*x5*x9")
+            tail = _w_parse("x5*x12 + x8*x9 + x3*x5*x9")
             out = out ^ alg.normal_form(poly_mul(frozenset({tuple(new)}), tail))
     return out
 

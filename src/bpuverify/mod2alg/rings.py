@@ -3,14 +3,12 @@
 Presentations and generator-image tables live in the packaged data files;
 this module loads them once and decorates them with the Steenrod structure
 (tabled squares on the six-generator ring, Wu-complete rules on the free
-rings) plus the one integral coefficient ring that is needed,
-Z[p1, W3]/(2*W3).
+rings).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import AlgebraMap, PresentedAlgebra, load_algebra, load_map_tables
@@ -177,81 +175,3 @@ def toda_dimension_oracle(d: int) -> int:
                             count += 1
     return count
 
-
-# -- the one integral presented ring ------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegralSW:
-    """Element of Z[p1, W3]/(2*W3), optionally truncated by W3^cap.
-
-    Terms with a positive W3 exponent have coefficients reduced mod 2; the
-    W3-free part keeps exact integer coefficients.
-    """
-
-    terms: tuple  # sorted tuple of ((p1_exp, w3_exp), coeff)
-    cap: int = 0  # 0 = no truncation, else W3^cap = 0
-
-    @staticmethod
-    def make(mapping, cap: int = 0) -> "IntegralSW":
-        canon = {}
-        for (a, b), c in dict(mapping).items():
-            if cap and b >= cap:
-                continue
-            c = c % 2 if b > 0 else c
-            if c:
-                canon[(a, b)] = c
-        return IntegralSW(tuple(sorted(canon.items())), cap)
-
-    @staticmethod
-    def monomial(p1_exp: int, w3_exp: int, cap: int = 0) -> "IntegralSW":
-        return IntegralSW.make({(p1_exp, w3_exp): 1}, cap)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "IntegralSW") -> "IntegralSW":
-        if self.cap != other.cap:
-            raise ValueError("truncation mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms:
-            out[key] = out.get(key, 0) + c
-        return IntegralSW.make(out, self.cap)
-
-    def __mul__(self, other: "IntegralSW") -> "IntegralSW":
-        if self.cap != other.cap:
-            raise ValueError("truncation mismatch")
-        out = {}
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return IntegralSW.make(out, self.cap)
-
-    def __pow__(self, k: int) -> "IntegralSW":
-        out = IntegralSW.make({(0, 0): 1}, self.cap)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def mod2_image(self, target: PresentedAlgebra):
-        """Reduction to the Stiefel-Whitney ring: p1 -> wp2^2, W3 -> wp3."""
-        out = frozenset()
-        for (a, b), c in self.terms:
-            if c % 2:
-                out = out ^ target.monomial((b, 2 * a))  # gens (wp3, wp2)
-        return target.normal_form(out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (a, b), c in sorted(self.terms, reverse=True):
-            factors = []
-            if a:
-                factors.append(f"p1^{a}" if a > 1 else "p1")
-            if b:
-                factors.append(f"W3^{b}" if b > 1 else "W3")
-            body = "*".join(factors) if factors else "1"
-            pieces.append(body if c == 1 else f"{c}*{body}")
-        return " + ".join(pieces)

@@ -17,6 +17,7 @@ equality checks are exact; nothing is done over the rationals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .intlinalg import (
@@ -201,8 +202,7 @@ class AlphaGenerators:
         return {"a2": self.a2, "a3": self.a3, "a4": self.a4, "a6": self.a6}
 
 
-def alpha_generators(ctx: SymmetricContext = None) -> AlphaGenerators:
-    ctx = ctx or SymmetricContext(4)
+def alpha_generators(ctx: SymmetricContext) -> AlphaGenerators:
     if ctx.n != 4:
         raise ValueError("the alpha generators live in four variables")
     s1, s2, s3, s4 = (ctx.sigma(k) for k in range(1, 5))
@@ -224,7 +224,7 @@ def _divide_exact(f: Polynomial, k: int) -> Polynomial:
     return Polynomial(f.ring, out)
 
 
-def k3_generators(ctx: SymmetricContext = None):
+def k3_generators(ctx: SymmetricContext):
     """Kernel generators for n = 3, normalized so the classical cubic relation
     27*a6 - 4*a2^3 - a3^2 = 0 holds with exactly these signs.
 
@@ -233,7 +233,6 @@ def k3_generators(ctx: SymmetricContext = None):
     (a2 = 3*s2 - s1^2 has negative lex-leading coefficient), and a6 is the
     exact 27-th part of 4*a2^3 + a3^2.
     """
-    ctx = ctx or SymmetricContext(3)
     if ctx.n != 3:
         raise ValueError("these generators live in three variables")
     s1, s2, s3 = (ctx.sigma(k) for k in range(1, 4))
@@ -369,101 +368,51 @@ def coker_order(ctx: SymmetricContext, f: Polynomial, degree: int = None):
 # -- the cyclic-restriction map ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaPolynomial:
-    """Element of Z[eta]/(n*eta): exact integer in degree 0, Z/n above."""
+def theta_map(ctx: SymmetricContext, f: Polynomial) -> int:
+    """Coefficient of eta^d in the image of a homogeneous degree-d f under
+    the cyclic restriction v_i |-> i * eta, read in Z[eta]/(n*eta): exact in
+    degree 0 and reduced mod n above.
 
-    modulus: int
-    coeffs: tuple  # sorted tuple of (degree, coeff)
-
-    @staticmethod
-    def make(modulus: int, mapping) -> "EtaPolynomial":
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        canon = {}
-        for d, c in dict(mapping).items():
-            c = c % modulus if d > 0 else c
-            if c:
-                canon[d] = c
-        return EtaPolynomial(modulus, tuple(sorted(canon.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "EtaPolynomial") -> "EtaPolynomial":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        out = dict(self.coeffs)
-        for d, c in other.coeffs:
-            out[d] = out.get(d, 0) + c
-        return EtaPolynomial.make(self.modulus, out)
-
-    def __mul__(self, other: "EtaPolynomial") -> "EtaPolynomial":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        out = {}
-        for d1, c1 in self.coeffs:
-            for d2, c2 in other.coeffs:
-                d = d1 + d2
-                out[d] = out.get(d, 0) + c1 * c2
-        return EtaPolynomial.make(self.modulus, out)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for d, c in reversed(self.coeffs):
-            if d == 0:
-                pieces.append(str(c))
-            elif d == 1:
-                pieces.append(f"{c}*eta" if c != 1 else "eta")
-            else:
-                pieces.append(f"{c}*eta^{d}" if c != 1 else f"eta^{d}")
-        return " + ".join(pieces)
-
-
-def theta_map(ctx: SymmetricContext, f: Polynomial) -> EtaPolynomial:
-    """Image of f in Z[eta]/(n*eta) under v_i |-> i * eta, so positive degrees
-    are reduced mod n."""
-    vf = ctx.expand(f) if f.ring == ctx.sigma_ring else f
-    if vf.ring != ctx.v_ring:
+    The image is f(1, ..., n) * eta^d, so a sigma-polynomial is evaluated at
+    s_k = e_k(1, ..., n) without being expanded into the v's.  Inhomogeneous
+    input raises ValueError.
+    """
+    if f.ring == ctx.v_ring:
+        point = range(1, ctx.n + 1)
+    elif f.ring == ctx.sigma_ring:
+        point = [
+            sum(math.prod(c) for c in itertools.combinations(range(1, ctx.n + 1), k))
+            for k in range(1, ctx.n + 1)
+        ]
+    else:
         raise ValueError("expected a polynomial of this context")
-    out = {}
-    for e, c in vf.terms.items():
-        factor = 1
-        for i, k in enumerate(e, start=1):
-            factor *= i ** k
-        d = sum(e)
-        out[d] = out.get(d, 0) + c * factor
-    return EtaPolynomial.make(ctx.n, out)
+    d = f.homogeneous_degree()
+    value = sum(
+        c * math.prod(x ** k for x, k in zip(point, e)) for e, c in f.terms.items()
+    )
+    return value % ctx.n if d else value
 
 
-def theta_restricted_kernel(p: int, degree: int) -> list:
+def theta_restricted_kernel(ctx: SymmetricContext, degree: int, kern: list) -> list:
     """Basis of the sublattice of the degree-d kernel killed by the cyclic
-    restriction (coefficients read mod p)."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    ctx = SymmetricContext(p)
-    if degree == 0:
+    restriction (coefficients read mod n).
+
+    ``kern`` is the kernel basis as coordinate vectors in the degree-d
+    sigma basis, and the sublattice basis comes back the same way.
+    """
+    if degree == 0 or not kern:
         return []
-    kern = kernel_basis(ctx, degree)
-    if not kern:
-        return []
-    functional = []
-    for g in kern:
-        image = theta_map(ctx, g)
-        coeff = dict(image.coeffs).get(degree, 0)
-        functional.append(coeff % p)
+    values = [
+        theta_map(ctx, ctx.sigma_ring.monomial(m))
+        for m in ctx.sigma_basis(degree).monomials
+    ]
+    rows = IntMatrix(kern)
+    functional = [t % ctx.n for t in rows.apply(values)]
     if all(c == 0 for c in functional):
-        return kern
-    mat = IntMatrix([functional + [p]])
-    sub = []
-    for vec in integer_kernel(mat):
-        combo = ctx.sigma_ring.zero()
-        for coef, g in zip(vec[:-1], kern):
-            combo = combo + coef * g
-        sub.append(combo)
-    return sub
+        return list(kern)
+    span = rows.transpose()
+    sub = integer_kernel(IntMatrix([functional + [ctx.n]]))
+    return [span.apply(vec[:-1]) for vec in sub]
 
 
 def delta_polynomial(ctx: SymmetricContext) -> Polynomial:
@@ -525,26 +474,26 @@ def vistoli_delta_check(p: int = 3) -> VerificationReport:
     report.add("delta/divergence", grad.is_zero(), f"divergence(delta) = {grad if not grad.is_zero() else 0}")
 
     image = theta_map(ctx, delta)
-    expected = EtaPolynomial.make(p, {d: p - 1})
+    eta = Ring(("eta",), (1,))
+    shown = eta.monomial((d,), image)
+    expected = eta.monomial((d,), p - 1)
     report.add(
         "delta/theta",
-        image == expected,
-        f"theta(delta) = {image}, expected {expected} (= -eta^{d} mod {p})",
-        witness=str(image),
+        image == p - 1,
+        f"theta(delta) = {shown}, expected {expected} (= -eta^{d} mod {p})",
+        witness=str(shown),
     )
 
-    sig = ctx.to_sigma(delta)
-    kern = kernel_basis(ctx, d)
-    columns = [list(coordinates(ctx, g, d)) for g in kern]
-    sol = solve_integer(columns, coordinates(ctx, sig, d))
+    sig = coordinates(ctx, ctx.to_sigma(delta), d)
+    kern = integer_kernel(nabla_matrix(ctx, d))
+    sol = solve_integer(kern, sig)
     report.add(
         "delta/kernel-membership",
         sol is not None,
         "delta lies in the integral kernel lattice",
     )
-    sub = theta_restricted_kernel(p, d)
-    sub_columns = [list(coordinates(ctx, g, d)) for g in sub]
-    in_sub = solve_integer(sub_columns, coordinates(ctx, sig, d)) is not None
+    sub = theta_restricted_kernel(ctx, d, kern)
+    in_sub = solve_integer(sub, sig) is not None
     report.add(
         "delta/outside-restricted-kernel",
         not in_sub,

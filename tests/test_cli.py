@@ -220,6 +220,7 @@ def test_golden_reports(capsys):
         (["dga", "--max-degree", "20"], "dga.txt"),
         (["section10", "--max-degree", "16"], "section10.txt"),
         (["k4", "--max-degree", "8"], "k4.txt"),
+        (["vistoli", "--prime", "5"], "vistoli5.txt"),
     ):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()

@@ -12,7 +12,6 @@ from bpuverify.mod2alg import (
     poly_mul,
 )
 from bpuverify.mod2alg.rings import (
-    IntegralSW,
     bso3_ring,
     bso3_truncated,
     bu4_ring,
@@ -25,6 +24,8 @@ from bpuverify.mod2alg.rings import (
     toda_dimension_oracle,
     toda_ring,
 )
+
+from bpuverify.mod2alg.suites import INTEGRAL_SW, mod2_image, vanishes_mod_2w3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -193,17 +194,12 @@ def test_kz3_ring_is_free_on_three_generators():
 
 
 def test_integral_sw_ring():
-    one = IntegralSW.monomial(0, 0)
-    p1 = IntegralSW.monomial(1, 0)
-    w3 = IntegralSW.monomial(0, 1)
-    assert (w3 + w3).is_zero()  # 2*W3 = 0
-    assert not (p1 + p1).is_zero()  # the torsion-free part is honest over Z
-    assert (p1 * w3 + p1 * w3).is_zero()
+    one = INTEGRAL_SW.one()
+    p1 = INTEGRAL_SW.var("p1")
+    w3 = INTEGRAL_SW.var("W3")
+    assert vanishes_mod_2w3(w3 + w3)  # 2*W3 = 0
+    assert not vanishes_mod_2w3(p1 + p1)  # the torsion-free part is honest over Z
+    assert vanishes_mod_2w3(p1 * w3 + p1 * w3)
     assert str(p1 * p1 * w3 ** 2) == "p1^2*W3^2"
-    capped = IntegralSW.make({(0, 5): 1}, cap=6)
-    assert not capped.is_zero()
-    assert (capped * IntegralSW.make({(0, 1): 1}, cap=6)).is_zero()
-    assert IntegralSW.monomial(1, 2, cap=6).mod2_image(bso3_truncated(6)) == bso3_truncated(
-        6
-    ).parse("wp2^2*wp3^2")
-    assert (one + one).terms == (((0, 0), 2),)
+    assert mod2_image(p1 * w3 ** 2) == bso3_truncated(6).parse("wp2^2*wp3^2")
+    assert (one + one).terms == {(0, 0): 2}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from bpuverify.poly import Polynomial, parse_polynomial
 from bpuverify.series import geometric_product
 from bpuverify.symfun import (
     AlphaGenerators,
-    EtaPolynomial,
     SymmetricContext,
     alpha_generators,
     certify_k4_presentation,
@@ -242,33 +242,60 @@ def test_coker_orders():
         coker_order(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one())
 
 
+def theta_by_expansion(ctx, f):
+    """The expansion route to theta: write f in the v's, send v_i to i*eta and
+    read off the eta^d coefficient (mod n above degree 0)."""
+    vf = ctx.expand(f) if f.ring == ctx.sigma_ring else f
+    value = sum(
+        c * math.prod(i ** k for i, k in enumerate(e, start=1)) for e, c in vf.terms.items()
+    )
+    return value % ctx.n if vf.homogeneous_degree() else value
+
+
 def test_theta_values():
-    assert theta_map(CTX4, CTX4.sigma(1)) == EtaPolynomial.make(4, {1: 2})
-    assert theta_map(CTX4, CTX4.sigma_ring.one()) == EtaPolynomial.make(4, {0: 1})
-    assert theta_map(CTX4, CTX4.sigma(2)) == EtaPolynomial.make(4, {2: 3})
+    assert theta_map(CTX4, CTX4.sigma(1)) == 2
+    assert theta_map(CTX4, CTX4.sigma_ring.one()) == 1
+    assert theta_map(CTX4, CTX4.sigma(2)) == 3
     # multiplicativity sample
     f, g = CTX4.sigma(1), CTX4.sigma(2)
-    assert theta_map(CTX4, f * g) == theta_map(CTX4, f) * theta_map(CTX4, g)
+    assert theta_map(CTX4, f * g) == theta_map(CTX4, f) * theta_map(CTX4, g) % 4
+
+
+def test_theta_agrees_with_the_expansion_route():
+    for n in (3, 4):
+        ctx = SymmetricContext(n)
+        for d in range(9):
+            for g in kernel_basis(ctx, d):
+                assert theta_map(ctx, g) == theta_by_expansion(ctx, g), (n, d, g)
+    ctx3 = SymmetricContext(3)
+    delta = delta_polynomial(ctx3)
+    assert theta_map(ctx3, delta) == theta_by_expansion(ctx3, delta) == 2
+    assert theta_map(ctx3, ctx3.to_sigma(delta)) == 2
+
+
+def test_theta_rejects_inhomogeneous_input():
+    with pytest.raises(ValueError):
+        theta_map(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one())
+    with pytest.raises(ValueError):
+        theta_map(CTX4, SymmetricContext(3).sigma(1))
 
 
 def test_theta_restricted_kernel():
     ctx3 = SymmetricContext(3)
-    sub = theta_restricted_kernel(3, 2)
-    kern = kernel_basis(ctx3, 2)
+
+    def kernel_vectors(d):
+        return [coordinates(ctx3, g, d) for g in kernel_basis(ctx3, d)]
+
+    kern = kernel_vectors(2)
+    sub = theta_restricted_kernel(ctx3, 2, kern)
     assert len(sub) == 1 and len(kern) == 1
-    assert solve_integer(
-        [list(coordinates(ctx3, g, 2)) for g in sub], coordinates(ctx3, kern[0], 2)
-    ) is not None  # the whole degree-2 kernel is killed by the restriction
-    assert theta_restricted_kernel(3, 0) == []
+    # the whole degree-2 kernel is killed by the restriction
+    assert solve_integer(sub, kern[0]) is not None
+    assert theta_restricted_kernel(ctx3, 0, kernel_vectors(0)) == []
     # the alternating product is not in the degree-6 restricted kernel
     delta = ctx3.to_sigma(delta_polynomial(ctx3))
-    sub6 = theta_restricted_kernel(3, 6)
-    assert (
-        solve_integer(
-            [list(coordinates(ctx3, g, 6)) for g in sub6], coordinates(ctx3, delta, 6)
-        )
-        is None
-    )
+    sub6 = theta_restricted_kernel(ctx3, 6, kernel_vectors(6))
+    assert solve_integer(sub6, coordinates(ctx3, delta, 6)) is None
 
 
 def test_vistoli_check_passes_for_three():
