@@ -119,15 +119,20 @@ def homotopy_p(p: Poly) -> Poly:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _squares_to_zero_at(d: int) -> bool:
+    """D^2 = 0 on every degree-d normal-form monomial, checked once per degree."""
+    return not any(
+        differential(differential(frozenset({m})))
+        for m in w_algebra().monomials_of_degree(d)
+    )
+
+
 def verify_differential_squares_to_zero(max_degree: int) -> bool:
-    alg = w_algebra()
-    for d in range(max_degree + 1):
-        for m in alg.monomials_of_degree(d):
-            if differential(differential(frozenset({m}))):
-                return False
-    return True
+    return all(_squares_to_zero_at(d) for d in range(max_degree + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _rank_of_d(d: int) -> int:
     """GF(2) rank of D from degree d to degree d + 1."""
     alg = w_algebra()
@@ -140,7 +145,8 @@ def _rank_of_d(d: int) -> int:
 def homology_dimension(d: int) -> int:
     """dim ker(D at degree d) - dim im(D from degree d-1), over GF(2).
 
-    D^2 = 0 is certified through degree d + 1 before ranks are taken.
+    D^2 = 0 is certified through degree d + 1 before ranks are taken; both
+    the per-degree D^2 checks and the ranks are computed once and reused.
     """
     if not verify_differential_squares_to_zero(d + 1):
         raise ArithmeticError("the differential does not square to zero")

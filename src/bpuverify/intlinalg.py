@@ -277,14 +277,6 @@ def integer_kernel(a: IntMatrix) -> list:
     return [row for row in reduced.entries if any(row)]
 
 
-def cokernel_invariants(a: IntMatrix) -> list:
-    """Invariant factors of Z^rows / column-span(A), 0 marking free summands."""
-    snf = smith_normal_form(a)
-    out = list(snf.invariant_factors)
-    out.extend([0] * (a.rows - len(out)))
-    return out
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -158,26 +158,6 @@ class SteenrodAction:
                 return False
         return True
 
-    def total_square(self, p: Poly) -> Poly:
-        d = self.algebra.poly_degree(p)
-        if d is None:
-            return frozenset()
-        out = frozenset()
-        for i in range(0, d + 1):
-            out = out ^ self.sq(i, p)
-        return self.algebra.normal_form(out)
-
-    def certify_relations(self, max_index: int):
-        """Check Sq^i(r) == 0 in the quotient for each relation and i <= max_index."""
-        for r in self.algebra.relations:
-            for i in range(1, max_index + 1):
-                value = self.sq(i, r)
-                if value:
-                    raise ArithmeticError(
-                        f"Sq^{i} of relation {self.algebra.format(r)} is "
-                        f"{self.algebra.format(value)} != 0"
-                    )
-
 
 # -- Wu formulas ---------------------------------------------------------------
 

@@ -20,14 +20,6 @@ from .symfun import (
 )
 
 
-def d3_image(ctx: SymmetricContext, f: Polynomial) -> Polynomial:
-    """Third-differential image of a symmetric class: its divergence, read as
-    the coefficient of the degree-3 class."""
-    if f.ring == ctx.sigma_ring:
-        return ctx.nabla_sigma(f)
-    return ctx.nabla(f)
-
-
 def verify_E4_9_4() -> VerificationReport:
     """The bidegree (9,4) entry of the fourth page vanishes.
 

@@ -122,7 +122,7 @@ def _src_env():
 
 @pytest.mark.parametrize(
     "argv",
-    [["coker", "--max-degree", "6"], ["dga", "--max-degree", "8"]],
+    [["coker", "--max-degree", "6"], ["dga", "--max-degree", "8"], ["vistoli"]],
     ids=lambda argv: argv[0],
 )
 def test_trace_mode_matches_the_plain_cli(argv):
@@ -221,6 +221,7 @@ def test_golden_reports(capsys):
         (["section10", "--max-degree", "16"], "section10.txt"),
         (["k4", "--max-degree", "8"], "k4.txt"),
         (["vistoli", "--prime", "5"], "vistoli5.txt"),
+        (["k4", "--max-degree", "20"], "k4_20.txt"),
     ):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,17 +6,19 @@ import pytest
 
 from bpuverify.intlinalg import (
     IntMatrix,
+    integer_kernel,
     nullspace_mod_p,
     rank_mod_p,
     smith_normal_form,
     solve_integer,
 )
-from bpuverify.poly import Polynomial, parse_polynomial
+from bpuverify.poly import Polynomial, monomial_basis, parse_polynomial
 from bpuverify.series import geometric_product
 from bpuverify.symfun import (
     AlphaGenerators,
     SymmetricContext,
     alpha_generators,
+    alpha_monomial,
     certify_k4_presentation,
     coker_order,
     coordinates,
@@ -25,7 +28,6 @@ from bpuverify.symfun import (
     kernel_basis,
     nabla_matrix,
     theta_map,
-    theta_restricted_kernel,
     vistoli_delta_check,
 )
 
@@ -221,6 +223,63 @@ def test_certify_k4_rank_and_hilbert_pass_lattice_fails_three_locally():
     assert any(c.name == "three-primary-defect" for c in report.checks)
 
 
+def k4_lines_by_kernel_route(max_degree):
+    """The rank and lattice lines of the k4 report, by the kernel route: build
+    the saturated kernel, solve every generator monomial into it, and take the
+    Smith form of the coordinates.  Returns {name: (status, detail)}."""
+    series = geometric_product((2, 3, 4), max_degree)
+    lines = {}
+    for d in range(max_degree + 1):
+        expos = monomial_basis(d, 4, (2, 3, 4, 6)).monomials
+        ok_lattice = True
+        detail_lattice = ""
+        if d == 0:
+            rankk = 1
+            coords_rows = [(1,)]
+        else:
+            kern = integer_kernel(nabla_matrix(CTX4, d))
+            rankk = len(kern)
+            columns = [list(v) for v in kern]
+            coords_rows = []
+            for expo in expos:
+                vec = coordinates(CTX4, alpha_monomial(ALPHA, expo), d)
+                sol = solve_integer(columns, vec)
+                if sol is None:
+                    ok_lattice = False
+                    detail_lattice = f"monomial a^{expo} outside the kernel lattice"
+                    break
+                coords_rows.append(sol)
+        if ok_lattice and coords_rows:
+            snf = smith_normal_form(IntMatrix(coords_rows))
+            facs = snf.invariant_factors
+            ok_lattice = snf.rank == rankk and all(f == 1 for f in facs[: snf.rank])
+            if not ok_lattice:
+                detail_lattice = f"coordinate stack invariant factors {facs}"
+        elif ok_lattice:
+            ok_lattice = rankk == 0
+        lines[f"rank/d{d:02d}"] = (
+            "pass" if rankk == series[d] else "fail",
+            f"kernel rank {rankk} at degree {d} (ambient dim "
+            f"{len(CTX4.sigma_basis(d))}), series expects {series[d]}",
+        )
+        lines[f"lattice/d{d:02d}"] = (
+            "pass" if ok_lattice else "fail",
+            detail_lattice
+            or f"generator-monomial lattice equals the kernel lattice at degree {d}",
+        )
+    return lines
+
+
+def test_k4_rank_and_lattice_lines_match_the_kernel_route():
+    report = certify_k4_presentation(16)
+    got = {
+        c.name: (c.status, c.detail)
+        for c in report.checks
+        if c.name.startswith(("rank/", "lattice/"))
+    }
+    assert got == k4_lines_by_kernel_route(16)
+
+
 def test_kernel_element_outside_generator_span():
     # the concrete witness of the index-3 defect at degree 4
     u = sp("3*s1^4 - 16*s1^2*s2 + 64*s1*s3 - 256*s4")
@@ -280,6 +339,28 @@ def test_theta_rejects_inhomogeneous_input():
         theta_map(CTX4, SymmetricContext(3).sigma(1))
 
 
+def theta_restricted_kernel(ctx, degree, kern):
+    """Basis of the sublattice of the degree-d kernel killed by the cyclic
+    restriction (coefficients read mod n), by the lattice route.
+
+    ``kern`` is the kernel basis as coordinate vectors in the degree-d
+    sigma basis, and the sublattice basis comes back the same way.
+    """
+    if degree == 0 or not kern:
+        return []
+    values = [
+        theta_map(ctx, ctx.sigma_ring.monomial(m))
+        for m in ctx.sigma_basis(degree).monomials
+    ]
+    rows = IntMatrix(kern)
+    functional = [t % ctx.n for t in rows.apply(values)]
+    if all(c == 0 for c in functional):
+        return list(kern)
+    span = rows.transpose()
+    sub = integer_kernel(IntMatrix([functional + [ctx.n]]))
+    return [span.apply(vec[:-1]) for vec in sub]
+
+
 def test_theta_restricted_kernel():
     ctx3 = SymmetricContext(3)
 
@@ -298,6 +379,38 @@ def test_theta_restricted_kernel():
     assert solve_integer(sub6, coordinates(ctx3, delta, 6)) is None
 
 
+def test_restricted_kernel_membership_by_evaluation_matches_the_lattice_route():
+    # vistoli decides both memberships by evaluating the divergence and theta;
+    # the lattice route solves into the kernel and its restricted sublattice
+    restricted_only = 0
+    for n, max_degree in ((3, 6), (5, 4)):
+        ctx = SymmetricContext(n)
+        for d in range(max_degree + 1):
+            monos = ctx.sigma_basis(d).monomials
+            kern = [coordinates(ctx, g, d) for g in kernel_basis(ctx, d)]
+            sub = theta_restricted_kernel(ctx, d, kern)
+            candidates = list(kern)
+            candidates += [
+                tuple(int(i == j) for j in range(len(monos))) for i in range(len(monos))
+            ]
+            candidates += [
+                tuple(x + y for x, y in zip(u, v))
+                for u, v in itertools.combinations_with_replacement(kern, 2)
+            ]
+            if n == 3 and d == 6:
+                candidates.append(coordinates(ctx, ctx.to_sigma(delta_polynomial(ctx)), d))
+            for vec in candidates:
+                f = Polynomial(ctx.sigma_ring, {m: c for m, c in zip(monos, vec) if c})
+                in_kernel = ctx.nabla_sigma(f).is_zero()
+                in_sub = in_kernel and theta_map(ctx, f) == 0
+                assert in_kernel == (solve_integer(kern, vec) is not None), (n, d, vec)
+                assert in_sub == (solve_integer(sub, vec) is not None), (n, d, vec)
+                if (n, d) == (3, 6) and in_kernel and not in_sub:
+                    restricted_only += 1
+    # both outcomes occur among kernel members
+    assert restricted_only == 4
+
+
 def test_vistoli_check_passes_for_three():
     report = vistoli_delta_check(3)
     assert report.passed
@@ -307,6 +420,9 @@ def test_vistoli_check_passes_for_three():
         vistoli_delta_check(2)
     with pytest.raises(ValueError):
         vistoli_delta_check(9)
+    with pytest.raises(ValueError):
+        vistoli_delta_check(15)
+    assert delta_polynomial(SymmetricContext(3)).homogeneous_degree() == 6
 
 
 def test_h3_order():
@@ -319,15 +435,3 @@ def test_alpha_generators_type():
     assert isinstance(ALPHA, AlphaGenerators)
     for name, gen in ALPHA.as_dict().items():
         assert gen.homogeneous_degree() == int(name[1:])
-
-
-def test_delta_class_constructor_validates():
-    from bpuverify.symfun import DeltaClass
-
-    dc = DeltaClass.make(3)
-    assert dc.p == 3
-    assert dc.polynomial.homogeneous_degree() == 6
-    with pytest.raises(ValueError):
-        DeltaClass.make(2)
-    with pytest.raises(ValueError):
-        DeltaClass.make(15)
