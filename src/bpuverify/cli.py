@@ -3,7 +3,7 @@
 Runs the registered suites and emits deterministic text or JSON reports:
 one line per check in text mode, the documented object schema in JSON mode.
 Exit status: 0 when no check failed (findings do not fail a run), 1 on any
-failing check, 2 on usage or internal errors.
+failing check, 2 on usage or internal errors or an unwritable ``--out`` file.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def _run_coker(opts) -> VerificationReport:
     al = symfun.alpha_generators(ctx)
     max_degree = opts.max_degree or 16
     for d in range(0, max_degree + 1):
-        for c, e in reversed(monomial_basis(d, 2, (4, 6)).monomials):
+        for c, e in reversed(monomial_basis(d, (4, 6))):
             f = al.a4 ** c * al.a6 ** e
             order = symfun.coker_order(ctx, f, degree=d)
             label = f"a4^{c}*a6^{e}" if (c or e) else "1"
@@ -173,8 +173,12 @@ def main(argv=None) -> int:
         return 2
     sys.stdout.write(rendered)
     if opts.out:
-        with open(opts.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(opts.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write --out file: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -9,6 +9,7 @@ returned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -277,6 +278,7 @@ def integer_kernel(a: IntMatrix) -> list:
     return [row for row in reduced.entries if any(row)]
 
 
+@functools.lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -293,7 +295,7 @@ def _is_prime(p: int) -> bool:
 
 
 def _row_reduce_mod_p(a: IntMatrix, p: int):
-    """Reduced row echelon form of A over GF(p): (rows, pivot columns)."""
+    """Row echelon form of A over GF(p) with unit pivots: (rows, pivot columns)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     m, n = a.rows, a.cols
@@ -307,8 +309,8 @@ def _row_reduce_mod_p(a: IntMatrix, p: int):
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][col], -1, p)
         rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col]:
+        for i in range(rank + 1, m):
+            if rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
@@ -329,8 +331,9 @@ def nullspace_mod_p(a: IntMatrix, p: int) -> list:
             continue
         vec = [0] * a.cols
         vec[j] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rows[r][j]) % p
+        for r in range(len(pivots) - 1, -1, -1):  # back-substitute, last pivot first
+            pc = pivots[r]
+            vec[pc] = -sum(x * y for x, y in zip(rows[r][pc + 1:], vec[pc + 1:])) % p
         basis.append(tuple(vec))
     return basis
 

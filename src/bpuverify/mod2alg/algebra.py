@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, Optional
 
 from .. import gf2
-from ..poly import Ring, monomial_basis, parse_polynomial
+from ..poly import Polynomial, Ring, monomial_basis, parse_polynomial
 
 Monomial = tuple
 Poly = frozenset  # of Monomial
@@ -125,37 +125,33 @@ class PresentedAlgebra:
         return frozenset({tuple(exponents)})
 
     def format(self, p: Poly) -> str:
-        if not p:
-            return "0"
-        pieces = []
-        for m in sorted(p, key=self.order_key, reverse=True):
-            factors = []
-            for name, e in zip(self.gen_names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            pieces.append("*".join(factors) if factors else "1")
-        return " + ".join(pieces)
+        return str(Polynomial(self._parse_ring, dict.fromkeys(p, 1)))
 
     # -- reduction -----------------------------------------------------------
     def _reduce(self, p: Poly, basis) -> Poly:
-        """Full normal form of p against (lead, poly) pairs."""
-        work = set(p)
-        again = True
-        while again:
-            again = False
-            for m in sorted(work, key=self.order_key, reverse=True):
-                for lead, g in basis:
-                    if mono_divides(lead, m):
-                        cof = mono_quotient(m, lead)
-                        for gm in g:
-                            work ^= {mono_mul(cof, gm)}
-                        again = True
-                        break
-                if again:
+        """Full normal form of p against (lead, poly) pairs: the XOR of the
+        normal forms of its monomials, each found once per call."""
+        memo = {}
+        out = ZERO
+        for m in p:
+            out ^= self._monomial_nf(m, basis, memo)
+        return out
+
+    def _monomial_nf(self, m: Monomial, basis, memo: dict) -> Poly:
+        """A monomial no lead divides is in normal form; any other has the
+        normal form of cof*(g - lead) for the first lead dividing it."""
+        if m not in memo:
+            out = frozenset({m})
+            for lead, g in basis:
+                if mono_divides(lead, m):
+                    cof = mono_quotient(m, lead)
+                    out = ZERO
+                    for gm in g:
+                        if gm != lead:
+                            out ^= self._monomial_nf(mono_mul(cof, gm), basis, memo)
                     break
-        return frozenset(work)
+            memo[m] = out
+        return memo[m]
 
     def _buchberger(self, relations) -> tuple:
         basis = []
@@ -173,20 +169,17 @@ class PresentedAlgebra:
             if s:
                 basis.append((self.leading_monomial(s), s))
                 pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-        # inter-reduce to the unique reduced basis
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(basis)):
-                others = [basis[j] for j in range(len(basis)) if j != i]
-                red = self._reduce(basis[i][1], others)
-                if red != basis[i][1]:
-                    changed = True
-                    basis = others
-                    if red:
-                        basis.append((self.leading_monomial(red), red))
-                    break
-        basis.sort(key=lambda t: self.order_key(t[0]))
+        # the unique reduced basis: keep each element whose lead no other lead
+        # divides (the first of equal leads), then reduce its tail by the rest
+        minimal = [
+            (l, g) for i, (l, g) in enumerate(basis)
+            if not any(mono_divides(k, l) and (k != l or j < i)
+                       for j, (k, _) in enumerate(basis) if j != i)
+        ]
+        basis = sorted(
+            ((l, self._reduce(g, [b for b in minimal if b[0] != l])) for l, g in minimal),
+            key=lambda t: self.order_key(t[0]),
+        )
         # confluence certificate: every S-polynomial of the final basis -> 0
         for (li, fi), (lj, fj) in itertools.combinations(basis, 2):
             if self._reduce(s_polynomial(li, fi, lj, fj), basis):
@@ -213,14 +206,11 @@ class PresentedAlgebra:
         """Normal-form monomials of weighted degree d, order-descending."""
         if d not in self._graded_cache:
             leads = [lead for lead, _ in self.groebner]
-            exponents = monomial_basis(d, len(self.gen_names), self.gen_degrees)
-            monos = sorted(
-                (m for m in exponents.monomials
-                 if not any(mono_divides(l, m) for l in leads)),
-                key=self.order_key,
-                reverse=True,
+            monos = tuple(
+                m for m in monomial_basis(d, self.gen_degrees)
+                if not any(mono_divides(l, m) for l in leads)
             )
-            self._graded_cache[d] = (tuple(monos), {m: i for i, m in enumerate(monos)})
+            self._graded_cache[d] = (monos, {m: i for i, m in enumerate(monos)})
         return self._graded_cache[d][0]
 
     def coordinates(self, p: Poly, d: int) -> int:
@@ -242,14 +232,7 @@ class PresentedAlgebra:
 
     def from_mask(self, mask: int, d: int) -> Poly:
         monos = self.monomials_of_degree(d)
-        out = set()
-        i = 0
-        while mask:
-            if mask & 1:
-                out.add(monos[i])
-            mask >>= 1
-            i += 1
-        return frozenset(out)
+        return frozenset(monos[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
     def subalgebra_ranks(self, generators, max_degree: int) -> list:
         """(rank, count) for each degree 0..max_degree: the GF(2) rank of the
@@ -269,7 +252,7 @@ class PresentedAlgebra:
 
         out = []
         for d in range(max_degree + 1):
-            exponents = monomial_basis(d, len(gens), degrees).monomials
+            exponents = monomial_basis(d, degrees)
             vectors = []
             for expo in exponents:
                 prod = self.one()
@@ -282,12 +265,10 @@ class PresentedAlgebra:
 
     def with_relations(self, extra, name: Optional[str] = None) -> "PresentedAlgebra":
         """Quotient by additional homogeneous relations (e.g. truncations)."""
-        rels = [self.format(r) for r in self.relations]
-        rels.extend(extra if isinstance(extra, (list, tuple)) else [extra])
         return PresentedAlgebra(
             name or f"{self.name}-quotient",
             list(zip(self.gen_names, self.gen_degrees)),
-            rels,
+            list(self.relations) + list(extra),
         )
 
 

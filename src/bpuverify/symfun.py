@@ -69,7 +69,7 @@ class SymmetricContext:
         return self.sigma_ring.var(f"s{k}")
 
     def sigma_basis(self, degree: int):
-        return self.sigma_ring.basis(degree)
+        return monomial_basis(degree, self.sigma_ring.weights)
 
     # -- conversions -------------------------------------------------------
     def expand(self, f: Polynomial) -> Polynomial:
@@ -161,7 +161,7 @@ def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
     deg = f.homogeneous_degree()
     if deg is not None and deg != degree:
         raise ValueError(f"polynomial has degree {deg}, expected {degree}")
-    return tuple(f.coefficient(m) for m in basis.monomials)
+    return tuple(f.coefficient(m) for m in basis)
 
 
 def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
@@ -171,9 +171,9 @@ def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
     src = ctx.sigma_basis(degree)
     tgt = ctx.sigma_basis(degree - 1)
     cols = []
-    for mono in src.monomials:
+    for mono in src:
         image = ctx.nabla_sigma(ctx.sigma_ring.monomial(mono))
-        cols.append([image.coefficient(t) for t in tgt.monomials])
+        cols.append([image.coefficient(t) for t in tgt])
     return IntMatrix([[cols[j][i] for j in range(len(src))] for i in range(len(tgt))])
 
 
@@ -184,7 +184,7 @@ def kernel_basis(ctx: SymmetricContext, degree: int) -> list:
         return [ctx.sigma_ring.one()]
     basis = ctx.sigma_basis(degree)
     return [
-        Polynomial(ctx.sigma_ring, {m: c for m, c in zip(basis.monomials, vec) if c})
+        Polynomial(ctx.sigma_ring, {m: c for m, c in zip(basis, vec) if c})
         for vec in integer_kernel(nabla_matrix(ctx, degree))
     ]
 
@@ -291,7 +291,7 @@ def certify_k4_presentation(max_degree: int = 16) -> VerificationReport:
 
     lattice_failures = []
     for d in range(max_degree + 1):
-        expos = monomial_basis(d, 4, (2, 3, 4, 6)).monomials
+        expos = monomial_basis(d, (2, 3, 4, 6))
         if d == 0:
             rankk = 1
         else:

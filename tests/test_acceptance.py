@@ -79,7 +79,7 @@ def _generator_lattice_index(d):
     kernel of an integer matrix is saturated; so when the stack has the
     kernel's rank, the index is the product of its nonzero invariant factors.
     """
-    expos = monomial_basis(d, 4, (2, 3, 4, 6)).monomials
+    expos = monomial_basis(d, (2, 3, 4, 6))
     if not expos:
         return 0, 1
     rows = [coordinates(CTX, alpha_monomial(ALPHA, e), d) for e in expos]

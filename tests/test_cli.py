@@ -122,7 +122,12 @@ def _src_env():
 
 @pytest.mark.parametrize(
     "argv",
-    [["coker", "--max-degree", "6"], ["dga", "--max-degree", "8"], ["vistoli"]],
+    [
+        ["coker", "--max-degree", "6"],
+        ["dga", "--max-degree", "8"],
+        ["vistoli"],
+        ["section10", "--max-degree", "12"],
+    ],
     ids=lambda argv: argv[0],
 )
 def test_trace_mode_matches_the_plain_cli(argv):
@@ -222,6 +227,7 @@ def test_golden_reports(capsys):
         (["k4", "--max-degree", "8"], "k4.txt"),
         (["vistoli", "--prime", "5"], "vistoli5.txt"),
         (["k4", "--max-degree", "20"], "k4_20.txt"),
+        (["section10", "--max-degree", "40"], "section10_40.txt"),
     ):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()
@@ -233,6 +239,18 @@ def test_out_file(tmp_path, capsys):
     code, out = run_cli(["vistoli", "--out", str(target)], capsys)
     assert code == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_file_exits_two(where, tmp_path):
+    target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+    result = subprocess.run(
+        [sys.executable, "-m", "bpuverify.cli", "spectral", "--out", str(target)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:"), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_serialize_empty_report():

@@ -118,6 +118,48 @@ def test_nullspace_mod_p():
                 assert all(x % p == 0 for x in a.apply(v))
 
 
+def _rref_mod_p(a, p):
+    # the former route, kept as the oracle: full reduced row echelon form
+    m, n = a.rows, a.cols
+    rows = [[x % p for x in row] for row in a.entries]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(m):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    nullspace = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        vec = [0] * n
+        vec[j] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-rows[r][j]) % p
+        nullspace.append(tuple(vec))
+    return len(pivots), nullspace
+
+
+def test_forward_elimination_matches_the_rref_oracle():
+    ctx = SymmetricContext(4)
+    rng = random.Random(106)
+    matrices = [nabla_matrix(ctx, d) for d in range(1, 13)]
+    matrices += [_random_matrix(rng, max_dim=5) for _ in range(40)]
+    for a in matrices:
+        for p in (2, 3, 2**31 - 1):
+            rank, nullspace = _rref_mod_p(a, p)
+            assert rank_mod_p(a, p) == rank
+            assert nullspace_mod_p(a, p) == nullspace
+
+
 def test_hermite_transform_contract():
     rng = random.Random(105)
     for _ in range(60):

@@ -1,8 +1,10 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
+from bpuverify.dga import w_algebra
 from bpuverify.mod2alg import (
     AlgebraMap,
     MapNotWellDefined,
@@ -11,6 +13,7 @@ from bpuverify.mod2alg import (
     load_map_tables,
     poly_mul,
 )
+from bpuverify.mod2alg.algebra import mono_divides, mono_mul, mono_quotient, s_polynomial
 from bpuverify.mod2alg.rings import (
     bso3_ring,
     bso3_truncated,
@@ -26,8 +29,123 @@ from bpuverify.mod2alg.rings import (
 )
 
 from bpuverify.mod2alg.suites import INTEGRAL_SW, mod2_image, vanishes_mod_2w3
+from bpuverify.poly import monomial_basis
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+class _RestartLoopAlgebra(PresentedAlgebra):
+    """The former reduction route, kept as the oracle: reduce the highest
+    reducible monomial by the first lead dividing it, re-sort, restart; and
+    inter-reduce the Groebner basis one element at a time, restarting after
+    every change."""
+
+    def _reduce(self, p, basis):
+        work = set(p)
+        again = True
+        while again:
+            again = False
+            for m in sorted(work, key=self.order_key, reverse=True):
+                for lead, g in basis:
+                    if mono_divides(lead, m):
+                        cof = mono_quotient(m, lead)
+                        for gm in g:
+                            work ^= {mono_mul(cof, gm)}
+                        again = True
+                        break
+                if again:
+                    break
+        return frozenset(work)
+
+    def _buchberger(self, relations):
+        basis = [(self.leading_monomial(r), r) for r in relations if r]
+        pairs = list(itertools.combinations(range(len(basis)), 2))
+        while pairs:
+            i, j = pairs.pop()
+            li, fi = basis[i]
+            lj, fj = basis[j]
+            if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+                continue
+            s = self._reduce(s_polynomial(li, fi, lj, fj), basis)
+            if s:
+                basis.append((self.leading_monomial(s), s))
+                pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(basis)):
+                others = [basis[j] for j in range(len(basis)) if j != i]
+                red = self._reduce(basis[i][1], others)
+                if red != basis[i][1]:
+                    changed = True
+                    basis = others
+                    if red:
+                        basis.append((self.leading_monomial(red), red))
+                    break
+        basis.sort(key=lambda t: self.order_key(t[0]))
+        return tuple(basis)
+
+
+def _sort_and_join_format(algebra, p):
+    # the former printer, kept as the oracle for PresentedAlgebra.format
+    if not p:
+        return "0"
+    pieces = []
+    for m in sorted(p, key=algebra.order_key, reverse=True):
+        factors = []
+        for name, e in zip(algebra.gen_names, m):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        pieces.append("*".join(factors) if factors else "1")
+    return " + ".join(pieces)
+
+
+def _oracle_corpus():
+    paths = sorted((ROOT / "src" / "bpuverify" / "data").glob("*.alg"))
+    paths.append(FIXTURES / "algebras" / "toda_bad.alg")
+    algebras = [load_algebra(path.read_text(), path.stem) for path in paths]
+    return algebras + [w_algebra(), bso3_truncated(3), bso3_truncated(6)]
+
+
+def _random_presentation(seed):
+    # three generators and three random homogeneous relations: small ideals
+    # whose Buchberger runs drop and inter-reduce basis elements
+    rng = random.Random(seed)
+    gens = [("a", 1), ("b", 2), ("c", 3)]
+    relations = []
+    for _ in range(3):
+        monos = monomial_basis(rng.randint(3, 6), [d for _, d in gens])
+        relations.append(frozenset(rng.sample(monos, rng.randint(1, len(monos)))))
+    return PresentedAlgebra(f"random{seed}", gens, relations)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    _oracle_corpus() + [_random_presentation(seed) for seed in range(12)],
+    ids=lambda a: a.name,
+)
+def test_reduction_matches_the_restart_loop_oracle(algebra):
+    oracle = _RestartLoopAlgebra(
+        algebra.name, zip(algebra.gen_names, algebra.gen_degrees), algebra.relations
+    )
+    assert oracle.groebner == algebra.groebner
+    for d in range(25):
+        for m in monomial_basis(d, algebra.gen_degrees):
+            mono = frozenset({m})
+            assert algebra.normal_form(mono) == oracle.normal_form(mono), (d, m)
+
+
+@pytest.mark.parametrize("algebra", _oracle_corpus(), ids=lambda a: a.name)
+def test_format_matches_the_sort_and_join_oracle(algebra):
+    samples = [frozenset()] + list(algebra.relations)
+    samples += [g for _, g in algebra.groebner]
+    for d in range(17):
+        samples += [frozenset({m}) for m in monomial_basis(d, algebra.gen_degrees)]
+    for p in samples:
+        assert algebra.format(p) == _sort_and_join_format(algebra, p), p
 
 
 def test_toda_generators_form_the_reduced_basis():
@@ -105,8 +223,6 @@ def test_dimensions_match_transfer_matrix_oracle_through_24():
 
 
 def test_coordinates_round_trip_and_reject_non_normal_forms():
-    from bpuverify.dga import w_algebra
-
     W = w_algebra()
     d = 18
     monos = W.monomials_of_degree(d)
