@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z and Z/p: Smith normal form, kernels, cokernels.
+"""Exact linear algebra over Z, Z/p and Z/p^E: Smith normal form, kernels,
+cokernels, and local row forms.
 
 Everything is dense and uses arbitrary-precision Python ints.  The matrices
 that show up here (graded pieces of symmetric-function operators) stay small,
@@ -20,21 +21,22 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable):
+    def __init__(self, entries: Iterable, cols: Optional[int] = None):
+        """``cols`` gives the width of a matrix with no rows (default 0); with
+        rows present it must equal their length."""
         rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        width = len(rows[0]) if rows else (cols or 0)
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != width:
+            raise ValueError(f"rows have length {width}, expected {cols}")
         self.entries = rows
         self.rows = len(rows)
         self.cols = width
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
+        return IntMatrix([[0] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -45,7 +47,11 @@ class IntMatrix:
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
+        return (
+            isinstance(other, IntMatrix)
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
 
     def __hash__(self):
         return hash(self.entries)
@@ -53,16 +59,17 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        bt = list(zip(*other.entries)) if other.entries else []
+        bt = list(zip(*other.entries)) if other.rows else [()] * other.cols
         return IntMatrix(
             [
                 [sum(a * b for a, b in zip(row, col)) for col in bt]
                 for row in self.entries
-            ]
+            ],
+            other.cols,
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)) if self.entries else [])
+        return IntMatrix(zip(*self.entries) if self.rows else [()] * self.cols, self.rows)
 
     def apply(self, vector) -> tuple:
         vector = tuple(vector)
@@ -198,7 +205,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                 if d[i + 1][i + 1] < 0:
                     negate_row(i + 1)
 
-    um, dm, vm = IntMatrix(u), IntMatrix(d), IntMatrix(zip(*vt))
+    um, dm, vm = IntMatrix(u, m), IntMatrix(d, n), IntMatrix(zip(*vt), n)
     if (um @ a) @ vm != dm:
         raise ArithmeticError("Smith normal form certificate failed")
     diag = tuple(dm[i, i] for i in range(min(m, n)))
@@ -221,7 +228,7 @@ def hermite_normal_form(a: IntMatrix):
     h = [list(row) for row in a.entries]
     u = _identity_rows(a.rows)
     _hermite_rows(h, u)
-    return IntMatrix(h), IntMatrix(u)
+    return IntMatrix(h, a.cols), IntMatrix(u, a.rows)
 
 
 def _hermite_rows(h: list, companion: list) -> None:
@@ -336,6 +343,132 @@ def nullspace_mod_p(a: IntMatrix, p: int) -> list:
             vec[pc] = -sum(x * y for x, y in zip(rows[r][pc + 1:], vec[pc + 1:])) % p
         basis.append(tuple(vec))
     return basis
+
+
+# the prime at which matrices are shown to have full row rank
+_RANK_PRIME = 2 ** 31 - 1
+
+
+def _valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@dataclass(frozen=True)
+class LocalRowForm:
+    """Row elimination of a full-row-rank A over Z/p^E: U*A == H (mod p^E).
+
+    Row r of H has p-valuation at least ``valuations[r]`` in every entry, so
+    the functional p^(E - v_r) * u_r, with u_r row r of the invertible U,
+    vanishes on A modulo p^E.  Every v_r is below E, so the v_r are the
+    p-valuations of A's invariant factors, p^E kills the p-part of the
+    cokernel, and these functionals detect every vector outside the column
+    span of A over Z localized at p.
+    """
+
+    prime: int
+    exponent: int
+    valuations: tuple
+    transform: tuple
+
+    def witness(self, x) -> Optional[tuple]:
+        """The first functional p^(E - v_r) * u_r that is nonzero on x modulo
+        p^E, or None when x lies in the column span of A localized at p."""
+        p, e = self.prime, self.exponent
+        for v, u in zip(self.valuations, self.transform):
+            if v and sum(a * b for a, b in zip(u, x)) % p ** v:
+                return tuple(p ** (e - v) * a % p ** e for a in u)
+        return None
+
+
+def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
+    """Row elimination of A over Z/p^E, each pivot the entry of least
+    p-valuation in the block of rows and columns not yet pivoted.
+
+    Full row rank is checked first, by one rank modulo 2^31 - 1, so that some
+    E exceeds every invariant factor's p-valuation; E starts at 8 and doubles
+    until every pivot valuation is below it.  Raises ArithmeticError when A is
+    not of full row rank.
+    """
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if rank_mod_p(a, _RANK_PRIME) != a.rows:
+        raise ArithmeticError("matrix is not of full row rank")
+    exponent = 8
+    while True:
+        form = _eliminate_mod_prime_power(a, p, exponent)
+        if form is not None:
+            return form
+        exponent *= 2
+
+
+def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int):
+    """The LocalRowForm of A modulo p^exponent, or None when some pivot would
+    have valuation exponent or more (the rest of the block is zero)."""
+    q = p ** exponent
+    m = a.rows
+    h = [[x % q for x in row] for row in a.entries]
+    u = _identity_rows(m)
+    valuations = []
+    # the rows of h keep only the columns not yet pivoted; low[i] bounds row
+    # i's least valuation from below, since a row operation with a pivot of
+    # least valuation never lowers it
+    low = [0] * m
+    level = 0  # the least valuation in the block, which never decreases
+    for r in range(m):
+        pivot = None
+        while pivot is None:
+            for i in range(r, m):
+                if low[i] > level:
+                    continue
+                least = exponent
+                for j, x in enumerate(h[i]):
+                    if x:
+                        v = _valuation(x, p)
+                        if v < least:
+                            least, col = v, j
+                            if v == level:
+                                break
+                low[i] = least
+                if least == level:
+                    pivot = i, col
+                    break
+            else:
+                level = min(low[r:])
+                if level == exponent:
+                    return None
+        i, j = pivot
+        low[r], low[i] = low[i], low[r]
+        h[r], h[i] = h[i], h[r]
+        u[r], u[i] = u[i], u[r]
+        pivot_row, pivot_u = h[r], u[r]
+        scale = p ** level
+        inverse = pow(pivot_row[j] // scale, -1, q)
+        for i in range(r + 1, m):
+            row = h[i]
+            if row[j]:
+                c = row[j] // scale * inverse % q
+                h[i] = row = [(x - c * y) % q for x, y in zip(row, pivot_row)]
+                u[i] = [(x - c * y) % q for x, y in zip(u[i], pivot_u)]
+            del row[j]
+        valuations.append(level)
+    return LocalRowForm(p, exponent, tuple(valuations), tuple(tuple(row) for row in u))
+
+
+def check_cokernel_witness(a: IntMatrix, y, x, modulus: int) -> None:
+    """Raise ArithmeticError unless y*A == 0 and y*x != 0 modulo ``modulus``,
+    which together prove that x is not in the column span of A over Z."""
+    image = [0] * a.cols
+    for c, row in zip(y, a.entries):
+        if c:
+            image = [s + c * t for s, t in zip(image, row)]
+    if any(s % modulus for s in image):
+        raise ArithmeticError("cokernel witness does not vanish on the matrix")
+    if sum(c * t for c, t in zip(y, x)) % modulus == 0:
+        raise ArithmeticError("cokernel witness vanishes on the vector")
 
 
 def element_order_in_cokernel(a: IntMatrix, x) -> Optional[int]:

@@ -10,7 +10,7 @@ polynomials, written in elementary-symmetric coordinates, it acts as the
 derivation sending s_k to (n - k + 1) * s_{k-1}; both routes are implemented
 and cross-checked in the test suite.
 
-Kernel bases are lattice bases obtained from Smith normal form, so Z-span
+Kernel bases are lattice bases read off a Hermite normal form, so Z-span
 equality checks are exact; nothing is done over the rationals.
 """
 
@@ -22,18 +22,18 @@ from dataclasses import dataclass
 
 from .intlinalg import (
     IntMatrix,
+    check_cokernel_witness,
     element_order_in_cokernel,
     integer_kernel,
+    local_row_form,
     rank_mod_p,
     smith_normal_form,
     _is_prime,
+    _RANK_PRIME,
 )
 from .poly import Polynomial, Ring, monomial_basis
 from .report import VerificationReport
 from .series import geometric_product, weighted_monomial_count
-
-# the prime at which the divergence matrices are shown to be onto
-_RANK_PRIME = 2 ** 31 - 1
 
 
 class SymmetricContext:
@@ -49,6 +49,7 @@ class SymmetricContext:
         )
         self._elementary_cache = {}
         self._expand_cache = {}
+        self._local_forms = {}  # prime -> (degree, divergence matrix, LocalRowForm)
 
     # -- basic generators -------------------------------------------------
     def elementary(self, k: int) -> Polynomial:
@@ -169,12 +170,12 @@ def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
     if degree < 1:
         raise ValueError("matrix defined for degree >= 1")
     src = ctx.sigma_basis(degree)
-    tgt = ctx.sigma_basis(degree - 1)
-    cols = []
-    for mono in src:
-        image = ctx.nabla_sigma(ctx.sigma_ring.monomial(mono))
-        cols.append([image.coefficient(t) for t in tgt])
-    return IntMatrix([[cols[j][i] for j in range(len(src))] for i in range(len(tgt))])
+    row_of = {t: i for i, t in enumerate(ctx.sigma_basis(degree - 1))}
+    rows = [[0] * len(src) for _ in row_of]
+    for j, mono in enumerate(src):
+        for t, c in ctx.nabla_sigma(ctx.sigma_ring.monomial(mono)).terms.items():
+            rows[row_of[t]][j] = c
+    return IntMatrix(rows)
 
 
 def kernel_basis(ctx: SymmetricContext, degree: int) -> list:
@@ -352,9 +353,31 @@ def certify_k4_presentation(max_degree: int = 16) -> VerificationReport:
     return report
 
 
+def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):
+    """The divergence matrix into degree - 1 and its local row form at p.
+
+    The context keeps the latest degree's pair for each prime, so every
+    monomial of one degree shares one elimination.
+    """
+    cached = ctx._local_forms.get(p)
+    if cached is None or cached[0] != degree:
+        a = nabla_matrix(ctx, degree)
+        cached = ctx._local_forms[p] = (degree, a, local_row_form(a, p))
+    return cached[1:]
+
+
 def coker_order(ctx: SymmetricContext, f: Polynomial, degree: int = None):
     """Order of the class of f in (degree-d part) / divergence-image, or None
-    for infinite order."""
+    for infinite order.
+
+    A divergence-free f is settled by two certificates.  The upper bound:
+    divergence(s1*f) == n*f, since s1/n is a slice, so the order divides n.
+    The lower bound: for each prime p dividing n, a functional y from the
+    local row form at p with y*A == 0 and y*(n/p)*f != 0 modulo p^E, checked
+    against A, so (n/p)*f is not in the image.  Inputs with nonzero
+    divergence, and kernel elements whose order is below n, take the Smith
+    normal form route.
+    """
     d = f.homogeneous_degree()
     if d is None:
         if degree is None:
@@ -362,8 +385,21 @@ def coker_order(ctx: SymmetricContext, f: Polynomial, degree: int = None):
         d = degree
     if degree is not None and degree != d:
         raise ValueError("inhomogeneous input")
-    mat = nabla_matrix(ctx, d + 1)
-    return element_order_in_cokernel(mat, coordinates(ctx, f, d))
+    x = coordinates(ctx, f, d)
+    n = ctx.n
+    if ctx.nabla_sigma(f).is_zero():
+        if ctx.nabla_sigma(ctx.sigma(1) * f) != n * f:
+            raise ArithmeticError("divergence(s1*f) differs from n*f")
+        for p in (q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)):
+            a, form = _divergence_local_form(ctx, d + 1, p)
+            target = [n // p * t for t in x]
+            y = form.witness(target)
+            if y is None:
+                break
+            check_cokernel_witness(a, y, target, p ** form.exponent)
+        else:
+            return n
+    return element_order_in_cokernel(nabla_matrix(ctx, d + 1), x)
 
 
 # -- the cyclic-restriction map ---------------------------------------------

@@ -1,18 +1,22 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
 from bpuverify.intlinalg import (
     IntMatrix,
+    check_cokernel_witness,
     element_order_in_cokernel,
     hermite_normal_form,
     integer_kernel,
+    local_row_form,
     nullspace_mod_p,
     rank_mod_p,
     smith_normal_form,
     solve_integer,
 )
-from bpuverify.symfun import SymmetricContext, nabla_matrix
+from bpuverify.symfun import SymmetricContext, alpha_generators, coordinates, nabla_matrix
 
 
 def test_snf_examples():
@@ -217,6 +221,9 @@ def _dense_product_smith(a):
     return tail.u @ u, tail.d, v @ tail.v
 
 
+# the matrices with no rows or no columns keep their shape, so U, D and V
+# come out as 0x0, 0x3 and 3x3 for the first and 3x3, 3x0 and 0x0 for the
+# second on both routes
 SMALL_MATRICES = (
     IntMatrix.zero(0, 3),
     IntMatrix([[], [], []]),
@@ -259,3 +266,125 @@ def test_determinant_bareiss():
             return total
 
         assert a.determinant() == minor_det([list(r) for r in a.entries])
+
+
+def test_matrices_without_rows_keep_their_width():
+    empty = IntMatrix.zero(0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert empty != IntMatrix.zero(0, 0)
+    tall = empty.transpose()
+    assert (tall.rows, tall.cols) == (3, 0)
+    assert tall.transpose() == empty
+    assert tall @ IntMatrix.zero(0, 2) == IntMatrix.zero(3, 2)
+    assert integer_kernel(empty) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert integer_kernel(tall) == []
+    snf = smith_normal_form(empty)
+    shapes = [(x.rows, x.cols) for x in (snf.u, snf.d, snf.v)]
+    assert shapes == [(0, 0), (0, 3), (3, 3)]
+    snf = smith_normal_form(tall)
+    shapes = [(x.rows, x.cols) for x in (snf.u, snf.d, snf.v)]
+    assert shapes == [(3, 3), (3, 0), (0, 0)]
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], 3)
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _full_row_rank_matrices(rng, count):
+    out = []
+    while len(out) < count:
+        a = _random_matrix(rng, max_dim=5, span=12)
+        if a.rows <= a.cols and smith_normal_form(a).rank == a.rows:
+            out.append(a)
+    return out
+
+
+def test_local_row_form_matches_the_smith_oracle():
+    ctx = SymmetricContext(4)
+    rng = random.Random(108)
+    cases = [nabla_matrix(ctx, d) for d in range(1, 13)]
+    cases += _full_row_rank_matrices(rng, 40)
+    cases.append(IntMatrix([[2 ** 40, 3]]))
+    for a in cases:
+        snf = smith_normal_form(a)
+        for p in (2, 3, 5):
+            form = local_row_form(a, p)
+            q = p ** form.exponent
+            expected = sorted(_valuation(f, p) for f in snf.invariant_factors)
+            assert sorted(form.valuations) == expected
+            assert max(form.valuations, default=0) < form.exponent
+            for v, u in zip(form.valuations, form.transform):
+                y = [p ** (form.exponent - v) * t for t in u]
+                assert all(s % q == 0 for s in a.transpose().apply(y))
+            # a witness exists exactly when the element's order has a factor p
+            for _ in range(6):
+                x = [rng.randint(-9, 9) for _ in range(a.rows)]
+                y = form.witness(x)
+                assert (y is None) == (element_order_in_cokernel(a, x) % p != 0)
+                if y is not None:
+                    check_cokernel_witness(a, y, x, q)
+
+
+def test_local_row_form_doubles_the_exponent():
+    form = local_row_form(IntMatrix([[2 ** 40, 6]]), 2)
+    assert (form.valuations, form.exponent) == ((1,), 8)
+    form = local_row_form(IntMatrix([[2 ** 40]]), 2)
+    assert (form.valuations, form.exponent) == ((40,), 64)
+    with pytest.raises(ValueError):
+        local_row_form(IntMatrix([[4]]), 4)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        IntMatrix([[2, 4], [1, 2]]),
+        IntMatrix.zero(2, 3),
+        IntMatrix([[0, 0]]),
+        IntMatrix([[4, 8, 0], [0, 0, 4], [4, 8, 4]]),
+    ],
+)
+def test_local_row_form_rejects_rank_deficient_matrices(a):
+    # the doubling of E would never end on these, so a time limit turns a
+    # missing rank check into a failure instead of a hang
+    with _time_limit(20):
+        for p in (2, 3):
+            with pytest.raises(ArithmeticError):
+                local_row_form(a, p)
+
+
+def test_flipped_cokernel_witness_is_rejected():
+    ctx = SymmetricContext(4)
+    a = nabla_matrix(ctx, 5)
+    form = local_row_form(a, 2)
+    q = 2 ** form.exponent
+    x = [2 * t for t in coordinates(ctx, alpha_generators(ctx).a4, 4)]
+    y = form.witness(x)
+    assert y is not None
+    check_cokernel_witness(a, y, x, q)
+    for i in range(len(y)):
+        flipped = list(y)
+        flipped[i] += 1
+        with pytest.raises(ArithmeticError):
+            check_cokernel_witness(a, flipped, x, q)
+    with pytest.raises(ArithmeticError):
+        check_cokernel_witness(a, y, [4 * t for t in x], q)

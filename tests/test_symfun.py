@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from bpuverify import symfun
 from bpuverify.intlinalg import (
     IntMatrix,
+    element_order_in_cokernel,
     integer_kernel,
     nullspace_mod_p,
     rank_mod_p,
@@ -299,6 +301,57 @@ def test_coker_orders():
     assert coker_order(CTX4, CTX4.sigma(1)) == 1
     with pytest.raises(ValueError):
         coker_order(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one())
+
+
+def _smith_route_order(ctx, f, d):
+    return element_order_in_cokernel(nabla_matrix(ctx, d + 1), coordinates(ctx, f, d))
+
+
+def test_coker_order_matches_the_smith_route_on_generator_monomials():
+    for d in range(17):
+        for c, e in monomial_basis(d, (4, 6)):
+            f = ALPHA.a4 ** c * ALPHA.a6 ** e
+            assert coker_order(CTX4, f, degree=d) == _smith_route_order(CTX4, f, d) == 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_coker_order_matches_the_smith_route_on_kernel_bases(n):
+    ctx = SymmetricContext(n)
+    orders = set()
+    for d in range(9):
+        basis = kernel_basis(ctx, d)
+        for f in basis + [2 * g for g in basis] + [g + basis[0] for g in basis]:
+            order = coker_order(ctx, f, degree=d)
+            assert order == _smith_route_order(ctx, f, d), (n, d, f)
+            orders.add(order)
+    # both routes are exercised: order n by the certificates, and lower
+    # orders (the doubles when n is even) by the Smith form
+    assert n in orders and len(orders) > 1
+
+
+def test_coker_order_checks_the_slice(monkeypatch):
+    ctx = SymmetricContext(4)
+    f = alpha_generators(ctx).a4
+    # a wrong slice: divergence(2*s1*f) is 2n*f, not n*f
+    monkeypatch.setattr(ctx, "sigma", lambda k: 2 * ctx.sigma_ring.var(f"s{k}"))
+    with pytest.raises(ArithmeticError):
+        coker_order(ctx, f)
+
+
+def test_coker_order_rejects_a_flipped_witness(monkeypatch):
+    a, form = symfun._divergence_local_form(CTX4, 5, 2)
+
+    class Flipped:
+        exponent = form.exponent
+
+        def witness(self, x):
+            y = list(form.witness(x))
+            y[0] += 1
+            return tuple(y)
+
+    monkeypatch.setattr(symfun, "_divergence_local_form", lambda ctx, d, p: (a, Flipped()))
+    with pytest.raises(ArithmeticError):
+        coker_order(CTX4, ALPHA.a4)
 
 
 def theta_by_expansion(ctx, f):
