@@ -180,7 +180,7 @@ def homology_series(max_degree: int) -> list:
     return out
 
 
-def verify_homotopy(max_degree: int = 40) -> VerificationReport:
+def verify_homotopy(max_degree: int) -> VerificationReport:
     """P D + D P = projection + identity on every normal-form monomial."""
     report = VerificationReport("dga")
     alg = w_algebra()
@@ -189,18 +189,22 @@ def verify_homotopy(max_degree: int = 40) -> VerificationReport:
         verify_differential_squares_to_zero(max_degree + 1),
         f"D^2 = 0 on all normal-form monomials through degree {max_degree + 1}",
     )
+    # one sweep for both checks, each stopping at its first failure
     bad = None
+    chain_ok = True
     checked = 0
-    for d in range(max_degree + 1):
-        for m in alg.monomials_of_degree(d):
-            mono = frozenset({m})
-            lhs = homotopy_p(differential(mono)) ^ differential(homotopy_p(mono))
+    for m in (m for d in range(max_degree + 1) for m in alg.monomials_of_degree(d)):
+        mono = frozenset({m})
+        d_mono = differential(mono)
+        if bad is None:
+            lhs = homotopy_p(d_mono) ^ differential(homotopy_p(mono))
             rhs = lambda_projection(mono) ^ mono
             checked += 1
             if lhs != rhs:
                 bad = (mono, lhs, rhs)
-                break
-        if bad:
+        if chain_ok and differential(lambda_projection(mono)) != lambda_projection(d_mono):
+            chain_ok = False
+        if bad is not None and not chain_ok:
             break
     report.add(
         "homotopy-identity",
@@ -211,15 +215,6 @@ def verify_homotopy(max_degree: int = 40) -> VerificationReport:
         if bad is None
         else f"{alg.format(bad[0])}: lhs {alg.format(bad[1])} rhs {alg.format(bad[2])}",
     )
-    chain_ok = True
-    for d in range(max_degree + 1):
-        for m in alg.monomials_of_degree(d):
-            mono = frozenset({m})
-            if differential(lambda_projection(mono)) != lambda_projection(differential(mono)):
-                chain_ok = False
-                break
-        if not chain_ok:
-            break
     report.add(
         "projection-chain-map",
         chain_ok,
@@ -259,7 +254,7 @@ def verify_homotopy(max_degree: int = 40) -> VerificationReport:
 KERNEL_GENERATORS = ("x2", "x8", "x12", "x3", "x5^2", "x3^2*x9 + x5^3")
 
 
-def ker_d_generators_check(max_degree: int = 30) -> VerificationReport:
+def ker_d_generators_check(max_degree: int) -> VerificationReport:
     """ker D equals the subalgebra on the six listed elements, degreewise."""
     report = VerificationReport("dga-kernel")
     alg = w_algebra()
@@ -298,7 +293,7 @@ def toda_identification() -> AlgebraMap:
     )
 
 
-def verify_sq1_correspondence(max_degree: int = 20) -> bool:
+def verify_sq1_correspondence(max_degree: int) -> bool:
     """D corresponds to Sq^1 under the identification, on a basis sweep."""
     alg = w_algebra()
     iso = toda_identification()
@@ -311,7 +306,7 @@ def verify_sq1_correspondence(max_degree: int = 20) -> bool:
     return True
 
 
-def dga_suite(max_degree: int = 40) -> VerificationReport:
+def dga_suite(max_degree: int) -> VerificationReport:
     """The homotopy suite through max_degree, with the kernel generators
     checked through min(30, max_degree)."""
     report = verify_homotopy(max_degree)
@@ -322,5 +317,4 @@ def dga_suite(max_degree: int = 40) -> VerificationReport:
         "D matches Sq^1 on the six-generator cohomology ring under the "
         "alphabet identification (basis sweep to degree 20)",
     )
-    report.suite = "dga"
     return report

@@ -143,67 +143,30 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     (pivots are smallest nonzero absolute values, ties at the lowest index),
     which keeps transform entries far smaller than an unstructured two-sided
     elimination.  Each pass applies its row operations in place to U, or to
-    the rows of V transposed for a column pass.  The divisibility chain is
-    then enforced by gcd-folding adjacent diagonal entries.  The result is
-    re-multiplied and compared against the input before being returned.
+    the rows of V transposed for a column pass.  Wherever d_i does not divide
+    d_(i+1), column i+1 is added to column i and the same passes clear that
+    2x2 block to gcd and lcm; each such repair lowers d_i, so repairs end.
+    The result is re-multiplied and compared against the input.
     """
     m, n = a.rows, a.cols
-    d = [list(row) for row in a.entries]
     u = _identity_rows(m)
     vt = _identity_rows(n)  # V transposed: column passes act on its rows
-    for _ in range(200):
-        _hermite_rows(d, u)
-        if _is_diagonal(d):
-            break
-        dt = [list(col) for col in zip(*d)]
-        _hermite_rows(dt, vt)
-        d = [list(row) for row in zip(*dt)]
-        if _is_diagonal(d):
-            break
-    else:
-        raise ArithmeticError("diagonalization did not stabilize")
-
-    def add_row(src, dst, q):
-        if q:
-            d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        if q:
-            for row in d:
-                row[dst] += q * row[src]
-            vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
+    d = _diagonalize([list(row) for row in a.entries], u, vt)
     # a Hermite pass leaves positive pivots and its zero rows last, so the
-    # diagonal is nonnegative with its zeros behind the nonzero entries
+    # diagonal is positive up to the rank and zero after it
     rank = sum(1 for i in range(min(m, n)) if d[i][i])
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
             di, dj = d[i][i], d[i + 1][i + 1]
-            if di and dj % di != 0:
+            if dj % di:
                 changed = True
-                add_col(i + 1, i, 1)  # entry (i+1, i) becomes dj
-                while d[i + 1][i]:
-                    if abs(d[i + 1][i]) <= abs(d[i][i]):
-                        add_row(i + 1, i, -(d[i][i] // d[i + 1][i]))
-                        swap_rows(i, i + 1)
-                    else:
-                        add_row(i, i + 1, -(d[i + 1][i] // d[i][i]))
-                add_col(i, i + 1, -(d[i][i + 1] // d[i][i]))
-                if d[i][i] < 0:
-                    negate_row(i)
-                if d[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
+                vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
+                rows_u, rows_vt = u[i:i + 2], vt[i:i + 2]
+                block = _diagonalize([[di, 0], [dj, dj]], rows_u, rows_vt)
+                u[i:i + 2], vt[i:i + 2] = rows_u, rows_vt
+                d[i][i], d[i + 1][i + 1] = block[0][0], block[1][1]
 
     um, dm, vm = IntMatrix(u, m), IntMatrix(d, n), IntMatrix(zip(*vt), n)
     if (um @ a) @ vm != dm:
@@ -215,6 +178,22 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         if diag[i] and diag[i + 1] % diag[i] != 0:
             raise ArithmeticError("divisibility chain violated")
     return SnfDecomposition(um, dm, vm, diag)
+
+
+def _diagonalize(d: list, u: list, vt: list) -> list:
+    """Alternate row and column Hermite passes on the row list ``d`` until it
+    is diagonal, applying row passes to ``u`` and column passes to ``vt`` in
+    place; returns the diagonal row list."""
+    for _ in range(200):
+        _hermite_rows(d, u)
+        if _is_diagonal(d):
+            return d
+        dt = [list(col) for col in zip(*d)]
+        _hermite_rows(dt, vt)
+        d = [list(row) for row in zip(*dt)]
+        if _is_diagonal(d):
+            return d
+    raise ArithmeticError("diagonalization did not stabilize")
 
 
 def hermite_normal_form(a: IntMatrix):
@@ -345,8 +324,10 @@ def nullspace_mod_p(a: IntMatrix, p: int) -> list:
     return basis
 
 
-# the prime at which matrices are shown to have full row rank
-_RANK_PRIME = 2 ** 31 - 1
+def has_full_row_rank(a: IntMatrix) -> bool:
+    """Whether A is shown to have full row rank: its rank modulo the prime
+    2^31 - 1, which never exceeds its rank over Q, equals its row count."""
+    return rank_mod_p(a, 2 ** 31 - 1) == a.rows
 
 
 def _valuation(x: int, p: int) -> int:
@@ -395,7 +376,7 @@ def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if rank_mod_p(a, _RANK_PRIME) != a.rows:
+    if not has_full_row_rank(a):
         raise ArithmeticError("matrix is not of full row rank")
     exponent = 8
     while True:

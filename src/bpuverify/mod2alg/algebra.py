@@ -14,6 +14,7 @@ lines) so the standard ring corpus ships as data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Optional
 
@@ -238,28 +239,20 @@ class PresentedAlgebra:
         """(rank, count) for each degree 0..max_degree: the GF(2) rank of the
         span of the generator monomials of that degree, and how many there are.
 
-        The rank is the dimension of the generated subalgebra in that degree;
+        Each generator monomial is evaluated by the map to this algebra from
+        the free algebra on generators g0, g1, ... with the given images.  The
+        rank is the dimension of the generated subalgebra in that degree;
         rank < count marks a linear dependence among the generator monomials.
         """
         gens = [self.normal_form(g) for g in generators]
         degrees = [self.poly_degree(g) for g in gens]
-        powers = {}
-
-        def power(idx, k):
-            if (idx, k) not in powers:
-                powers[idx, k] = self.power(gens[idx], k)
-            return powers[idx, k]
-
+        names = [f"g{i}" for i in range(len(gens))]
+        free = PresentedAlgebra("generators", zip(names, degrees))
+        evaluate = AlgebraMap("evaluate", free, self, dict(zip(names, gens)))
         out = []
         for d in range(max_degree + 1):
             exponents = monomial_basis(d, degrees)
-            vectors = []
-            for expo in exponents:
-                prod = self.one()
-                for idx, k in enumerate(expo):
-                    if k:
-                        prod = self.mul(prod, power(idx, k))
-                vectors.append(self.coordinates(prod, d))
+            vectors = [self.coordinates(evaluate.apply(frozenset({e})), d) for e in exponents]
             out.append((gf2.rank(vectors), len(exponents)))
         return out
 
@@ -298,7 +291,8 @@ class AlgebraMap:
         if missing:
             raise MapNotWellDefined(f"{name}: no image for generators {sorted(missing)}")
         self.images = imgs
-        self._power_cache = {}
+        # _powers[gidx][j] is the image of generator gidx to the power j + 1
+        self._powers = [[imgs[g]] for g in source.gen_names]
         for r in source.relations:
             value = self.apply(r)
             if value:
@@ -307,21 +301,22 @@ class AlgebraMap:
                 )
 
     def _gen_power(self, gidx: int, k: int) -> Poly:
-        key = (gidx, k)
-        if key not in self._power_cache:
-            base = self.images[self.source.gen_names[gidx]]
-            self._power_cache[key] = self.target.power(base, k)
-        return self._power_cache[key]
+        """The image of generator gidx to the power k >= 1; each power not yet
+        cached is one product of the power below it and the image."""
+        powers = self._powers[gidx]
+        while len(powers) < k:
+            powers.append(self.target.mul(powers[-1], powers[0]))
+        return powers[k - 1]
 
     def apply(self, p: Poly) -> Poly:
-        out = frozenset()
+        """The image of p: the XOR over its monomials of the product of their
+        generators' image powers.  Each product comes from ``mul``, so it is a
+        normal form, and so is the XOR; no reduction follows."""
+        out = ZERO
         for m in p:
-            term = self.target.one()
-            for gidx, e in enumerate(m):
-                if e:
-                    term = self.target.mul(term, self._gen_power(gidx, e))
-            out = out ^ term
-        return self.target.normal_form(out)
+            powers = [self._gen_power(gidx, e) for gidx, e in enumerate(m) if e]
+            out ^= functools.reduce(self.target.mul, powers) if powers else self.target.one()
+        return out
 
 
 # -- plain-text corpus loader -------------------------------------------------

@@ -257,7 +257,7 @@ def _phi_rho_generators():
     }
 
 
-def verify_reduction_image_claims(max_degree: int = 24) -> VerificationReport:
+def verify_reduction_image_claims(max_degree: int) -> VerificationReport:
     """The computational identities behind the integral presentation's
     quartic relation and the reduction-image subalgebra."""
     report = VerificationReport("reduction-image")

@@ -334,9 +334,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                 sign = -sign
             i += 1
         if i >= n:
-            if sign != 1 or result.is_zero() and not tokens:
-                raise ValueError("dangling sign in polynomial text")
-            break
+            raise ValueError("dangling sign in polynomial text")
         coeff = sign
         exps = [0] * ring.nvars
         saw_factor = False
@@ -358,6 +356,8 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                 exps[idx] += power
             elif (kind, val) == ("op", "*"):
                 i += 1
+                if not saw_factor or i >= n or tokens[i][0] not in ("num", "name"):
+                    raise ValueError("'*' must stand between two factors")
                 continue
             else:
                 break

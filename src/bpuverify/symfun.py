@@ -24,12 +24,11 @@ from .intlinalg import (
     IntMatrix,
     check_cokernel_witness,
     element_order_in_cokernel,
+    has_full_row_rank,
     integer_kernel,
     local_row_form,
-    rank_mod_p,
     smith_normal_form,
     _is_prime,
-    _RANK_PRIME,
 )
 from .poly import Polynomial, Ring, monomial_basis
 from .report import VerificationReport
@@ -251,7 +250,7 @@ def alpha_monomial(alphas: AlphaGenerators, exponents) -> Polynomial:
     return alphas.a2 ** a * alphas.a3 ** b * alphas.a4 ** c * alphas.a6 ** e
 
 
-def certify_k4_presentation(max_degree: int = 16) -> VerificationReport:
+def certify_k4_presentation(max_degree: int) -> VerificationReport:
     """Degreewise certification that the four generators present the kernel.
 
     For every degree d <= max_degree: (a) the kernel lattice rank matches the
@@ -297,7 +296,7 @@ def certify_k4_presentation(max_degree: int = 16) -> VerificationReport:
             rankk = 1
         else:
             a = nabla_matrix(ctx, d)
-            if rank_mod_p(a, _RANK_PRIME) != a.rows:
+            if not has_full_row_rank(a):
                 raise ArithmeticError(f"divergence is not onto at degree {d}")
             rankk = a.cols - a.rows
         # the kernel lattice is saturated, so a monomial lies in it exactly
@@ -452,7 +451,7 @@ def delta_polynomial(ctx: SymmetricContext) -> Polynomial:
     return sign * (v * v)
 
 
-def vistoli_delta_check(p: int = 3) -> VerificationReport:
+def vistoli_delta_check(p: int) -> VerificationReport:
     """Certify the behaviour of the alternating product under the divergence
     and the cyclic restriction, for an odd prime p.
 

@@ -121,16 +121,18 @@ def _src_env():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["coker", "--max-degree", "6"],
-        ["dga", "--max-degree", "8"],
-        ["vistoli"],
-        ["section10", "--max-degree", "12"],
+        (["coker", "--max-degree", "6"], 0),
+        (["dga", "--max-degree", "8"], 0),
+        (["vistoli"], 0),
+        (["section10", "--max-degree", "12"], 0),
+        # exit 1: the lattice fails at degrees 4, 6, 7 and 8 by design
+        (["k4", "--max-degree", "8"], 1),
     ],
-    ids=lambda argv: argv[0],
+    ids=["coker", "dga", "vistoli", "section10", "k4"],
 )
-def test_trace_mode_matches_the_plain_cli(argv):
+def test_trace_mode_matches_the_plain_cli(argv, code):
     """perfbench/traced_cli.py patches entry points by name and raises if one
     is missing; its report and exit code must equal the plain CLI's."""
     env = _src_env()
@@ -149,7 +151,7 @@ def test_trace_mode_matches_the_plain_cli(argv):
         os.close(write_fd)
     with os.fdopen(read_fd) as fh:
         spans = json.load(fh)
-    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.returncode == plain.returncode == code, traced.stderr
     assert strip_elapsed(traced.stdout) == strip_elapsed(plain.stdout)
     assert "cli.run_suite" in spans
 

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from bpuverify import dga
 from bpuverify.dga import (
     dga_suite,
     differential,
@@ -131,3 +134,71 @@ def test_suite_and_kernel_generators():
     full = dga_suite(28)
     assert full.passed
     assert any(c.status == "finding" for c in full.checks)
+
+
+def _two_sweep_oracle(max_degree):
+    """The former two sweeps of verify_homotopy, kept as the oracle: the
+    monomials checked up to the first homotopy failure, that failure, and
+    whether the projection commutes with D."""
+    alg = w_algebra()
+    monos = [frozenset({m}) for d in range(max_degree + 1) for m in alg.monomials_of_degree(d)]
+    bad, checked = None, 0
+    for mono in monos:
+        lhs = dga.homotopy_p(dga.differential(mono)) ^ dga.differential(dga.homotopy_p(mono))
+        rhs = dga.lambda_projection(mono) ^ mono
+        checked += 1
+        if lhs != rhs:
+            bad = (mono, lhs, rhs)
+            break
+    chain_ok = all(
+        dga.differential(dga.lambda_projection(mono)) == dga.lambda_projection(dga.differential(mono))
+        for mono in monos
+    )
+    return checked, bad, chain_ok
+
+
+def _corrupt_homotopy(original, alg, text):
+    broken = alg.parse(text)
+    return lambda p: frozenset() if p == broken else original(p)
+
+
+def _corrupt_projection(original, alg, text):
+    extra = alg.parse(text)
+    return lambda p: original(p) | (extra & alg.normal_form(p))
+
+
+@pytest.mark.parametrize(
+    "corruptions, chain_holds",
+    [
+        # the homotopy identity fails at x5*x8 in degree 13; D commutes with
+        # the projection
+        ([("homotopy_p", _corrupt_homotopy, "x3^2*x8")], True),
+        # keeping x3^2 breaks the chain map at x5 in degree 5, before the
+        # homotopy identity fails at x3^2 in degree 6
+        ([("lambda_projection", _corrupt_projection, "x3^2")], False),
+        # the homotopy identity fails in degree 13 and the chain map only at
+        # x5*x12 in degree 17, so the sweep must go on after the first failure
+        (
+            [
+                ("homotopy_p", _corrupt_homotopy, "x3^2*x8"),
+                ("lambda_projection", _corrupt_projection, "x3^2*x12"),
+            ],
+            False,
+        ),
+    ],
+    ids=["homotopy", "projection", "both"],
+)
+def test_one_sweep_matches_the_two_sweep_oracle_on_failures(monkeypatch, corruptions, chain_holds):
+    alg = w_algebra()
+    for name, corrupt, text in corruptions:
+        monkeypatch.setattr(dga, name, corrupt(getattr(dga, name), alg, text))
+    checked, bad, chain_ok = _two_sweep_oracle(20)
+    assert bad is not None and chain_ok == chain_holds
+    checks = {c.name: c for c in verify_homotopy(20).checks}
+    identity = checks["homotopy-identity"]
+    assert identity.status == "fail"
+    assert f"on all {checked} normal-form monomials" in identity.detail
+    assert identity.witness == (
+        f"{alg.format(bad[0])}: lhs {alg.format(bad[1])} rhs {alg.format(bad[2])}"
+    )
+    assert checks["projection-chain-map"].status == ("pass" if chain_ok else "fail")

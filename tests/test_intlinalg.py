@@ -1,4 +1,6 @@
 import contextlib
+import itertools
+import math
 import random
 import signal
 
@@ -16,7 +18,14 @@ from bpuverify.intlinalg import (
     smith_normal_form,
     solve_integer,
 )
-from bpuverify.symfun import SymmetricContext, alpha_generators, coordinates, nabla_matrix
+from bpuverify.poly import monomial_basis
+from bpuverify.symfun import (
+    SymmetricContext,
+    alpha_generators,
+    alpha_monomial,
+    coordinates,
+    nabla_matrix,
+)
 
 
 def test_snf_examples():
@@ -388,3 +397,146 @@ def test_flipped_cokernel_witness_is_rejected():
             check_cokernel_witness(a, flipped, x, q)
     with pytest.raises(ArithmeticError):
         check_cokernel_witness(a, y, [4 * t for t in x], q)
+
+
+def _determinantal_factors(a):
+    """Invariant factors as quotients d_k / d_(k-1) of the determinantal
+    divisors, d_k the gcd of all k x k minors, zeros after the rank."""
+    n = min(a.rows, a.cols)
+    divisors = [1]
+    for k in range(1, n + 1):
+        g = 0
+        for rows in itertools.combinations(range(a.rows), k):
+            for cols in itertools.combinations(range(a.cols), k):
+                minor = IntMatrix([[a[i, j] for j in cols] for i in rows])
+                g = math.gcd(g, minor.determinant())
+        if g == 0:
+            break
+        divisors.append(g)
+    factors = [x // y for x, y in zip(divisors[1:], divisors)]
+    return tuple(factors + [0] * (n - len(factors)))
+
+
+def _square_core(a):
+    """An r x r matrix with the determinantal divisors of A, r = rank A: the
+    nonzero rows of A's row Hermite form, then the nonzero columns of their
+    column Hermite form.  Both transforms are checked unimodular, so every
+    d_k is unchanged, and the minors stay few enough to enumerate."""
+    h, u = hermite_normal_form(a)
+    assert abs(u.determinant()) == 1
+    rows = IntMatrix([row for row in h.entries if any(row)], a.cols)
+    h, u = hermite_normal_form(rows.transpose())
+    assert abs(u.determinant()) == 1
+    return IntMatrix([row for row in h.entries if any(row)], rows.rows).transpose()
+
+
+def _k4_stacks(max_degree):
+    ctx = SymmetricContext(4)
+    al = alpha_generators(ctx)
+    out = []
+    for d in range(1, max_degree + 1):
+        expos = monomial_basis(d, (2, 3, 4, 6))
+        if expos:
+            out.append(IntMatrix([coordinates(ctx, alpha_monomial(al, e), d) for e in expos]))
+    return out
+
+
+# diagonal inputs whose divisibility repair must chain: each repair leaves a
+# gcd that no longer divides some earlier or later neighbour
+CHAINED_REPAIRS = (
+    IntMatrix([[2, 0, 0], [0, 4, 0], [0, 0, 3]]),
+    IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 15]]),
+    IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 9]]),
+    IntMatrix([[9, 0, 0, 0], [0, 6, 0, 0], [0, 0, 4, 0], [0, 0, 0, 0]]),
+    IntMatrix([[3, 0], [0, 2], [0, 0]]),
+)
+
+
+def test_invariant_factors_are_determinantal_divisor_quotients():
+    rng = random.Random(109)
+    cases = [_random_matrix(rng) for _ in range(80)] + list(CHAINED_REPAIRS)
+    for a in cases:
+        assert smith_normal_form(a).invariant_factors == _determinantal_factors(a), a
+
+
+def test_k4_stack_factors_are_determinantal_divisor_quotients():
+    for a in _k4_stacks(12):
+        snf = smith_normal_form(a)
+        core = _determinantal_factors(_square_core(a))
+        assert snf.invariant_factors == core + (0,) * (len(snf.invariant_factors) - len(core)), a
+
+
+def _alternating_diagonal(a):
+    """The alternating row and column Hermite passes, down to a diagonal."""
+    def diagonal(m):
+        return all(not x for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j)
+
+    work = a
+    while True:
+        work = hermite_normal_form(work)[0]
+        if diagonal(work):
+            return work
+        work = hermite_normal_form(work.transpose())[0].transpose()
+        if diagonal(work):
+            return work
+
+
+def _gcd_fold_repair(work):
+    """The former divisibility repair, kept as the oracle: on a nonnegative,
+    zeros-last diagonal matrix, add column i+1 to column i wherever d_i does
+    not divide d_(i+1), then clear the 2x2 block by a row Euclid and one
+    column step.  Returns (U, D, V) with U*work*V == D."""
+    m, n = work.rows, work.cols
+    d = [list(row) for row in work.entries]
+    u = [list(row) for row in IntMatrix.identity(m).entries]
+    vt = [list(row) for row in IntMatrix.identity(n).entries]
+
+    def add_row(src, dst, q):
+        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in d:
+            row[dst] += q * row[src]
+        vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    rank = sum(1 for i in range(min(m, n)) if d[i][i])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            di, dj = d[i][i], d[i + 1][i + 1]
+            if di and dj % di != 0:
+                changed = True
+                add_col(i + 1, i, 1)
+                while d[i + 1][i]:
+                    if abs(d[i + 1][i]) <= abs(d[i][i]):
+                        add_row(i + 1, i, -(d[i][i] // d[i + 1][i]))
+                        swap_rows(i, i + 1)
+                    else:
+                        add_row(i, i + 1, -(d[i + 1][i] // d[i][i]))
+                add_col(i, i + 1, -(d[i][i + 1] // d[i][i]))
+                if d[i][i] < 0:
+                    negate_row(i)
+                if d[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+    return IntMatrix(u, m), IntMatrix(d, n), IntMatrix(zip(*vt), n)
+
+
+def test_smith_diagonal_matches_the_gcd_fold_repair():
+    ctx = SymmetricContext(4)
+    cases = [nabla_matrix(ctx, d) for d in range(1, 13)] + _k4_stacks(22)
+    cases += list(SMALL_MATRICES) + list(CHAINED_REPAIRS)
+    for a in cases:
+        work = _alternating_diagonal(a)
+        u, d, v = _gcd_fold_repair(work)
+        assert (u @ work) @ v == d
+        assert smith_normal_form(a).d == d, a

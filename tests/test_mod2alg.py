@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from bpuverify.dga import w_algebra
+from bpuverify import gf2
+from bpuverify.dga import KERNEL_GENERATORS, toda_identification, w_algebra
 from bpuverify.mod2alg import (
     AlgebraMap,
     MapNotWellDefined,
@@ -17,6 +18,7 @@ from bpuverify.mod2alg.algebra import mono_divides, mono_mul, mono_quotient, s_p
 from bpuverify.mod2alg.rings import (
     bso3_ring,
     bso3_truncated,
+    bso6_ring,
     bu4_ring,
     chi_star,
     delta_star,
@@ -28,7 +30,12 @@ from bpuverify.mod2alg.rings import (
     toda_ring,
 )
 
-from bpuverify.mod2alg.suites import INTEGRAL_SW, mod2_image, vanishes_mod_2w3
+from bpuverify.mod2alg.suites import (
+    INTEGRAL_SW,
+    _phi_rho_generators,
+    mod2_image,
+    vanishes_mod_2w3,
+)
 from bpuverify.poly import monomial_basis
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -319,3 +326,67 @@ def test_integral_sw_ring():
     assert str(p1 * p1 * w3 ** 2) == "p1^2*W3^2"
     assert mod2_image(p1 * w3 ** 2) == bso3_truncated(6).parse("wp2^2*wp3^2")
     assert (one + one).terms == {(0, 0): 2}
+
+
+def _product_loop_ranks(algebra, generators, max_degree):
+    """The former subalgebra_ranks loop, kept as the oracle: its own power
+    cache and a product of powers started from 1 for each monomial."""
+    gens = [algebra.normal_form(g) for g in generators]
+    degrees = [algebra.poly_degree(g) for g in gens]
+    powers = {}
+
+    def power(idx, k):
+        if (idx, k) not in powers:
+            powers[idx, k] = algebra.power(gens[idx], k)
+        return powers[idx, k]
+
+    out = []
+    for d in range(max_degree + 1):
+        exponents = monomial_basis(d, degrees)
+        vectors = []
+        for expo in exponents:
+            prod = algebra.one()
+            for idx, k in enumerate(expo):
+                if k:
+                    prod = algebra.mul(prod, power(idx, k))
+            vectors.append(algebra.coordinates(prod, d))
+        out.append((gf2.rank(vectors), len(exponents)))
+    return out
+
+
+def _subalgebra_cases():
+    W = w_algebra()
+    T = toda_ring()
+    rho = reduction_map()
+    image = [rho.apply(rho.source.gen(n)) for n in rho.source.gen_names]
+    stated = [
+        T.parse(s)
+        for s in ("y2^2", "y2^3", "y3", "y5^2", "y8 + y3*y5", "y12 + y3*y9", "y3^2*y9 + y5^3")
+    ]
+    g = _phi_rho_generators()
+    return [
+        ("dga-kernel", W, [W.parse(s) for s in KERNEL_GENERATORS], 30),
+        ("section10-image", T, image, 24),
+        ("section10-stated", T, stated, 24),
+        ("bso6-g1-g4", bso6_ring(), [g[n] for n in ("g1", "g2", "g3", "g4")], 24),
+    ]
+
+
+@pytest.mark.parametrize("case", _subalgebra_cases(), ids=lambda case: case[0])
+def test_subalgebra_ranks_match_the_product_loop_oracle(case):
+    _, algebra, generators, max_degree = case
+    assert algebra.subalgebra_ranks(generators, max_degree) == _product_loop_ranks(
+        algebra, generators, max_degree
+    )
+
+
+def _corpus_maps():
+    return [pi_star(), phi_star(), delta_star(), chi_star(), reduction_map(), toda_identification()]
+
+
+@pytest.mark.parametrize("ring_map", _corpus_maps(), ids=lambda f: f.name)
+def test_apply_returns_normal_forms(ring_map):
+    for d in range(17):
+        for m in ring_map.source.monomials_of_degree(d):
+            value = ring_map.apply(frozenset({m}))
+            assert value == ring_map.target.normal_form(value)

@@ -236,3 +236,9 @@ def test_parse_rejects_garbage():
         parse_polynomial("3 -", SIGMA4)
     with pytest.raises(ValueError):
         parse_polynomial("s1^", SIGMA4)
+
+
+@pytest.mark.parametrize("text", ["s1 +", "+", "s1*", "s1 -", "-", "*s1", "s1 * + s2", "2*"])
+def test_parse_rejects_dangling_operators(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text, SIGMA4)
