@@ -1,11 +1,14 @@
 """Exact linear algebra over Z, Z/p and Z/p^E: Smith normal form, kernels,
-cokernels, and local row forms.
+cokernels, local row forms, and invariant factors without transforms.
 
 Everything is dense and uses arbitrary-precision Python ints.  The matrices
 that show up here (graded pieces of symmetric-function operators) stay small,
 so no sparsity machinery is warranted.  Every Smith decomposition is
 self-certifying: U*A*V == D is re-verified by multiplication before it is
-returned.
+returned.  ``nonzero_invariant_factors`` carries no transform: it bounds the
+primes of the factors by the gcd of two minors and takes each prime's part
+from an elimination modulo a power of that prime, cross-checked against the
+rank modulo the prime.
 """
 
 from __future__ import annotations
@@ -281,11 +284,14 @@ def _is_prime(p: int) -> bool:
 
 
 def _row_reduce_mod_p(a: IntMatrix, p: int):
-    """Row echelon form of A over GF(p) with unit pivots: (rows, pivot columns)."""
+    """Row echelon form of A over GF(p) with unit pivots: (rows, pivot
+    columns, pivot rows), the pivot rows as row indices of A in pivot order.
+    The minor of A on the pivot rows and pivot columns is nonzero mod p."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     m, n = a.rows, a.cols
     rows = [[x % p for x in row] for row in a.entries]
+    order = list(range(m))
     pivots = []
     for col in range(n):
         rank = len(pivots)
@@ -293,6 +299,7 @@ def _row_reduce_mod_p(a: IntMatrix, p: int):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        order[rank], order[pivot] = order[pivot], order[rank]
         inv = pow(rows[rank][col], -1, p)
         rows[rank] = [(x * inv) % p for x in rows[rank]]
         for i in range(rank + 1, m):
@@ -300,7 +307,7 @@ def _row_reduce_mod_p(a: IntMatrix, p: int):
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
-    return rows, pivots
+    return rows, pivots, order[:len(pivots)]
 
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:
@@ -310,7 +317,7 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
 
 def nullspace_mod_p(a: IntMatrix, p: int) -> list:
     """Basis of the kernel of A over GF(p), as vectors of entries in [0, p)."""
-    rows, pivots = _row_reduce_mod_p(a, p)
+    rows, pivots, _ = _row_reduce_mod_p(a, p)
     basis = []
     for j in range(a.cols):
         if j in pivots:
@@ -324,10 +331,14 @@ def nullspace_mod_p(a: IntMatrix, p: int) -> list:
     return basis
 
 
+_RANK_PRIME = 2 ** 31 - 1
+_TRIAL_BOUND = 2 ** 16
+
+
 def has_full_row_rank(a: IntMatrix) -> bool:
     """Whether A is shown to have full row rank: its rank modulo the prime
     2^31 - 1, which never exceeds its rank over Q, equals its row count."""
-    return rank_mod_p(a, 2 ** 31 - 1) == a.rows
+    return rank_mod_p(a, _RANK_PRIME) == a.rows
 
 
 def _valuation(x: int, p: int) -> int:
@@ -380,26 +391,29 @@ def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
         raise ArithmeticError("matrix is not of full row rank")
     exponent = 8
     while True:
-        form = _eliminate_mod_prime_power(a, p, exponent)
-        if form is not None:
-            return form
+        u = _identity_rows(a.rows)
+        valuations = _eliminate_mod_prime_power(a, p, exponent, a.rows, u)
+        if valuations is not None:
+            return LocalRowForm(p, exponent, valuations, tuple(tuple(row) for row in u))
         exponent *= 2
 
 
-def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int):
-    """The LocalRowForm of A modulo p^exponent, or None when some pivot would
-    have valuation exponent or more (the rest of the block is zero)."""
+def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int,
+                               companion: list):
+    """The valuations of the first ``rank`` pivots of A's elimination modulo
+    p^exponent, applying every row operation to the row list ``companion``
+    as well; None when some pivot would have valuation exponent or more (the
+    rest of the block is zero)."""
     q = p ** exponent
     m = a.rows
     h = [[x % q for x in row] for row in a.entries]
-    u = _identity_rows(m)
     valuations = []
     # the rows of h keep only the columns not yet pivoted; low[i] bounds row
     # i's least valuation from below, since a row operation with a pivot of
     # least valuation never lowers it
     low = [0] * m
     level = 0  # the least valuation in the block, which never decreases
-    for r in range(m):
+    for r in range(rank):
         pivot = None
         while pivot is None:
             for i in range(r, m):
@@ -424,8 +438,8 @@ def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int):
         i, j = pivot
         low[r], low[i] = low[i], low[r]
         h[r], h[i] = h[i], h[r]
-        u[r], u[i] = u[i], u[r]
-        pivot_row, pivot_u = h[r], u[r]
+        companion[r], companion[i] = companion[i], companion[r]
+        pivot_row, pivot_companion = h[r], companion[r]
         scale = p ** level
         inverse = pow(pivot_row[j] // scale, -1, q)
         for i in range(r + 1, m):
@@ -433,10 +447,76 @@ def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int):
             if row[j]:
                 c = row[j] // scale * inverse % q
                 h[i] = row = [(x - c * y) % q for x, y in zip(row, pivot_row)]
-                u[i] = [(x - c * y) % q for x, y in zip(u[i], pivot_u)]
+                companion[i] = [(x - c * y) % q for x, y in zip(companion[i], pivot_companion)]
             del row[j]
         valuations.append(level)
-    return LocalRowForm(p, exponent, tuple(valuations), tuple(tuple(row) for row in u))
+    return tuple(valuations)
+
+
+def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
+    """The nonzero invariant factors of A, in divisibility order, computed
+    without a unimodular transform; ``rank`` bounds the rank of A from above.
+
+    The rank of A modulo 2^31 - 1 bounds it from below: an ArithmeticError
+    when that exceeds ``rank``, and None when it falls short (then either the
+    rank of A is below ``rank`` or 2^31 - 1 divides a factor).  Otherwise the
+    factors' product divides every rank x rank minor, so it divides the gcd
+    g of two minors that are units mod 2^31 - 1, their pivots found scanning
+    A forward and backward.  g is factored by trial division; a cofactor with
+    no prime below 2^16 that is not thereby proved prime is an
+    ArithmeticError.  For each prime p of g, elimination modulo p^E (E starts
+    at 8 and doubles) gives the p-valuations of the factors as those of its
+    first ``rank`` pivots, and the count of valuation 0 must equal the rank
+    of A modulo p.
+    """
+    _, cols, rows = _row_reduce_mod_p(a, _RANK_PRIME)
+    if len(cols) > rank:
+        raise ArithmeticError(
+            f"rank modulo {_RANK_PRIME} is {len(cols)}, above the rank bound {rank}"
+        )
+    if len(cols) < rank:
+        return None
+    m, n = a.rows, a.cols
+    flipped = IntMatrix([row[::-1] for row in reversed(a.entries)], n)
+    _, back_cols, back_rows = _row_reduce_mod_p(flipped, _RANK_PRIME)
+    g = 0
+    for rows, cols in (
+        (rows, cols),
+        ([m - 1 - i for i in back_rows], [n - 1 - j for j in back_cols]),
+    ):
+        minor = IntMatrix([[a.entries[i][j] for j in cols] for i in rows], rank)
+        g = math.gcd(g, minor.determinant())
+    factors = [1] * rank
+    for p in _trial_primes(g):
+        exponent = 8
+        while (valuations := _eliminate_mod_prime_power(
+                a, p, exponent, rank, [()] * m)) is None:
+            exponent *= 2
+        if valuations.count(0) != rank_mod_p(a, p):
+            raise ArithmeticError(f"valuations at {p} disagree with the rank modulo {p}")
+        factors = [f * p ** v for f, v in zip(factors, valuations)]
+    return tuple(factors)
+
+
+def _trial_primes(g: int) -> list:
+    """The primes of g > 0 by trial division below 2^16; an ArithmeticError
+    when a cofactor is left that has no prime below the bound and is too
+    large to be proved prime by it."""
+    primes = []
+    f = 2
+    while f * f <= g:
+        if f >= _TRIAL_BOUND:
+            raise ArithmeticError(
+                f"minor gcd cofactor {g} has no prime factor below {_TRIAL_BOUND}"
+            )
+        if g % f == 0:
+            primes.append(f)
+            while g % f == 0:
+                g //= f
+        f += 1 if f == 2 else 2
+    if g > 1:
+        primes.append(g)
+    return primes
 
 
 def check_cokernel_witness(a: IntMatrix, y, x, modulus: int) -> None:

@@ -9,7 +9,7 @@ Every value is immutable after construction and every operation is a pure
 function.
 
 Text syntax (used by the CLI, data files and golden fixtures): terms joined
-by `+` / `-`, `*` between factors (optional), `^` for exponents, variable
+by `+` / `-`, `*` between factors (required), `^` for exponents, variable
 names like ``v1``, ``s1``, ``c1``, ``w2``, ``wp2``, ``y2``, ``x3``, ``eta``.
 Example: ``8*s2 - 3*s1^2``.
 """
@@ -340,6 +340,8 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
         saw_factor = False
         while i < n:
             kind, val = tokens[i]
+            if kind in ("num", "name") and saw_factor:
+                raise ValueError("factors must be joined by '*'")
             if kind == "num":
                 coeff *= val
                 i += 1
@@ -358,6 +360,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                 i += 1
                 if not saw_factor or i >= n or tokens[i][0] not in ("num", "name"):
                     raise ValueError("'*' must stand between two factors")
+                saw_factor = False
                 continue
             else:
                 break

@@ -27,7 +27,7 @@ from .intlinalg import (
     has_full_row_rank,
     integer_kernel,
     local_row_form,
-    smith_normal_form,
+    nonzero_invariant_factors,
     _is_prime,
 )
 from .poly import Polynomial, Ring, monomial_basis
@@ -48,6 +48,7 @@ class SymmetricContext:
         )
         self._elementary_cache = {}
         self._expand_cache = {}
+        self._sigma_bases = {}
         self._local_forms = {}  # prime -> (degree, divergence matrix, LocalRowForm)
 
     # -- basic generators -------------------------------------------------
@@ -69,7 +70,9 @@ class SymmetricContext:
         return self.sigma_ring.var(f"s{k}")
 
     def sigma_basis(self, degree: int):
-        return monomial_basis(degree, self.sigma_ring.weights)
+        if degree not in self._sigma_bases:
+            self._sigma_bases[degree] = monomial_basis(degree, self.sigma_ring.weights)
+        return self._sigma_bases[degree]
 
     # -- conversions -------------------------------------------------------
     def expand(self, f: Polynomial) -> Polynomial:
@@ -258,6 +261,15 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     by generator monomials equals the kernel lattice (all invariant factors of
     the coordinate stack are 1); (c) the single degree-6 relation holds
     exactly; (d) monomial counts minus relation multiples match the series.
+
+    The kernel rank is the column count minus the row count of the divergence
+    matrix, which is onto by one rank modulo 2^31 - 1.  The kernel is
+    saturated, so a monomial lies in it exactly when its divergence vanishes,
+    and then the stack of generator-monomial coordinates has rank at most the
+    kernel rank and the same nonzero invariant factors as its coordinates in a
+    kernel basis.  Those factors come from ``nonzero_invariant_factors``, with
+    no unimodular transform.  Each generator monomial is a lower one times one
+    generator.
     """
     if max_degree < 2:
         raise ValueError("max degree must be at least 2")
@@ -282,16 +294,23 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     )
 
     series = geometric_product((2, 3, 4), max_degree)
-    power_cache = {}
-
-    def mono_poly(expo):
-        if expo not in power_cache:
-            power_cache[expo] = alpha_monomial(al, expo)
-        return power_cache[expo]
-
+    weights = (2, 3, 4, 6)
+    generators = (al.a2, al.a3, al.a4, al.a6)
+    # degree -> {exponents: generator monomial}; a degree is dropped once no
+    # higher degree is built from it
+    layers = {}
     lattice_failures = []
     for d in range(max_degree + 1):
-        expos = monomial_basis(d, (2, 3, 4, 6))
+        expos = monomial_basis(d, weights)
+        layer = layers[d] = {}
+        for e in expos:
+            i = next((k for k, x in enumerate(e) if x), None)
+            if i is None:
+                layer[e] = ctx.sigma_ring.one()
+            else:
+                lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+                layer[e] = layers[d - weights[i]][lower] * generators[i]
+        layers.pop(d - max(weights), None)
         if d == 0:
             rankk = 1
         else:
@@ -299,23 +318,28 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
             if not has_full_row_rank(a):
                 raise ArithmeticError(f"divergence is not onto at degree {d}")
             rankk = a.cols - a.rows
-        # the kernel lattice is saturated, so a monomial lies in it exactly
-        # when its divergence vanishes, and the raw coordinate stack has the
-        # same nonzero invariant factors as its coordinates in a kernel basis
         outside = next(
-            (e for e in expos if not ctx.nabla_sigma(mono_poly(e)).is_zero()), None
+            (e for e in expos if not ctx.nabla_sigma(layer[e]).is_zero()), None
         )
         detail_lattice = ""
         if outside is not None:
             ok_lattice = False
             detail_lattice = f"monomial a^{outside} outside the kernel lattice"
         elif expos:
-            stack = [coordinates(ctx, mono_poly(e), d) for e in expos]
-            snf = smith_normal_form(IntMatrix(stack))
-            facs = snf.invariant_factors[:rankk]
-            ok_lattice = snf.rank == rankk and all(f == 1 for f in facs)
-            if not ok_lattice:
-                detail_lattice = f"coordinate stack invariant factors {facs}"
+            stack = IntMatrix([coordinates(ctx, layer[e], d) for e in expos])
+            try:
+                facs = nonzero_invariant_factors(stack, rankk)
+            except ArithmeticError as err:
+                raise ArithmeticError(f"degree {d}: {err}") from err
+            if facs is None:
+                ok_lattice = False
+                detail_lattice = (
+                    f"coordinate stack rank modulo 2^31 - 1 is below the kernel rank {rankk}"
+                )
+            else:
+                ok_lattice = all(f == 1 for f in facs)
+                if not ok_lattice:
+                    detail_lattice = f"coordinate stack invariant factors {facs}"
         else:
             ok_lattice = rankk == 0
         hilbert_ok = len(expos) - weighted_monomial_count(

@@ -231,6 +231,7 @@ def test_golden_reports(capsys):
         (["k4", "--max-degree", "20"], "k4_20.txt"),
         (["section10", "--max-degree", "40"], "section10_40.txt"),
         (["coker", "--max-degree", "24"], "coker_24.txt"),
+        (["k4", "--max-degree", "32"], "k4_32.txt"),
     ):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()

@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+from bpuverify import intlinalg
 from bpuverify.intlinalg import (
     IntMatrix,
     check_cokernel_witness,
@@ -13,6 +14,7 @@ from bpuverify.intlinalg import (
     hermite_normal_form,
     integer_kernel,
     local_row_form,
+    nonzero_invariant_factors,
     nullspace_mod_p,
     rank_mod_p,
     smith_normal_form,
@@ -540,3 +542,77 @@ def test_smith_diagonal_matches_the_gcd_fold_repair():
         u, d, v = _gcd_fold_repair(work)
         assert (u @ work) @ v == d
         assert smith_normal_form(a).d == d, a
+
+
+def _rank_deficient_matrices(rng, count):
+    """Products B*D*C of rank k below min(m, n): B is m x k and C is k x n,
+    each with an identity block among its shuffled rows (columns of C) and
+    entries in [-3, 3] elsewhere, and D is diagonal with a factor 997 among
+    its choices.  Every k x k minor is det(D) times a k x k minor of B and one
+    of C, each at most 6^4 by Hadamard's bound, so the cofactor left after
+    the primes of det(D) stays below 2^32 and trial division below 2^16
+    always finishes it."""
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        k = rng.randint(1, min(m, n) - 1)
+
+        def spanning(rows, width):
+            block = [[int(i == j) for j in range(width)] for i in range(width)]
+            block += [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rows - width)]
+            rng.shuffle(block)
+            return IntMatrix(block)
+
+        b, c = spanning(m, k), spanning(n, k).transpose()
+        d = IntMatrix([
+            [rng.choice((1, 2, 3, 4, 6, 997)) if i == j else 0 for j in range(k)]
+            for i in range(k)
+        ])
+        out.append(b @ d @ c)
+    return out
+
+
+def test_nonzero_invariant_factors_match_the_smith_oracle():
+    ctx = SymmetricContext(4)
+    cases = _k4_stacks(22) + [nabla_matrix(ctx, d) for d in range(1, 13)]
+    cases += list(SMALL_MATRICES) + list(CHAINED_REPAIRS)
+    cases += _rank_deficient_matrices(random.Random(110), 40)
+    # a factor of p-valuation 40 needs E = 8 doubled three times
+    cases.append(IntMatrix([[2 ** 40, 0, 0], [0, 6, 0], [0, 0, 0]]))
+    assert any(997 in smith_normal_form(a).invariant_factors for a in cases)
+    # a missing rank stop or doubling would loop forever on these
+    with _time_limit(60):
+        for a in cases:
+            snf = smith_normal_form(a)
+            expected = snf.invariant_factors[: snf.rank]
+            assert nonzero_invariant_factors(a, snf.rank) == expected, a
+
+
+def test_nonzero_invariant_factors_check_the_rank_bound():
+    a = IntMatrix([[2, 0], [0, 3]])
+    with pytest.raises(ArithmeticError):
+        nonzero_invariant_factors(a, 1)
+    # a rank mod 2^31 - 1 below the bound: either the rank is lower or the
+    # prime divides a factor, and the two are not told apart
+    assert nonzero_invariant_factors(a, 3) is None
+    assert nonzero_invariant_factors(IntMatrix([[2 ** 31 - 1]]), 1) is None
+
+
+def test_nonzero_invariant_factors_reject_an_unfactored_gcd():
+    big = 2 ** 61 - 1  # prime, and far above the square of the trial bound
+    with pytest.raises(ArithmeticError):
+        nonzero_invariant_factors(IntMatrix([[big]]), 1)
+    # a prime between the trial bound and its square is proved prime by it
+    assert nonzero_invariant_factors(IntMatrix([[65537, 0], [0, 2]]), 2) == (1, 2 * 65537)
+
+
+def test_nonzero_invariant_factors_cross_check_the_valuations(monkeypatch):
+    eliminate = intlinalg._eliminate_mod_prime_power
+
+    def shifted(*args):
+        valuations = eliminate(*args)
+        return valuations and tuple(v + 1 for v in valuations)
+
+    monkeypatch.setattr(intlinalg, "_eliminate_mod_prime_power", shifted)
+    with pytest.raises(ArithmeticError):
+        nonzero_invariant_factors(IntMatrix([[2, 0], [0, 3]]), 2)

@@ -238,7 +238,9 @@ def test_parse_rejects_garbage():
         parse_polynomial("s1^", SIGMA4)
 
 
-@pytest.mark.parametrize("text", ["s1 +", "+", "s1*", "s1 -", "-", "*s1", "s1 * + s2", "2*"])
+@pytest.mark.parametrize("text", [
+    "s1 +", "+", "s1*", "s1 -", "-", "*s1", "s1 * + s2", "2*", "s1 s2", "s1 2", "2 3 s1",
+])
 def test_parse_rejects_dangling_operators(text):
     with pytest.raises(ValueError):
         parse_polynomial(text, SIGMA4)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bpuverify import symfun
+from bpuverify import intlinalg, symfun
 from bpuverify.intlinalg import (
     IntMatrix,
     element_order_in_cokernel,
@@ -280,6 +280,18 @@ def test_k4_rank_and_lattice_lines_match_the_kernel_route():
         if c.name.startswith(("rank/", "lattice/"))
     }
     assert got == k4_lines_by_kernel_route(16)
+
+
+def test_k4_takes_no_smith_form(monkeypatch):
+    def refuse(a):
+        raise AssertionError("k4 took a Smith normal form")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(symfun, "smith_normal_form", refuse, raising=False)
+    report = certify_k4_presentation(22)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["lattice/d22"].status == "fail"
+    assert by_name["lattice/d05"].status == "pass"
 
 
 def test_kernel_element_outside_generator_span():
