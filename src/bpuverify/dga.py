@@ -11,6 +11,10 @@ A projection onto the monomial families {x2^a x8^b x12^c} and
 {x8^b x12^c x3}, together with an explicit degree-lowering operator P, gives
 the chain-homotopy identity P D + D P = projection + identity on every
 normal-form monomial, which pins the homology to Z/2[x2, x8, x12] (x) E[x3].
+
+D, P and the projection take and return normal forms.  The Groebner leads of W
+are x2*x3, x2*x5, x2*x9 and x9^2, so a normal-form monomial with x3^2, x5 or x9
+has no x2 and at most one x9, and the exponent shifts of D and P keep it so.
 """
 
 from __future__ import annotations
@@ -38,52 +42,32 @@ def w_algebra() -> PresentedAlgebra:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _w_parse(text: str) -> Poly:
-    """An element of W from its text, parsed once per text."""
-    return w_algebra().parse(text)
-
-
-_DIFFERENTIAL_TABLE = {"x5": "x3^2", "x9": "x5^2"}
+# generator positions in W's monomials, and D's images on x5 and x9
+_X2, _X3, _X5, _X9 = (w_algebra().gen_names.index(g) for g in ("x2", "x3", "x5", "x9"))
+_DIFFERENTIAL_TABLE = {_X5: w_algebra().parse("x3^2"), _X9: w_algebra().parse("x5^2")}
+_HOMOTOPY_TAIL = w_algebra().parse("x5*x12 + x8*x9 + x3*x5*x9")
 
 
 def differential(p: Poly) -> Poly:
-    """Leibniz extension of x5 -> x3^2, x9 -> x5^2 (zero on x2, x3, x8, x12)."""
-    alg = w_algebra()
-    out = frozenset()
-    for m in alg.normal_form(p):
-        for gidx, e in enumerate(m):
-            if not e:
-                continue
-            name = alg.gen_names[gidx]
-            if name not in _DIFFERENTIAL_TABLE:
-                continue
-            if e % 2 == 0:
-                continue  # char 2: even exponents differentiate to zero
-            rest = list(m)
-            rest[gidx] -= 1
-            image = _w_parse(_DIFFERENTIAL_TABLE[name])
-            out = out ^ poly_mul(frozenset({tuple(rest)}), image)
-    return alg.normal_form(out)
-
-
-def _split_monomial(m):
-    """(x2-exp, x8-exp, x12-exp, i, j, k) for m = n * x3^i x5^j x9^k."""
-    alg = w_algebra()
-    names = alg.gen_names
-    get = {name: m[names.index(name)] for name in names}
-    return get["x2"], get["x8"], get["x12"], get["x3"], get["x5"], get["x9"]
+    """Leibniz extension of x5 -> x3^2, x9 -> x5^2 (zero on x2, x3, x8, x12);
+    normal forms in, normal forms out."""
+    out = set()
+    for m in p:
+        for gidx, image in _DIFFERENTIAL_TABLE.items():
+            if m[gidx] % 2:  # char 2: even exponents differentiate to zero
+                rest = list(m)
+                rest[gidx] -= 1
+                out ^= poly_mul({tuple(rest)}, image)
+    return frozenset(out)
 
 
 def lambda_projection(p: Poly) -> Poly:
-    """Identity on monomials x2^a x8^b x12^c and x8^b x12^c x3, zero otherwise."""
-    alg = w_algebra()
-    out = set()
-    for m in alg.normal_form(p):
-        a, b, c, i, j, k = _split_monomial(m)
-        if (i, j, k) == (0, 0, 0) or (a, i, j, k) == (0, 1, 0, 0):
-            out.add(m)
-    return frozenset(out)
+    """Identity on monomials x2^a x8^b x12^c and x8^b x12^c x3, zero otherwise;
+    normal forms in, normal forms out."""
+    return frozenset(
+        m for m in p
+        if not m[_X5] and not m[_X9] and (not m[_X3] or (m[_X3] == 1 and not m[_X2]))
+    )
 
 
 def homotopy_p(p: Poly) -> Poly:
@@ -94,28 +78,24 @@ def homotopy_p(p: Poly) -> Poly:
       i <= 1, j,k even, j != 0    -> n * x3^i x5^(j-2) x9^(k+1)
       i <= 1, j = 0, k >= 2 even  -> n * x3^i x9^(k-2) (x5*x12 + x8*x9 + x3*x5*x9)
       otherwise                   -> 0
+
+    Normal forms in, normal forms out; only the third case forms a product.
     """
-    alg = w_algebra()
-    names = alg.gen_names
-    ix3, ix5, ix9 = names.index("x3"), names.index("x5"), names.index("x9")
     out = frozenset()
-    for m in alg.normal_form(p):
-        _, _, _, i, j, k = _split_monomial(m)
+    for m in p:
+        i, j, k = m[_X3], m[_X5], m[_X9]
+        new = list(m)
         if i >= 2:
-            new = list(m)
-            new[ix3] -= 2
-            new[ix5] += 1
-            out = out ^ alg.normal_form(frozenset({tuple(new)}))
+            new[_X3] -= 2
+            new[_X5] += 1
+            out = out ^ {tuple(new)}
         elif j % 2 == 0 and k % 2 == 0 and j != 0:
-            new = list(m)
-            new[ix5] -= 2
-            new[ix9] += 1
-            out = out ^ alg.normal_form(frozenset({tuple(new)}))
+            new[_X5] -= 2
+            new[_X9] += 1
+            out = out ^ {tuple(new)}
         elif j == 0 and k >= 2 and k % 2 == 0:
-            new = list(m)
-            new[ix9] -= 2
-            tail = _w_parse("x5*x12 + x8*x9 + x3*x5*x9")
-            out = out ^ alg.normal_form(poly_mul(frozenset({tuple(new)}), tail))
+            new[_X9] -= 2
+            out = out ^ w_algebra().normal_form(poly_mul({tuple(new)}, _HOMOTOPY_TAIL))
     return out
 
 

@@ -14,6 +14,9 @@ resolved through the classical fixed decompositions
 applied to the tabulated generator values.  Anything else raises
 UnderdeterminedSquare rather than guessing; no general Adem rewriting is
 performed.
+
+The Cartan formula is applied to the terms of an element as given, so Sq^i of
+an unreduced defining relation is a real check of the table, not Sq^i of zero.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ _COMPOSITE_ROUTES = {
 
 
 class SteenrodAction:
-    """Squares on a presented algebra, extended from generators by Cartan."""
+    """Squares on a presented algebra, extended from generators by Cartan; a
+    generator_rule returns normal forms, as the Wu rules below do."""
 
     def __init__(
         self,
@@ -72,37 +76,30 @@ class SteenrodAction:
 
     # -- squares on generators ----------------------------------------------
     def sq_gen(self, i: int, gidx: int) -> Poly:
+        g = self.algebra.gen(self.algebra.gen_names[gidx])
         if i == 0:
-            e = [0] * len(self.algebra.gen_names)
-            e[gidx] = 1
-            return frozenset({tuple(e)})
+            return g
         deg = self.algebra.gen_degrees[gidx]
         if i > deg:
             return frozenset()
         if i == deg:
-            e = [0] * len(self.algebra.gen_names)
-            e[gidx] = 2
-            return self.algebra.normal_form(frozenset({tuple(e)}))
+            return self.algebra.mul(g, g)
         key = (i, gidx)
         if key in self._gen_cache:
             return self._gen_cache[key]
         if gidx in self.table and i in self.table[gidx]:
             value = self.algebra.normal_form(self.table[gidx][i])
         elif self.generator_rule is not None:
-            value = self.algebra.normal_form(
-                self.generator_rule(i, self.algebra.gen_names[gidx])
-            )
+            value = self.generator_rule(i, self.algebra.gen_names[gidx])
         elif i in _COMPOSITE_ROUTES and all(
             j in self.table.get(gidx, {}) or j >= deg for route in _COMPOSITE_ROUTES[i] for j in route
         ):
             value = frozenset()
-            base = self.sq_gen(0, gidx)
             for route in _COMPOSITE_ROUTES[i]:
-                part = base
+                part = g
                 for j in reversed(route):
                     part = self.sq(j, part)
                 value = value ^ part
-            value = self.algebra.normal_form(value)
         else:
             raise UnderdeterminedSquare(
                 f"Sq^{i} on {self.algebra.gen_names[gidx]} is not determined by the table"
@@ -112,12 +109,14 @@ class SteenrodAction:
 
     # -- Cartan extension ----------------------------------------------------
     def sq(self, i: int, p: Poly) -> Poly:
+        """Sq^i(p) by Cartan on the terms of p as given, not reduced first: a
+        normal form for i > 0 (each term's square is one), p itself for i = 0."""
         if i < 0:
             raise ValueError("negative square index")
         out = frozenset()
-        for m in self.algebra.normal_form(p):
+        for m in p:
             out = out ^ self._sq_monomial(i, m)
-        return self.algebra.normal_form(out)
+        return out
 
     def _sq_monomial(self, i: int, m) -> Poly:
         if i == 0:
@@ -182,9 +181,7 @@ def _wu_rule(algebra: PresentedAlgebra, class_index: dict, step: int) -> Callabl
         out = frozenset()
         for j in range(0, i + 1):
             if binom_general(k - j - 1, i - j) % 2:
-                out = out ^ algebra.normal_form(
-                    poly_mul(class_poly(k + i - j), class_poly(j))
-                )
+                out = out ^ algebra.mul(class_poly(k + i - j), class_poly(j))
         return out
 
     return rule

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -236,6 +237,16 @@ def test_golden_reports(capsys):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()
         assert strip_elapsed(out) == strip_elapsed(golden), argv
+
+
+def test_benchmark_workloads_match_their_reference_digests(capsys):
+    """Each perfbench workload's exit code, and the SHA-256 of its report after
+    strip_elapsed, equal the values recorded in perfbench/reference.json."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    for name, ref in reference.items():
+        code, out = run_cli(ref["argv"], capsys)
+        digest = hashlib.sha256(strip_elapsed(out).encode()).hexdigest()
+        assert (code, digest) == (ref["exit_code"], ref["sha256"]), name
 
 
 def test_out_file(tmp_path, capsys):

@@ -18,7 +18,7 @@ from bpuverify.dga import (
     verify_sq1_correspondence,
     w_algebra,
 )
-from bpuverify.mod2alg.rings import toda_ring
+from bpuverify.mod2alg.rings import toda_action, toda_ring
 
 
 def test_differential_examples():
@@ -67,9 +67,9 @@ def test_homotopy_case_table():
     assert homotopy_p(alg.parse("x5^2")) == alg.gen("x9")
     assert homotopy_p(alg.parse("x2*x8")) == frozenset()
     assert homotopy_p(alg.gen("x5")) == frozenset()  # odd x5-exponent
-    # normalizing first reproduces the even-x9-power case of the table:
-    # x9^2 rewrites to x3^2*x12 + x5^2*x8 + x3^3*x9 + x3*x5^3, whose image is
-    # the tabulated x5*x12 + x8*x9 + x3*x5*x9
+    # the unreduced x9^2 reaches the even-x9-power case of the table directly,
+    # whose image is the tabulated x5*x12 + x8*x9 + x3*x5*x9 (no normal form
+    # reaches it, since x9^2 is a Groebner lead)
     assert homotopy_p(alg.parse("x9^2")) == alg.parse("x5*x12 + x8*x9 + x3*x5*x9")
 
 
@@ -124,6 +124,35 @@ def test_normal_form_shape():
             )
             assert k <= 1
             assert a == 0 or (i, j, k) == (0, 0, 0)
+
+
+def test_mod2_functions_take_and_return_normal_forms(monkeypatch):
+    """D, P and the projection are only handed normal forms by the suite, and
+    return normal forms; Sq^i of a raw relation's terms is a normal form too."""
+    alg = w_algebra()
+    seen = {}
+
+    def recording(name, fn):
+        def wrapper(p):
+            out = fn(p)
+            seen.setdefault(name, []).extend((p, out))
+            return out
+        return wrapper
+
+    for name in ("differential", "homotopy_p", "lambda_projection"):
+        monkeypatch.setattr(dga, name, recording(name, getattr(dga, name)))
+    dga._squares_to_zero_at.cache_clear()
+    dga._rank_of_d.cache_clear()
+    assert dga_suite(30).passed
+    assert sorted(seen) == ["differential", "homotopy_p", "lambda_projection"]
+    for name, elements in seen.items():
+        for p in elements:
+            assert alg.normal_form(p) == p, (name, alg.format(p))
+    T, act = toda_ring(), toda_action()
+    for r in T.relations:
+        for i in (1, 2, 4, 8):
+            for value in [act.sq(i, r)] + [act.sq(i, frozenset({m})) for m in r]:
+                assert T.normal_form(value) == value, (i, T.format(r))
 
 
 def test_suite_and_kernel_generators():

@@ -9,6 +9,7 @@ from bpuverify.mod2alg import (
     binom_general,
     solve_sq,
 )
+from bpuverify.mod2alg import rings
 from bpuverify.mod2alg.rings import (
     TODA_SQ_TABLE,
     bso3_action,
@@ -26,6 +27,7 @@ from bpuverify.mod2alg.rings import (
     toda_action,
     toda_ring,
 )
+from bpuverify.mod2alg.suites import verify_steenrod_theorem
 
 
 def test_binom_general():
@@ -170,6 +172,22 @@ def test_forced_zero_square_in_an_empty_degree():
 def test_action_well_defined_on_relations():
     act = toda_action()
     certify_relations(act, 8)  # raises on failure
+
+
+def test_relation_certificate_catches_a_bad_table(monkeypatch):
+    """Sq^i of a defining relation is taken term by term, so a table value the
+    relations forbid fails that relation's line: with Sq^4(y5) = y9, Sq^8 of
+    y9^2 + y3^2*y12 + y5^2*y8 is y8*y3^6, not 0."""
+    rings.toda_action.cache_clear()  # the action is shared by every test
+    try:
+        with monkeypatch.context() as patch:
+            patch.setitem(TODA_SQ_TABLE["y5"], 4, "y9")
+            checks = {c.name: c for c in verify_steenrod_theorem().checks}
+    finally:
+        rings.toda_action.cache_clear()
+    line = checks["relation/Sq8/y9^2"]
+    assert line.status == "fail"
+    assert line.detail.endswith("reduces to y8*y3^6")
 
 
 def test_map_commutation_for_every_tabled_value():
