@@ -45,7 +45,6 @@ def w_algebra() -> PresentedAlgebra:
 # generator positions in W's monomials, and D's images on x5 and x9
 _X2, _X3, _X5, _X9 = (w_algebra().gen_names.index(g) for g in ("x2", "x3", "x5", "x9"))
 _DIFFERENTIAL_TABLE = {_X5: w_algebra().parse("x3^2"), _X9: w_algebra().parse("x5^2")}
-_HOMOTOPY_TAIL = w_algebra().parse("x5*x12 + x8*x9 + x3*x5*x9")
 
 
 def differential(p: Poly) -> Poly:
@@ -76,10 +75,10 @@ def homotopy_p(p: Poly) -> Poly:
     For m = n * x3^i x5^j x9^k with n in the x2/x8/x12 subring:
       i >= 2                      -> n * x3^(i-2) x5^(j+1) x9^k
       i <= 1, j,k even, j != 0    -> n * x3^i x5^(j-2) x9^(k+1)
-      i <= 1, j = 0, k >= 2 even  -> n * x3^i x9^(k-2) (x5*x12 + x8*x9 + x3*x5*x9)
       otherwise                   -> 0
 
-    Normal forms in, normal forms out; only the third case forms a product.
+    Normal forms in, normal forms out: k <= 1 on normal forms, since x9^2 is
+    a Groebner lead of W.
     """
     out = frozenset()
     for m in p:
@@ -93,9 +92,6 @@ def homotopy_p(p: Poly) -> Poly:
             new[_X5] -= 2
             new[_X9] += 1
             out = out ^ {tuple(new)}
-        elif j == 0 and k >= 2 and k % 2 == 0:
-            new[_X9] -= 2
-            out = out ^ w_algebra().normal_form(poly_mul({tuple(new)}, _HOMOTOPY_TAIL))
     return out
 
 

@@ -25,9 +25,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable, cols: Optional[int] = None):
-        """``cols`` gives the width of a matrix with no rows (default 0); with
-        rows present it must equal their length."""
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        """``entries`` are rows of ints, kept as given.  ``cols`` gives the width
+        of a matrix with no rows (default 0), else it must equal theirs."""
+        rows = tuple(map(tuple, entries))
         width = len(rows[0]) if rows else (cols or 0)
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")

@@ -1,0 +1,113 @@
+"""Reference routes through the v-ring, for cross-checking bpuverify.symfun.
+
+The library works in sigma coordinates and never expands a symmetric
+polynomial into the v's.  These functions do, which makes them slow past five
+variables but independent of the sigma-side formulas: the elementary
+polynomials, expansion of a sigma-polynomial into the v's, the
+leading-term rewrite back into sigma coordinates, and the alternating product
+built as a v-polynomial.  Expansions are cached per variable count.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from bpuverify.poly import Polynomial
+from bpuverify.symfun import SymmetricContext
+
+_elementary_cache = {}  # (n, k) -> e_k in the v's
+_expand_cache = {}  # (n, sigma exponents) -> expanded monomial
+
+
+def elementary(ctx: SymmetricContext, k: int) -> Polynomial:
+    """The k-th elementary symmetric polynomial in the v-variables."""
+    if not 0 <= k <= ctx.n:
+        raise ValueError(f"elementary index {k} out of range 0..{ctx.n}")
+    key = (ctx.n, k)
+    if key not in _elementary_cache:
+        terms = {}
+        for combo in itertools.combinations(range(ctx.n), k):
+            e = [0] * ctx.n
+            for i in combo:
+                e[i] = 1
+            terms[tuple(e)] = 1
+        _elementary_cache[key] = Polynomial(ctx.v_ring, terms)
+    return _elementary_cache[key]
+
+
+def expand(ctx: SymmetricContext, f: Polynomial) -> Polynomial:
+    """Expand a sigma-polynomial into the v-variables."""
+    if f.ring == ctx.v_ring:
+        return f
+    if f.ring != ctx.sigma_ring:
+        raise ValueError("polynomial does not live in this context")
+    out = ctx.v_ring.zero()
+    for e, c in f.terms.items():
+        out = out + c * _expand_monomial(ctx, e)
+    return out
+
+
+def _expand_monomial(ctx: SymmetricContext, e) -> Polynomial:
+    key = (ctx.n, e)
+    if key not in _expand_cache:
+        prod = ctx.v_ring.one()
+        for k, power in enumerate(e, start=1):
+            if power:
+                prod = prod * elementary(ctx, k) ** power
+        _expand_cache[key] = prod
+    return _expand_cache[key]
+
+
+def to_sigma(ctx: SymmetricContext, f: Polynomial) -> Polynomial:
+    """Write a symmetric v-polynomial in elementary-symmetric coordinates.
+
+    Classical leading-term subtraction; raises ValueError if the input is
+    not symmetric.
+    """
+    if f.ring != ctx.v_ring:
+        raise ValueError("expected a v-ring polynomial")
+    rem = f
+    out = ctx.sigma_ring.zero()
+    while not rem.is_zero():
+        e, c = max(rem.terms.items(), key=lambda t: t[0])
+        if any(e[i] < e[i + 1] for i in range(ctx.n - 1)):
+            raise ValueError("polynomial is not symmetric")
+        lam = tuple(e[i] - (e[i + 1] if i + 1 < ctx.n else 0) for i in range(ctx.n))
+        out = out + ctx.sigma_ring.monomial(lam, c)
+        rem = rem - c * _expand_monomial(ctx, lam)
+    return out
+
+
+def is_symmetric(ctx: SymmetricContext, f: Polynomial) -> bool:
+    """Whether every adjacent swap of the v's fixes f."""
+    for i in range(ctx.n - 1):
+        swapped = {}
+        for e, c in f.terms.items():
+            s = list(e)
+            s[i], s[i + 1] = s[i + 1], s[i]
+            swapped[tuple(s)] = c
+        if swapped != f.terms:
+            return False
+    return True
+
+
+def delta_polynomial(ctx: SymmetricContext) -> Polynomial:
+    """The product of (v_i - v_j) over all ordered pairs i != j.
+
+    Computed as (-1)^(n(n-1)/2) times the square of the alternating
+    determinant expansion, which keeps the term count small.
+    """
+    n = ctx.n
+    vand = {}
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = list(perm)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if seen[i] > seen[j]:
+                    sign = -sign
+        e = tuple(perm)
+        vand[e] = vand.get(e, 0) + sign
+    v = Polynomial(ctx.v_ring, vand)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * (v * v)

@@ -41,9 +41,10 @@ from bpuverify.symfun import (
     coker_order,
     coordinates,
     theta_map,
-    delta_polynomial,
     vistoli_delta_check,
 )
+
+from oracles import delta_polynomial
 
 CTX = SymmetricContext(4)
 ALPHA = alpha_generators(CTX)

@@ -229,6 +229,7 @@ def test_golden_reports(capsys):
         (["section10", "--max-degree", "16"], "section10.txt"),
         (["k4", "--max-degree", "8"], "k4.txt"),
         (["vistoli", "--prime", "5"], "vistoli5.txt"),
+        (["vistoli", "--prime", "7"], "vistoli7.txt"),
         (["k4", "--max-degree", "20"], "k4_20.txt"),
         (["section10", "--max-degree", "40"], "section10_40.txt"),
         (["coker", "--max-degree", "24"], "coker_24.txt"),

@@ -9,6 +9,8 @@ from bpuverify.ssverify import (
 )
 from bpuverify.symfun import SymmetricContext, alpha_generators, nabla_matrix
 
+from oracles import expand, to_sigma
+
 
 CTX = SymmetricContext(4)
 
@@ -42,7 +44,7 @@ def test_d3_image_agrees_with_the_expansion_route():
                 term = term * rng.choice(basis_pool)
             f = f + term
         via_sigma = d3_image(CTX, f)
-        via_vs = CTX.to_sigma(CTX.nabla(CTX.expand(f)))
+        via_vs = to_sigma(CTX, CTX.nabla(expand(CTX, f)))
         assert via_sigma == via_vs
 
 

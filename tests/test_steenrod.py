@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -149,6 +150,25 @@ def test_derived_composites_agree_with_instability_and_wu():
         assert sq3 == wact.sq(3, g)
         sq6 = wact.sq(2, wact.sq(4, g)) ^ wact.sq(1, wact.sq(4, wact.sq(1, g)))
         assert alg.normal_form(sq6) == wact.sq(6, g)
+
+
+def test_adem_relations_on_the_toda_action():
+    # Sq^a Sq^b = sum_c binom(b-c-1, a-2c) Sq^(a+b-c) Sq^c mod 2 for 0 < a < 2b,
+    # on every normal-form monomial through degree 40
+    T, act = toda_ring(), toda_action()
+    checks = 0
+    for d in range(41):
+        for m in T.monomials_of_degree(d):
+            x = frozenset({m})
+            for b in range(1, 8):
+                for a in range(1, min(2 * b, 9 - b)):
+                    rhs = frozenset()
+                    for c in range(a // 2 + 1):
+                        if math.comb(b - c - 1, a - 2 * c) % 2:
+                            rhs = rhs ^ act.sq(a + b - c, act.sq(c, x))
+                    assert act.sq(a, act.sq(b, x)) == rhs, (m, a, b)
+                    checks += 1
+    assert checks == 8873
 
 
 def test_underdetermined_square_is_refused():

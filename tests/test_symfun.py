@@ -24,14 +24,18 @@ from bpuverify.symfun import (
     certify_k4_presentation,
     coker_order,
     coordinates,
-    delta_polynomial,
+    delta_sigma,
     h3_order,
     k3_generators,
     kernel_basis,
     nabla_matrix,
+    power_sums,
     theta_map,
+    vandermonde,
     vistoli_delta_check,
 )
+
+from oracles import delta_polynomial, elementary, expand, is_symmetric, to_sigma
 
 CTX4 = SymmetricContext(4)
 ALPHA = alpha_generators(CTX4)
@@ -43,11 +47,11 @@ def sp(text, ctx=CTX4):
 
 def test_elementary_examples():
     ctx2 = SymmetricContext(2)
-    assert ctx2.elementary(1) == parse_polynomial("v1 + v2", ctx2.v_ring)
-    assert CTX4.elementary(4) == parse_polynomial("v1*v2*v3*v4", CTX4.v_ring)
-    assert CTX4.elementary(0) == CTX4.v_ring.one()
+    assert elementary(ctx2, 1) == parse_polynomial("v1 + v2", ctx2.v_ring)
+    assert elementary(CTX4, 4) == parse_polynomial("v1*v2*v3*v4", CTX4.v_ring)
+    assert elementary(CTX4, 0) == CTX4.v_ring.one()
     with pytest.raises(ValueError):
-        CTX4.elementary(5)
+        elementary(CTX4, 5)
 
 
 def test_divergence_of_elementary_classes():
@@ -56,13 +60,13 @@ def test_divergence_of_elementary_classes():
     for n in range(1, 6):
         ctx = SymmetricContext(n)
         for k in range(1, n + 1):
-            expanded = ctx.nabla(ctx.expand(ctx.sigma(k)))
+            expanded = ctx.nabla(expand(ctx, ctx.sigma(k)))
             target = (n - k + 1) * (
-                ctx.expand(ctx.sigma(k - 1)) if k >= 2 else ctx.v_ring.one()
+                expand(ctx, ctx.sigma(k - 1)) if k >= 2 else ctx.v_ring.one()
             )
             assert expanded == target
             derived = ctx.nabla_sigma(ctx.sigma(k))
-            assert ctx.expand(derived) == target
+            assert expand(ctx, derived) == target
 
 
 def test_divergence_simple_and_errors():
@@ -315,6 +319,16 @@ def test_coker_orders():
         coker_order(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one())
 
 
+def test_coker_order_names_the_degree_mismatch():
+    with pytest.raises(ValueError, match="polynomial has degree 4, expected 5"):
+        coker_order(CTX4, ALPHA.a4, degree=5)
+    with pytest.raises(ValueError, match=r"inhomogeneous polynomial, degrees \[0, 1\]"):
+        coker_order(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one(), degree=1)
+    with pytest.raises(ValueError, match="cannot infer the degree"):
+        coker_order(CTX4, CTX4.sigma_ring.zero())
+    assert coker_order(CTX4, CTX4.sigma_ring.zero(), degree=3) == 1
+
+
 def _smith_route_order(ctx, f, d):
     return element_order_in_cokernel(nabla_matrix(ctx, d + 1), coordinates(ctx, f, d))
 
@@ -369,7 +383,7 @@ def test_coker_order_rejects_a_flipped_witness(monkeypatch):
 def theta_by_expansion(ctx, f):
     """The expansion route to theta: write f in the v's, send v_i to i*eta and
     read off the eta^d coefficient (mod n above degree 0)."""
-    vf = ctx.expand(f) if f.ring == ctx.sigma_ring else f
+    vf = expand(ctx, f) if f.ring == ctx.sigma_ring else f
     value = sum(
         c * math.prod(i ** k for i, k in enumerate(e, start=1)) for e, c in vf.terms.items()
     )
@@ -394,7 +408,7 @@ def test_theta_agrees_with_the_expansion_route():
     ctx3 = SymmetricContext(3)
     delta = delta_polynomial(ctx3)
     assert theta_map(ctx3, delta) == theta_by_expansion(ctx3, delta) == 2
-    assert theta_map(ctx3, ctx3.to_sigma(delta)) == 2
+    assert theta_map(ctx3, to_sigma(ctx3, delta)) == 2
 
 
 def test_theta_rejects_inhomogeneous_input():
@@ -439,7 +453,7 @@ def test_theta_restricted_kernel():
     assert solve_integer(sub, kern[0]) is not None
     assert theta_restricted_kernel(ctx3, 0, kernel_vectors(0)) == []
     # the alternating product is not in the degree-6 restricted kernel
-    delta = ctx3.to_sigma(delta_polynomial(ctx3))
+    delta = to_sigma(ctx3, delta_polynomial(ctx3))
     sub6 = theta_restricted_kernel(ctx3, 6, kernel_vectors(6))
     assert solve_integer(sub6, coordinates(ctx3, delta, 6)) is None
 
@@ -463,7 +477,7 @@ def test_restricted_kernel_membership_by_evaluation_matches_the_lattice_route():
                 for u, v in itertools.combinations_with_replacement(kern, 2)
             ]
             if n == 3 and d == 6:
-                candidates.append(coordinates(ctx, ctx.to_sigma(delta_polynomial(ctx)), d))
+                candidates.append(coordinates(ctx, to_sigma(ctx, delta_polynomial(ctx)), d))
             for vec in candidates:
                 f = Polynomial(ctx.sigma_ring, {m: c for m, c in zip(monos, vec) if c})
                 in_kernel = ctx.nabla_sigma(f).is_zero()
@@ -488,6 +502,47 @@ def test_vistoli_check_passes_for_three():
     with pytest.raises(ValueError):
         vistoli_delta_check(15)
     assert delta_polynomial(SymmetricContext(3)).homogeneous_degree() == 6
+
+
+def test_newton_power_sums_match_the_expansion_route():
+    for n in range(1, 6):
+        ctx = SymmetricContext(n)
+        sums = power_sums(ctx, 2 * n - 1)
+        assert len(sums) == 2 * n - 1
+        for k, pk in enumerate(sums):
+            target = Polynomial(
+                ctx.v_ring, {tuple(k * (i == j) for j in range(n)): 1 for i in range(n)}
+            ) if k else ctx.v_ring.const(n)
+            assert expand(ctx, pk) == target, (n, k)
+
+
+def test_hankel_delta_matches_the_expansion_route():
+    for n in range(1, 6):
+        ctx = SymmetricContext(n)
+        reference = delta_polynomial(ctx)
+        assert is_symmetric(ctx, reference)
+        assert delta_sigma(ctx) == to_sigma(ctx, reference), n
+
+
+def test_vandermonde_is_the_product_of_differences():
+    for n in range(1, 5):
+        ctx = SymmetricContext(n)
+        v = [ctx.v_ring.var(f"v{i+1}") for i in range(n)]
+        product = ctx.v_ring.one()
+        for i, j in itertools.combinations(range(n), 2):
+            product = product * (v[j] - v[i])
+        assert vandermonde(ctx) == product, n
+
+
+def test_vistoli_theta_tie_catches_a_wrong_vandermonde(monkeypatch):
+    # delta = (-1)^(p(p-1)/2) V^2 fixes theta(delta) by theta(V); doubling V
+    # multiplies the tie by 4, which is 1 mod 3 but not mod 5
+    true_vandermonde = symfun.vandermonde
+    monkeypatch.setattr(symfun, "vandermonde", lambda ctx: 2 * true_vandermonde(ctx))
+    failed = [c for c in vistoli_delta_check(5).checks if c.status != "pass"]
+    assert [c.name for c in failed] == ["delta/theta"]
+    assert "but the Vandermonde gives eta^20" in failed[0].detail
+    assert vistoli_delta_check(3).passed
 
 
 def test_h3_order():
