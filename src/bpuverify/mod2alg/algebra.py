@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Optional
 
 from .. import gf2
-from ..poly import Polynomial, Ring, monomial_basis, parse_polynomial
+from ..poly import Polynomial, Ring, parse_polynomial
 
 Monomial = tuple
 Poly = frozenset  # of Monomial
@@ -28,7 +29,7 @@ ZERO: Poly = frozenset()
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(m1, m2))
+    return tuple(map(operator.add, m1, m2))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -40,11 +41,11 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 
 def mono_divides(d: Monomial, m: Monomial) -> bool:
-    return all(x <= y for x, y in zip(d, m))
+    return all(map(operator.le, d, m))
 
 
 def mono_quotient(m: Monomial, d: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(m, d))
+    return tuple(map(operator.sub, m, d))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -204,15 +205,42 @@ class PresentedAlgebra:
 
     # -- graded pieces -------------------------------------------------------
     def monomials_of_degree(self, d: int) -> tuple:
-        """Normal-form monomials of weighted degree d, order-descending."""
-        if d not in self._graded_cache:
-            leads = [lead for lead, _ in self.groebner]
-            monos = tuple(
-                m for m in monomial_basis(d, self.gen_degrees)
-                if not any(mono_divides(l, m) for l in leads)
-            )
-            self._graded_cache[d] = (monos, {m: i for i, m in enumerate(monos)})
-        return self._graded_cache[d][0]
+        """Normal-form monomials of weighted degree d, order-descending.
+
+        Normal-form monomials are an order ideal: dividing one by a generator
+        x_j it contains leaves a normal-form monomial.  So those of degree e
+        are the m*x_j, for m of degree e - deg x_j with no generator after
+        x_j, that no Groebner lead involving x_j divides.  Every degree up to
+        d not yet cached is filled in ascending order, each with its
+        {monomial: index} map.
+        """
+        if d < 0:
+            raise ValueError("degree must be >= 0")
+        cache = self._graded_cache
+        if d not in cache:
+            n = len(self.gen_degrees)
+            leads = [[lead for lead, _ in self.groebner if lead[j]] for j in range(n)]
+            for e in range(d + 1):
+                if e in cache:
+                    continue
+                if e == 0:
+                    unit = (0,) * n
+                    found = [] if any(lead == unit for lead, _ in self.groebner) else [unit]
+                else:
+                    found = []
+                    for j, w in enumerate(self.gen_degrees):
+                        if w > e:
+                            continue
+                        for m in cache[e - w][0]:
+                            if any(m[j + 1:]):
+                                continue
+                            m = m[:j] + (m[j] + 1,) + m[j + 1:]
+                            if not any(mono_divides(lead, m) for lead in leads[j]):
+                                found.append(m)
+                    found.sort(reverse=True)
+                monos = tuple(found)
+                cache[e] = (monos, {m: i for i, m in enumerate(monos)})
+        return cache[d][0]
 
     def coordinates(self, p: Poly, d: int) -> int:
         """Bitmask over monomials_of_degree(d) of an element already in normal form.
@@ -237,23 +265,65 @@ class PresentedAlgebra:
 
     def subalgebra_ranks(self, generators, max_degree: int) -> list:
         """(rank, count) for each degree 0..max_degree: the GF(2) rank of the
-        span of the generator monomials of that degree, and how many there are.
+        span of the monomials in the generators h_0, h_1, ... of that degree,
+        and how many there are.  The rank is the dimension of the generated
+        subalgebra in that degree; rank < count marks a linear dependence.
 
-        Each generator monomial is evaluated by the map to this algebra from
-        the free algebra on generators g0, g1, ... with the given images.  The
-        rank is the dimension of the generated subalgebra in that degree;
-        rank < count marks a linear dependence among the generator monomials.
+        A generator monomial of degree d whose last generator is h_i is one of
+        degree d - deg h_i whose last generator is at most i, times h_i.  So
+        its coordinate mask is the XOR, over the set bits k of the lower mask,
+        of the columns coordinates(m_k * h_i, d), where m_k is the k-th
+        normal-form monomial of degree d - deg h_i.  Each column is one
+        ``mul``, made when first needed and kept for that (i, d) only; masks
+        are kept for the last max(deg h) degrees.
+
+        Raises ValueError on a generator that is zero, inhomogeneous or of
+        degree 0, naming its index.
         """
         gens = [self.normal_form(g) for g in generators]
-        degrees = [self.poly_degree(g) for g in gens]
-        names = [f"g{i}" for i in range(len(gens))]
-        free = PresentedAlgebra("generators", zip(names, degrees))
-        evaluate = AlgebraMap("evaluate", free, self, dict(zip(names, gens)))
+        degrees = []
+        for i, g in enumerate(gens):
+            if not g:
+                raise ValueError(f"generator {i} is zero")
+            try:
+                degree = self.poly_degree(g)
+            except ValueError:
+                raise ValueError(f"generator {i} is inhomogeneous") from None
+            if degree == 0:
+                raise ValueError(f"generator {i} has degree 0")
+            degrees.append(degree)
+        depth = max(degrees, default=0)
+        # by_last[d][i + 1]: masks of the degree-d generator monomials whose last
+        # generator is h_i; by_last[0][0] is the empty monomial's
+        by_last = {}
         out = []
         for d in range(max_degree + 1):
-            exponents = monomial_basis(d, degrees)
-            vectors = [self.coordinates(evaluate.apply(frozenset({e})), d) for e in exponents]
-            out.append((gf2.rank(vectors), len(exponents)))
+            if d == 0:
+                lists = [[self.coordinates(self.one(), 0)]] + [[] for _ in gens]
+            else:
+                lists = [[]]
+                for i, (h, w) in enumerate(zip(gens, degrees)):
+                    masks = []
+                    lower = by_last.get(d - w)
+                    if lower:
+                        monos = self.monomials_of_degree(d - w)
+                        columns = {}
+                        for v in itertools.chain.from_iterable(lower[: i + 2]):
+                            mask = 0
+                            while v:
+                                k = (v & -v).bit_length() - 1
+                                if k not in columns:
+                                    columns[k] = self.coordinates(
+                                        self.mul(frozenset({monos[k]}), h), d
+                                    )
+                                mask ^= columns[k]
+                                v ^= 1 << k
+                            masks.append(mask)
+                    lists.append(masks)
+            by_last[d] = lists
+            by_last.pop(d - depth, None)
+            vectors = list(itertools.chain.from_iterable(lists))
+            out.append((gf2.rank(vectors), len(vectors)))
         return out
 
     def with_relations(self, extra, name: Optional[str] = None) -> "PresentedAlgebra":

@@ -16,6 +16,7 @@ Example: ``8*s2 - 3*s1^2``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -149,7 +150,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.ring, out)
 

@@ -1,18 +1,24 @@
-"""Reference routes through the v-ring, for cross-checking bpuverify.symfun.
+"""Reference routes for cross-checking bpuverify: slower, independent ones.
 
-The library works in sigma coordinates and never expands a symmetric
+Through the v-ring, for bpuverify.symfun.  The library works in sigma coordinates and never expands a symmetric
 polynomial into the v's.  These functions do, which makes them slow past five
 variables but independent of the sigma-side formulas: the elementary
 polynomials, expansion of a sigma-polynomial into the v's, the
 leading-term rewrite back into sigma coordinates, and the alternating product
 built as a v-polynomial.  Expansions are cached per variable count.
+
+Over all ambient monomials, for bpuverify.mod2alg: the normal-form monomials
+of a degree as the ambient ones no Groebner lead divides, and subalgebra
+ranks from a product of generator powers per monomial.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from bpuverify.poly import Polynomial
+from bpuverify import gf2
+from bpuverify.mod2alg.algebra import mono_divides
+from bpuverify.poly import Polynomial, monomial_basis
 from bpuverify.symfun import SymmetricContext
 
 _elementary_cache = {}  # (n, k) -> e_k in the v's
@@ -111,3 +117,40 @@ def delta_polynomial(ctx: SymmetricContext) -> Polynomial:
     v = Polynomial(ctx.v_ring, vand)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * (v * v)
+
+
+def lead_filter_monomials(algebra, d: int) -> tuple:
+    """The normal-form monomials of degree d, order-descending: every ambient
+    exponent tuple of that degree that no Groebner lead divides."""
+    leads = [lead for lead, _ in algebra.groebner]
+    return tuple(
+        m for m in monomial_basis(d, algebra.gen_degrees)
+        if not any(mono_divides(lead, m) for lead in leads)
+    )
+
+
+def product_loop_ranks(algebra, generators, max_degree: int) -> list:
+    """(rank, count) per degree as ``subalgebra_ranks`` gives it, from every
+    exponent tuple in the generator degrees: a product of cached generator
+    powers, started from 1, for each monomial."""
+    gens = [algebra.normal_form(g) for g in generators]
+    degrees = [algebra.poly_degree(g) for g in gens]
+    powers = {}
+
+    def power(idx, k):
+        if (idx, k) not in powers:
+            powers[idx, k] = algebra.power(gens[idx], k)
+        return powers[idx, k]
+
+    out = []
+    for d in range(max_degree + 1):
+        exponents = monomial_basis(d, degrees)
+        vectors = []
+        for expo in exponents:
+            prod = algebra.one()
+            for idx, k in enumerate(expo):
+                if k:
+                    prod = algebra.mul(prod, power(idx, k))
+            vectors.append(algebra.coordinates(prod, d))
+        out.append((gf2.rank(vectors), len(exponents)))
+    return out

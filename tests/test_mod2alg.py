@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from bpuverify import gf2
 from bpuverify.dga import KERNEL_GENERATORS, toda_identification, w_algebra
 from bpuverify.mod2alg import (
     AlgebraMap,
@@ -37,6 +36,8 @@ from bpuverify.mod2alg.suites import (
     vanishes_mod_2w3,
 )
 from bpuverify.poly import monomial_basis
+
+from oracles import lead_filter_monomials, product_loop_ranks
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -328,32 +329,6 @@ def test_integral_sw_ring():
     assert (one + one).terms == {(0, 0): 2}
 
 
-def _product_loop_ranks(algebra, generators, max_degree):
-    """The former subalgebra_ranks loop, kept as the oracle: its own power
-    cache and a product of powers started from 1 for each monomial."""
-    gens = [algebra.normal_form(g) for g in generators]
-    degrees = [algebra.poly_degree(g) for g in gens]
-    powers = {}
-
-    def power(idx, k):
-        if (idx, k) not in powers:
-            powers[idx, k] = algebra.power(gens[idx], k)
-        return powers[idx, k]
-
-    out = []
-    for d in range(max_degree + 1):
-        exponents = monomial_basis(d, degrees)
-        vectors = []
-        for expo in exponents:
-            prod = algebra.one()
-            for idx, k in enumerate(expo):
-                if k:
-                    prod = algebra.mul(prod, power(idx, k))
-            vectors.append(algebra.coordinates(prod, d))
-        out.append((gf2.rank(vectors), len(exponents)))
-    return out
-
-
 def _subalgebra_cases():
     W = w_algebra()
     T = toda_ring()
@@ -364,20 +339,60 @@ def _subalgebra_cases():
         for s in ("y2^2", "y2^3", "y3", "y5^2", "y8 + y3*y5", "y12 + y3*y9", "y3^2*y9 + y5^3")
     ]
     g = _phi_rho_generators()
+    dependent = [T.parse(s) for s in ("y3", "y2^3", "y3^2")]
     return [
         ("dga-kernel", W, [W.parse(s) for s in KERNEL_GENERATORS], 30),
         ("section10-image", T, image, 24),
+        # deg y210 = 15: past twice the window depth of the recursion
+        ("section10-image-deep", T, image, 32),
         ("section10-stated", T, stated, 24),
         ("bso6-g1-g4", bso6_ring(), [g[n] for n in ("g1", "g2", "g3", "g4")], 24),
+        ("toda-dependent", T, dependent, 24),
     ]
 
 
 @pytest.mark.parametrize("case", _subalgebra_cases(), ids=lambda case: case[0])
 def test_subalgebra_ranks_match_the_product_loop_oracle(case):
     _, algebra, generators, max_degree = case
-    assert algebra.subalgebra_ranks(generators, max_degree) == _product_loop_ranks(
+    assert algebra.subalgebra_ranks(generators, max_degree) == product_loop_ranks(
         algebra, generators, max_degree
     )
+
+
+def test_subalgebra_ranks_see_a_dependence():
+    # y3^2 is both a generator and the square of y3 in degree 6
+    T = toda_ring()
+    ranks = T.subalgebra_ranks([T.parse(s) for s in ("y3", "y2^3", "y3^2")], 6)
+    assert ranks[6] == (2, 3)
+    assert all(rank == count for rank, count in ranks[:6])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("y2*y3", "generator 1 is zero"),
+        ("1", "generator 1 has degree 0"),
+        ("y2 + y3", "generator 1 is inhomogeneous"),
+    ],
+)
+def test_subalgebra_ranks_reject_a_bad_generator(bad, message):
+    T = toda_ring()
+    with pytest.raises(ValueError, match=message):
+        T.subalgebra_ranks([T.gen("y2"), T.parse(bad)], 10)
+
+
+@pytest.mark.parametrize("algebra", _oracle_corpus(), ids=lambda a: a.name)
+def test_monomials_of_degree_match_the_lead_filter_oracle(algebra):
+    for d in range(41):
+        assert algebra.monomials_of_degree(d) == lead_filter_monomials(algebra, d), d
+
+
+def test_monomials_of_degree_queried_out_of_order():
+    fresh = load_algebra((ROOT / "src/bpuverify/data/toda.alg").read_text(), "toda")
+    assert fresh.monomials_of_degree(40) == lead_filter_monomials(fresh, 40)
+    assert fresh.monomials_of_degree(17) == lead_filter_monomials(fresh, 17)
+    with pytest.raises(ValueError):
+        fresh.monomials_of_degree(-1)
 
 
 def _corpus_maps():
