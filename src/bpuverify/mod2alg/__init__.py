@@ -15,6 +15,7 @@ from .steenrod import (
     chern_rule,
     solve_sq,
     stiefel_whitney_rule,
+    table_rule,
 )
 
 __all__ = [
@@ -30,4 +31,5 @@ __all__ = [
     "poly_mul",
     "solve_sq",
     "stiefel_whitney_rule",
+    "table_rule",
 ]

@@ -2,8 +2,8 @@
 
 Presentations and generator-image tables live in the packaged data files;
 this module loads them once and decorates them with the Steenrod structure
-(tabled squares on the six-generator ring, Wu-complete rules on the free
-rings).
+(a table rule on the six-generator ring and on K(Z,3), Wu-complete rules on
+the free rings).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 from importlib import resources
 
 from .algebra import AlgebraMap, PresentedAlgebra, load_algebra, load_map_tables
-from .steenrod import SteenrodAction, chern_rule, stiefel_whitney_rule
+from .steenrod import SteenrodAction, chern_rule, stiefel_whitney_rule, table_rule
 
 
 def _data(name: str) -> str:
@@ -113,38 +113,40 @@ KZ3_SQ_TABLE = {
 
 @functools.lru_cache(maxsize=None)
 def toda_action() -> SteenrodAction:
-    return SteenrodAction(toda_ring(), table=TODA_SQ_TABLE)
+    alg = toda_ring()
+    return SteenrodAction(alg, table_rule(alg, TODA_SQ_TABLE))
 
 
 @functools.lru_cache(maxsize=None)
 def kz3_action() -> SteenrodAction:
-    return SteenrodAction(kz3_ring(), table=KZ3_SQ_TABLE)
+    alg = kz3_ring()
+    return SteenrodAction(alg, table_rule(alg, KZ3_SQ_TABLE))
 
 
 @functools.lru_cache(maxsize=None)
 def bu4_action() -> SteenrodAction:
     alg = bu4_ring()
-    return SteenrodAction(alg, generator_rule=chern_rule(alg, {"c1": 1, "c2": 2, "c3": 3, "c4": 4}))
+    return SteenrodAction(alg, chern_rule(alg, {"c1": 1, "c2": 2, "c3": 3, "c4": 4}))
 
 
 @functools.lru_cache(maxsize=None)
 def bso6_action() -> SteenrodAction:
     alg = bso6_ring()
     return SteenrodAction(
-        alg, generator_rule=stiefel_whitney_rule(alg, {"w2": 2, "w3": 3, "w4": 4, "w5": 5, "w6": 6})
+        alg, stiefel_whitney_rule(alg, {"w2": 2, "w3": 3, "w4": 4, "w5": 5, "w6": 6})
     )
 
 
 @functools.lru_cache(maxsize=None)
 def bso3_action() -> SteenrodAction:
     alg = bso3_ring()
-    return SteenrodAction(alg, generator_rule=stiefel_whitney_rule(alg, {"wp2": 2, "wp3": 3}))
+    return SteenrodAction(alg, stiefel_whitney_rule(alg, {"wp2": 2, "wp3": 3}))
 
 
 @functools.lru_cache(maxsize=None)
 def bso3_truncated_action(power: int) -> SteenrodAction:
     alg = bso3_truncated(power)
-    return SteenrodAction(alg, generator_rule=stiefel_whitney_rule(alg, {"wp2": 2, "wp3": 3}))
+    return SteenrodAction(alg, stiefel_whitney_rule(alg, {"wp2": 2, "wp3": 3}))
 
 
 def toda_dimension_oracle(d: int) -> int:

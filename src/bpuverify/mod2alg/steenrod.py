@@ -1,19 +1,22 @@
-"""Steenrod squares on presented GF(2) algebras: Wu formulas and Cartan.
+"""Steenrod squares on presented GF(2) algebras: one generator rule, Adem and
+Cartan.
 
-Free rings of Stiefel-Whitney or mod-2 Chern classes carry a complete action
-given by the Wu formulas (with generalized binomial coefficients, so
-instability falls out of class truncation automatically).  Presented rings
-carry a finite table of squares on generators for i in {1, 2, 4, 8}; values
-at the remaining indices j <= 8 that a Cartan expansion may request are
-resolved through the classical fixed decompositions
+An action is given by a rule on generators, rule(i, name), which returns the
+normal form of Sq^i of that generator or None where it gives no value.  Free
+rings of Stiefel-Whitney or mod-2 Chern classes carry a complete rule from the
+Wu formulas (with generalized binomial coefficients, so instability falls out
+of class truncation automatically); presented rings carry a finite table of
+squares, read by ``table_rule``.
 
-    Sq^3 = Sq^1 Sq^2          Sq^5 = Sq^1 Sq^4
-    Sq^6 = Sq^2 Sq^4 + Sq^1 Sq^4 Sq^1
-    Sq^7 = Sq^1 Sq^2 Sq^4
+Instability is applied before the rule: Sq^0 g = g, Sq^|g| g = g^2 and
+Sq^i g = 0 for i > |g|.  Any other square the rule leaves open, Sq^i with
+i = 2^k + m and 0 < m < 2^k, is derived from the Adem relation for
+Sq^m Sq^(2^k), whose c = 0 coefficient binom(2^k - 1, m) is odd:
 
-applied to the tabulated generator values.  Anything else raises
-UnderdeterminedSquare rather than guessing; no general Adem rewriting is
-performed.
+    Sq^i = Sq^m Sq^(2^k) + sum_(c >= 1) binom(2^k - c - 1, m - 2c) Sq^(i-c) Sq^c.
+
+Every index on the right applied to a generator is below i, so the recursion
+ends.  A missing Sq^(2^k) raises UnderdeterminedSquare rather than guessing.
 
 The Cartan formula is applied to the terms of an element as given, so Sq^i of
 an unreduced defining relation is a real check of the table, not Sq^i of zero.
@@ -21,14 +24,15 @@ an unreduced defining relation is a real check of the table, not Sq^i of zero.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable
 
 from .. import gf2
 from .algebra import Poly, PresentedAlgebra, poly_mul
 
 
 class UnderdeterminedSquare(ValueError):
-    """A requested square is not derivable from the stored table."""
+    """A requested square is not derivable from the generator rule."""
 
 
 def binom_general(m: int, b: int) -> int:
@@ -44,33 +48,13 @@ def binom_general(m: int, b: int) -> int:
     return num // den
 
 
-_COMPOSITE_ROUTES = {
-    3: ((1, 2),),
-    5: ((1, 4),),
-    6: ((2, 4), (1, 4, 1)),
-    7: ((1, 2, 4),),
-}
-
-
 class SteenrodAction:
-    """Squares on a presented algebra, extended from generators by Cartan; a
-    generator_rule returns normal forms, as the Wu rules below do."""
+    """Squares on a presented algebra from a generator rule, extended to every
+    index by Adem and to every element by Cartan."""
 
-    def __init__(
-        self,
-        algebra: PresentedAlgebra,
-        table: Optional[dict] = None,
-        generator_rule: Optional[Callable] = None,
-    ):
+    def __init__(self, algebra: PresentedAlgebra, rule: Callable):
         self.algebra = algebra
-        self.table = {}
-        for gname, entries in (table or {}).items():
-            gidx = algebra.gen_names.index(gname)
-            self.table[gidx] = {
-                int(i): (algebra.parse(v) if isinstance(v, str) else frozenset(v))
-                for i, v in entries.items()
-            }
-        self.generator_rule = generator_rule
+        self.rule = rule
         self._gen_cache = {}
         self._mono_cache = {}
 
@@ -87,23 +71,19 @@ class SteenrodAction:
         key = (i, gidx)
         if key in self._gen_cache:
             return self._gen_cache[key]
-        if gidx in self.table and i in self.table[gidx]:
-            value = self.algebra.normal_form(self.table[gidx][i])
-        elif self.generator_rule is not None:
-            value = self.generator_rule(i, self.algebra.gen_names[gidx])
-        elif i in _COMPOSITE_ROUTES and all(
-            j in self.table.get(gidx, {}) or j >= deg for route in _COMPOSITE_ROUTES[i] for j in route
-        ):
-            value = frozenset()
-            for route in _COMPOSITE_ROUTES[i]:
-                part = g
-                for j in reversed(route):
-                    part = self.sq(j, part)
-                value = value ^ part
-        else:
-            raise UnderdeterminedSquare(
-                f"Sq^{i} on {self.algebra.gen_names[gidx]} is not determined by the table"
-            )
+        value = self.rule(i, self.algebra.gen_names[gidx])
+        if value is None:
+            top = 1 << (i.bit_length() - 1)
+            m = i - top
+            if not m:
+                raise UnderdeterminedSquare(
+                    f"Sq^{i} on {self.algebra.gen_names[gidx]} is not given by the rule"
+                )
+            # the Adem relation for Sq^m Sq^top, solved for its c = 0 term Sq^i
+            value = self.sq(m, self.sq_gen(top, gidx))
+            for c in range(1, m // 2 + 1):
+                if math.comb(top - c - 1, m - 2 * c) % 2:
+                    value = value ^ self.sq(i - c, self.sq_gen(c, gidx))
         self._gen_cache[key] = value
         return value
 
@@ -131,31 +111,39 @@ class SteenrodAction:
             rest = list(m)
             rest[gidx] -= 1
             rest = tuple(rest)
-            gdeg = self.algebra.gen_degrees[gidx]
             acc = set()
-            for j in range(0, min(i, gdeg) + 1):
+            for j in range(0, min(i, self.algebra.gen_degrees[gidx]) + 1):
                 cof = self._sq_monomial(i - j, rest)
                 if not cof:
                     continue
-                try:
-                    a = self.sq_gen(j, gidx)
-                except UnderdeterminedSquare:
-                    if self._annihilates(cof, gdeg + j):
-                        continue
-                    raise
+                a = self.sq_gen(j, gidx)
                 if a:
                     acc ^= poly_mul(a, cof)
             value = self.algebra.normal_form(frozenset(acc))
         self._mono_cache[key] = value
         return value
 
-    def _annihilates(self, cof: Poly, degree: int) -> bool:
-        """True if cof kills every degree-d normal-form monomial, so an
-        undetermined factor of that degree contributes nothing."""
-        for m in self.algebra.monomials_of_degree(degree):
-            if self.algebra.mul(frozenset({m}), cof):
-                return False
-        return True
+
+def table_rule(algebra: PresentedAlgebra, table: dict) -> Callable:
+    """Generator rule from a finite table {generator name: {i: value text}}.
+
+    Each value is parsed, checked to have degree |g| + i, and normalized once;
+    squares that instability fixes (i <= 0 or i >= |g|) are refused, and
+    unlisted squares are None.
+    """
+    values = {}
+    for gname, entries in table.items():
+        if gname not in algebra.gen_names:
+            raise ValueError(f"{gname} is not a generator of {algebra.name}")
+        deg = algebra.gen_degrees[algebra.gen_names.index(gname)]
+        for i, text in entries.items():
+            if not 0 < i < deg:
+                raise ValueError(f"Sq^{i}({gname}) is fixed by instability, not by a table")
+            value = algebra.parse(text)
+            if value and algebra.poly_degree(value) != deg + i:
+                raise ValueError(f"Sq^{i}({gname}) = {text} is not of degree {deg + i}")
+            values[i, gname] = algebra.normal_form(value)
+    return lambda i, gname: values.get((i, gname))
 
 
 # -- Wu formulas ---------------------------------------------------------------

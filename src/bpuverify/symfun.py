@@ -11,8 +11,10 @@ derivation sending s_k to (n - k + 1) * s_{k-1}.  Symmetric polynomials are
 never expanded into the v's here; that route, and the rewrite back into sigma
 coordinates, live in tests/oracles.py as the reference for cross-checks.
 
-Kernel bases are lattice bases read off a Hermite normal form, so Z-span
-equality checks are exact; nothing is done over the rationals.
+The suites never build a kernel basis: they decide membership by the
+divergence and lattice equality by invariant factors.  Only ``kernel_basis``,
+a helper for tests and demos, reads a lattice basis off a Hermite normal
+form.  Nothing is done over the rationals.
 """
 
 from __future__ import annotations
@@ -201,7 +203,8 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     kernel rank and the same nonzero invariant factors as its coordinates in a
     kernel basis.  Those factors come from ``nonzero_invariant_factors``, with
     no unimodular transform.  Each generator monomial is a lower one times one
-    generator.
+    generator, and its membership is read off the generators' divergences
+    (``_first_outside``).
     """
     if max_degree < 2:
         raise ValueError("max degree must be at least 2")
@@ -209,8 +212,10 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     ctx = SymmetricContext(4)
     al = alpha_generators(ctx)
 
+    divergent = []
     for name, gen in al.as_dict().items():
         img = ctx.nabla_sigma(gen)
+        divergent.append(not img.is_zero())
         report.add(
             f"divergence/{name}",
             img.is_zero(),
@@ -227,7 +232,7 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
 
     series = geometric_product((2, 3, 4), max_degree)
     weights = (2, 3, 4, 6)
-    generators = (al.a2, al.a3, al.a4, al.a6)
+    generators = tuple(al.as_dict().values())
     # degree -> {exponents: generator monomial}; a degree is dropped once no
     # higher degree is built from it
     layers = {}
@@ -250,9 +255,7 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
             if not has_full_row_rank(a):
                 raise ArithmeticError(f"divergence is not onto at degree {d}")
             rankk = a.cols - a.rows
-        outside = next(
-            (e for e in expos if not ctx.nabla_sigma(layer[e]).is_zero()), None
-        )
+        outside = _first_outside(layer, divergent)
         detail_lattice = ""
         if outside is not None:
             ok_lattice = False
@@ -308,6 +311,16 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     return report
 
 
+def _first_outside(layer: dict, divergent) -> tuple:
+    """The first exponent of ``layer`` whose generator monomial has nonzero
+    divergence, or None.  The divergence is a locally nilpotent derivation of
+    a domain of characteristic 0, so its kernel is factorially closed: a
+    nonzero monomial is outside it exactly when it involves a generator
+    flagged ``divergent``."""
+    return next((e for e, f in layer.items() if not f.is_zero()
+                 and any(x and bad for x, bad in zip(e, divergent))), None)
+
+
 def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):
     """The divergence matrix into degree - 1 and its local row form at p.
 
@@ -321,9 +334,10 @@ def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):
     return cached[1:]
 
 
-def coker_order(ctx: SymmetricContext, f: Polynomial, degree: int = None):
-    """Order of the class of f in (degree-d part) / divergence-image, or None
-    for infinite order.
+def coker_order(ctx: SymmetricContext, f: Polynomial):
+    """Order of the class of a homogeneous f in (degree-d part) /
+    divergence-image, with d the degree of f, or None for infinite order.
+    The zero polynomial has order 1 in every degree.
 
     A divergence-free f is settled by two certificates.  The upper bound:
     divergence(s1*f) == n*f, since s1/n is a slice, so the order divides n.
@@ -333,9 +347,9 @@ def coker_order(ctx: SymmetricContext, f: Polynomial, degree: int = None):
     divergence, and kernel elements whose order is below n, take the Smith
     normal form route.
     """
-    d = f.homogeneous_degree() if degree is None else degree
+    d = f.homogeneous_degree()
     if d is None:
-        raise ValueError("cannot infer the degree of the zero polynomial")
+        return 1
     x = coordinates(ctx, f, d)
     n = ctx.n
     if ctx.nabla_sigma(f).is_zero():

@@ -10,6 +10,13 @@ built as a v-polynomial.  Expansions are cached per variable count.
 Over all ambient monomials, for bpuverify.mod2alg: the normal-form monomials
 of a degree as the ambient ones no Groebner lead divides, and subalgebra
 ranks from a product of generator powers per monomial.
+
+By fixed decompositions, for bpuverify.mod2alg.steenrod: Sq^3, Sq^5, Sq^6 and
+Sq^7 on generators as composites of Sq^1, Sq^2 and Sq^4, in place of the Adem
+derivation.
+
+Per monomial, for bpuverify.symfun.certify_k4_presentation: kernel membership
+of each generator monomial by its own divergence.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import itertools
 
 from bpuverify import gf2
 from bpuverify.mod2alg.algebra import mono_divides
+from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, monomial_basis
 from bpuverify.symfun import SymmetricContext
 
@@ -154,3 +162,37 @@ def product_loop_ranks(algebra, generators, max_degree: int) -> list:
             vectors.append(algebra.coordinates(prod, d))
         out.append((gf2.rank(vectors), len(exponents)))
     return out
+
+
+# Sq^i = the sum over its routes of the composite Sq^(j1) Sq^(j2) ..., read
+# right to left: Sq^3 = Sq^1 Sq^2, Sq^5 = Sq^1 Sq^4,
+# Sq^6 = Sq^2 Sq^4 + Sq^1 Sq^4 Sq^1 and Sq^7 = Sq^1 Sq^2 Sq^4.
+HAND_ROUTES = {
+    3: ((1, 2),),
+    5: ((1, 4),),
+    6: ((2, 4), (1, 4, 1)),
+    7: ((1, 2, 4),),
+}
+
+
+class HandRouteAction(SteenrodAction):
+    """The action with Sq^3, Sq^5, Sq^6 and Sq^7 below the instability range
+    taken from ``HAND_ROUTES`` on every generator, whatever the rule says, so
+    through Sq^8 no square is derived from an Adem relation."""
+
+    def sq_gen(self, i: int, gidx: int):
+        if i not in HAND_ROUTES or i >= self.algebra.gen_degrees[gidx]:
+            return super().sq_gen(i, gidx)
+        value = frozenset()
+        for route in HAND_ROUTES[i]:
+            part = self.algebra.gen(self.algebra.gen_names[gidx])
+            for j in reversed(route):
+                part = self.sq(j, part)
+            value = value ^ part
+        return value
+
+
+def first_outside_by_divergence(ctx: SymmetricContext, layer: dict) -> tuple:
+    """The first exponent of ``layer`` whose generator monomial has nonzero
+    divergence, or None: one ``nabla_sigma`` per monomial."""
+    return next((e for e, f in layer.items() if not ctx.nabla_sigma(f).is_zero()), None)

@@ -9,6 +9,7 @@ from bpuverify.mod2alg import (
     UnderdeterminedSquare,
     binom_general,
     solve_sq,
+    table_rule,
 )
 from bpuverify.mod2alg import rings
 from bpuverify.mod2alg.rings import (
@@ -29,6 +30,8 @@ from bpuverify.mod2alg.rings import (
     toda_ring,
 )
 from bpuverify.mod2alg.suites import verify_steenrod_theorem
+
+from oracles import HandRouteAction
 
 
 def test_binom_general():
@@ -139,9 +142,9 @@ def test_total_square_multiplicative_on_free_ring():
 
 def test_derived_composites_agree_with_instability_and_wu():
     T, act = toda_ring(), toda_action()
-    # on a degree-3 generator the composite route must reproduce the top square
-    g3 = T.gen_names.index("y3")
-    assert act.sq_gen(3, g3) == T.mul(T.gen("y3"), T.gen("y3"))
+    # on a degree-3 generator Sq^1 Sq^2 must reproduce the top square
+    y3 = T.gen("y3")
+    assert act.sq(1, act.sq(2, y3)) == act.sq_gen(3, T.gen_names.index("y3")) == T.mul(y3, y3)
     # on the Wu-complete rings the routes are theorems; spot-check Sq^3, Sq^6
     alg, wact = bso6_ring(), bso6_action()
     for name in ("w4", "w5", "w6"):
@@ -153,40 +156,85 @@ def test_derived_composites_agree_with_instability_and_wu():
 
 
 def test_adem_relations_on_the_toda_action():
-    # Sq^a Sq^b = sum_c binom(b-c-1, a-2c) Sq^(a+b-c) Sq^c mod 2 for 0 < a < 2b,
-    # on every normal-form monomial through degree 40
+    # Sq^a Sq^b = sum_c binom(b-c-1, a-2c) Sq^(a+b-c) Sq^c mod 2 for 0 < a < 2b
+    # and a + b <= 16, on every normal-form monomial through degree 40
     T, act = toda_ring(), toda_action()
     checks = 0
     for d in range(41):
         for m in T.monomials_of_degree(d):
             x = frozenset({m})
-            for b in range(1, 8):
-                for a in range(1, min(2 * b, 9 - b)):
+            for b in range(1, 16):
+                for a in range(1, min(2 * b, 17 - b)):
                     rhs = frozenset()
                     for c in range(a // 2 + 1):
                         if math.comb(b - c - 1, a - 2 * c) % 2:
                             rhs = rhs ^ act.sq(a + b - c, act.sq(c, x))
                     assert act.sq(a, act.sq(b, x)) == rhs, (m, a, b)
                     checks += 1
-    assert checks == 8873
+    assert checks == 37360
+
+
+def test_instability_on_the_toda_action():
+    # Sq^i x = 0 for i > |x| and Sq^|x| x = x^2, on every normal-form monomial
+    # through degree 40
+    T, act = toda_ring(), toda_action()
+    for d in range(41):
+        for m in T.monomials_of_degree(d):
+            x = frozenset({m})
+            assert act.sq(d, x) == T.mul(x, x), m
+            for above in range(d + 1, d + 4):
+                assert act.sq(above, x) == frozenset(), (m, above)
+
+
+def test_hand_routes_agree_with_the_adem_derivation():
+    # Sq^3 = Sq^1 Sq^2, Sq^5 = Sq^1 Sq^4, Sq^6 = Sq^2 Sq^4 + Sq^1 Sq^4 Sq^1
+    # and Sq^7 = Sq^1 Sq^2 Sq^4 on every generator, the toda ones included
+    T, act = toda_ring(), toda_action()
+    hand = HandRouteAction(T, table_rule(T, TODA_SQ_TABLE))
+    derived = 0
+    for gidx, name in enumerate(T.gen_names):
+        for i in (3, 5, 6, 7):
+            assert act.sq_gen(i, gidx) == hand.sq_gen(i, gidx), (name, i)
+            derived += i < T.gen_degrees[gidx]
+    assert derived == 13  # Sq^3 y5, and all four on y8, y9 and y12
+
+
+def test_adem_derivation_reproduces_the_wu_formulas():
+    # a rule that gives only Sq^(2^k) determines every other square on the
+    # free rings, and the derived values are the Wu values
+    for alg, act in ((bso6_ring(), bso6_action()), (bu4_ring(), bu4_action())):
+        powers = SteenrodAction(alg, lambda i, name: act.rule(i, name) if i & (i - 1) == 0 else None)
+        for gidx, name in enumerate(alg.gen_names):
+            for i in range(alg.gen_degrees[gidx] + 2):
+                assert powers.sq_gen(i, gidx) == act.sq_gen(i, gidx), (alg.name, name, i)
 
 
 def test_underdetermined_square_is_refused():
     alg = PresentedAlgebra("stub", [("z", 10), ("w", 12)])
-    act = SteenrodAction(alg, table={"z": {1: "0"}, "w": {1: "0"}})
+    act = SteenrodAction(alg, table_rule(alg, {"z": {1: "0"}, "w": {1: "0"}}))
     zidx = alg.gen_names.index("z")
     with pytest.raises(UnderdeterminedSquare):
         act.sq_gen(6, zidx)  # needs Sq^2 and Sq^4 values that were never given
     with pytest.raises(UnderdeterminedSquare):
-        act.sq(2, alg.gen("z"))  # the unknown lands in the nonzero degree 12
+        act.sq(2, alg.gen("z"))
+    with pytest.raises(UnderdeterminedSquare):
+        act.sq(2, alg.gen("w"))  # the unknown lands in the empty degree 14
 
 
-def test_forced_zero_square_in_an_empty_degree():
-    # when the unknown square would land in a zero graded piece, the value is
-    # forced rather than underdetermined
-    alg = PresentedAlgebra("thin", [("z", 10)])
-    act = SteenrodAction(alg, table={"z": {1: "0"}})
-    assert act.sq(2, alg.gen("z")) == frozenset()
+def test_table_rule_checks_its_entries():
+    alg = PresentedAlgebra("stub", [("z", 4), ("w", 8)], ["w*z + z^3"])
+    rule = table_rule(alg, {"z": {1: "0", 2: "0"}, "w": {4: "w*z + z^3"}})
+    assert rule(1, "z") == frozenset()
+    assert rule(4, "w") == frozenset()  # normalized once
+    assert rule(3, "z") is None and rule(1, "w") is None
+    with pytest.raises(ValueError, match="x is not a generator of stub"):
+        table_rule(alg, {"x": {1: "0"}})
+    with pytest.raises(ValueError, match="not of degree 12"):
+        table_rule(alg, {"w": {4: "w"}})
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        table_rule(alg, {"w": {4: "w*z + z^2"}})
+    with pytest.raises(ValueError, match="fixed by instability"):
+        table_rule(alg, {"z": {4: "z^2"}})
 
 
 def test_action_well_defined_on_relations():

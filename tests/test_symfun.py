@@ -35,7 +35,14 @@ from bpuverify.symfun import (
     vistoli_delta_check,
 )
 
-from oracles import delta_polynomial, elementary, expand, is_symmetric, to_sigma
+from oracles import (
+    delta_polynomial,
+    elementary,
+    expand,
+    first_outside_by_divergence,
+    is_symmetric,
+    to_sigma,
+)
 
 CTX4 = SymmetricContext(4)
 ALPHA = alpha_generators(CTX4)
@@ -298,6 +305,45 @@ def test_k4_takes_no_smith_form(monkeypatch):
     assert by_name["lattice/d05"].status == "pass"
 
 
+@pytest.mark.parametrize(
+    "swap",
+    [
+        {},
+        {"a2": "8*s2 - 2*s1^2"},
+        {"a4": "12*s4 - 3*s1*s3 + 2*s2^2"},
+        {"a2": "0", "a6": "s1^6"},
+    ],
+)
+def test_k4_membership_matches_the_per_monomial_route(monkeypatch, swap):
+    """Generators swapped for ones with nonzero divergence (and, in the last
+    case, zero) give the same lattice lines whether membership is read off
+    the generators' divergences or taken by one divergence per monomial."""
+    real = symfun.alpha_generators
+
+    def swapped(ctx):
+        gens = real(ctx).as_dict()
+        gens.update({name: sp(text) for name, text in swap.items()})
+        return AlphaGenerators(**gens)
+
+    monkeypatch.setattr(symfun, "alpha_generators", swapped)
+
+    def lattice_lines():
+        return {
+            c.name: (c.status, c.detail)
+            for c in certify_k4_presentation(12).checks
+            if c.name.startswith("lattice/")
+        }
+
+    by_generators = lattice_lines()
+    monkeypatch.setattr(
+        symfun, "_first_outside",
+        lambda layer, divergent: first_outside_by_divergence(CTX4, layer),
+    )
+    assert lattice_lines() == by_generators
+    outside = [d for d, (_, detail) in by_generators.items() if "outside" in detail]
+    assert bool(outside) == bool(swap)
+
+
 def test_kernel_element_outside_generator_span():
     # the concrete witness of the index-3 defect at degree 4
     u = sp("3*s1^4 - 16*s1^2*s2 + 64*s1*s3 - 256*s4")
@@ -320,13 +366,13 @@ def test_coker_orders():
 
 
 def test_coker_order_names_the_degree_mismatch():
-    with pytest.raises(ValueError, match="polynomial has degree 4, expected 5"):
-        coker_order(CTX4, ALPHA.a4, degree=5)
+    # the degree is read off f: an inhomogeneous f names its degrees, and the
+    # zero polynomial has order 1, as it does in every degree
     with pytest.raises(ValueError, match=r"inhomogeneous polynomial, degrees \[0, 1\]"):
-        coker_order(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one(), degree=1)
-    with pytest.raises(ValueError, match="cannot infer the degree"):
-        coker_order(CTX4, CTX4.sigma_ring.zero())
-    assert coker_order(CTX4, CTX4.sigma_ring.zero(), degree=3) == 1
+        coker_order(CTX4, CTX4.sigma(1) + CTX4.sigma_ring.one())
+    assert coker_order(CTX4, CTX4.sigma_ring.zero()) == 1
+    for d in range(4):
+        assert _smith_route_order(CTX4, CTX4.sigma_ring.zero(), d) == 1
 
 
 def _smith_route_order(ctx, f, d):
@@ -337,7 +383,7 @@ def test_coker_order_matches_the_smith_route_on_generator_monomials():
     for d in range(17):
         for c, e in monomial_basis(d, (4, 6)):
             f = ALPHA.a4 ** c * ALPHA.a6 ** e
-            assert coker_order(CTX4, f, degree=d) == _smith_route_order(CTX4, f, d) == 4
+            assert coker_order(CTX4, f) == _smith_route_order(CTX4, f, d) == 4
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -347,7 +393,7 @@ def test_coker_order_matches_the_smith_route_on_kernel_bases(n):
     for d in range(9):
         basis = kernel_basis(ctx, d)
         for f in basis + [2 * g for g in basis] + [g + basis[0] for g in basis]:
-            order = coker_order(ctx, f, degree=d)
+            order = coker_order(ctx, f)
             assert order == _smith_route_order(ctx, f, d), (n, d, f)
             orders.add(order)
     # both routes are exercised: order n by the certificates, and lower
