@@ -7,27 +7,43 @@ and affine solves both exact and fast.
 
 from __future__ import annotations
 
-def reduce_against(v: int, basis) -> int:
-    """Fully reduce ``v`` against an echelonized basis (largest leading bit first)."""
-    for b in basis:
-        if v ^ b < v:
-            v ^= b
+def _reduce(v: int, pivots: dict) -> int:
+    """Clear every pivot's leading bit from ``v``, top down, visiting only set bits."""
+    rest = v
+    while rest:
+        top = rest.bit_length() - 1
+        if top in pivots:
+            v ^= pivots[top]
+        rest = v & ((1 << top) - 1)
     return v
+
+
+def reduce_against(v: int, basis) -> int:
+    """Fully reduce ``v`` against an echelonized basis (distinct leading bits)."""
+    return _reduce(v, {b.bit_length() - 1: b for b in basis})
 
 
 def echelon_basis(vectors) -> list:
     """Echelonized spanning set: distinct leading bits, sorted descending."""
-    basis = []
+    pivots = {}
     for v in vectors:
-        v = reduce_against(v, basis)
+        v = _reduce(v, pivots)
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+            pivots[v.bit_length() - 1] = v
+    return sorted(pivots.values(), reverse=True)
 
 
 def rank(vectors) -> int:
-    return len(echelon_basis(vectors))
+    """Rank on pivots keyed by leading bit: a vector meets only those at its leading bits."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 def in_span(v: int, basis_echelon) -> bool:

@@ -272,10 +272,13 @@ class PresentedAlgebra:
         A generator monomial of degree d whose last generator is h_i is one of
         degree d - deg h_i whose last generator is at most i, times h_i.  So
         its coordinate mask is the XOR, over the set bits k of the lower mask,
-        of the columns coordinates(m_k * h_i, d), where m_k is the k-th
-        normal-form monomial of degree d - deg h_i.  Each column is one
-        ``mul``, made when first needed and kept for that (i, d) only; masks
-        are kept for the last max(deg h) degrees.
+        of the column of m_k * h_i: the XOR over the terms t of h_i of the
+        masks of nf(m_k * t).  Each degree numbers its normal-form monomials
+        as they first appear, not as ``monomials_of_degree`` lists them, and
+        keeps one product -> mask dict and one ``_monomial_nf`` memo, dropped
+        with that degree; a new monomial of the wrong degree or divisible by
+        a Groebner lead raises ValueError.  Masks and each degree's monomial
+        list are kept for the last max(deg h) degrees.
 
         Raises ValueError on a generator that is zero, inhomogeneous or of
         degree 0, naming its index.
@@ -293,34 +296,53 @@ class PresentedAlgebra:
                 raise ValueError(f"generator {i} has degree 0")
             degrees.append(degree)
         depth = max(degrees, default=0)
-        # by_last[d][i + 1]: masks of the degree-d generator monomials whose last
-        # generator is h_i; by_last[0][0] is the empty monomial's
+        # by_last[d] = (monos, lists): monos[k] is the monomial of bit k, and
+        # lists[i + 1] holds the masks of the degree-d generator monomials whose
+        # last generator is h_i; lists[0] is the empty monomial's in degree 0
         by_last = {}
         out = []
         for d in range(max_degree + 1):
+            index, products, memo = {}, {}, {}
+
+            def mask_of(p):
+                mask = 0
+                for m in p:
+                    if m not in index:
+                        degree = sum(map(operator.mul, m, self.gen_degrees))
+                        if degree != d or any(mono_divides(g, m) for g, _ in self.groebner):
+                            raise ValueError(
+                                f"not a degree-{d} normal-form element: {self.format(p)}"
+                            )
+                        index[m] = len(index)
+                    mask |= 1 << index[m]
+                return mask
+
             if d == 0:
-                lists = [[self.coordinates(self.one(), 0)]] + [[] for _ in gens]
+                lists = [[mask_of(self.one())]] + [[] for _ in gens]
             else:
                 lists = [[]]
                 for i, (h, w) in enumerate(zip(gens, degrees)):
                     masks = []
-                    lower = by_last.get(d - w)
-                    if lower:
-                        monos = self.monomials_of_degree(d - w)
+                    if d - w in by_last:
+                        lower_monos, lower = by_last[d - w]
                         columns = {}
                         for v in itertools.chain.from_iterable(lower[: i + 2]):
                             mask = 0
                             while v:
                                 k = (v & -v).bit_length() - 1
                                 if k not in columns:
-                                    columns[k] = self.coordinates(
-                                        self.mul(frozenset({monos[k]}), h), d
-                                    )
+                                    columns[k] = 0
+                                    for t in h:
+                                        prod = mono_mul(lower_monos[k], t)
+                                        if prod not in products:
+                                            nf = self._monomial_nf(prod, self.groebner, memo)
+                                            products[prod] = mask_of(nf)
+                                        columns[k] ^= products[prod]
                                 mask ^= columns[k]
                                 v ^= 1 << k
                             masks.append(mask)
                     lists.append(masks)
-            by_last[d] = lists
+            by_last[d] = list(index), lists
             by_last.pop(d - depth, None)
             vectors = list(itertools.chain.from_iterable(lists))
             out.append((gf2.rank(vectors), len(vectors)))

@@ -104,10 +104,11 @@ TODA_SQ_TABLE = {
     },
 }
 
+# by Adem, Sq^2 x20 = Sq^3 Sq^1 x1 = 0 and Sq^2 x21 = (Sq^6 + Sq^5 Sq^1) x20 = 0
 KZ3_SQ_TABLE = {
     "x1": {1: "0", 2: "x20"},
-    "x20": {1: "x1^2", 4: "x21"},
-    "x21": {1: "x20^2"},
+    "x20": {1: "x1^2", 2: "0", 4: "x21"},
+    "x21": {1: "x20^2", 2: "0"},
 }
 
 

@@ -17,6 +17,10 @@ derivation.
 
 Per monomial, for bpuverify.symfun.certify_k4_presentation: kernel membership
 of each generator monomial by its own divergence.
+
+By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
+echelon list, which is re-sorted after every insertion, in place of the pivot
+table keyed by leading bit.
 """
 
 from __future__ import annotations
@@ -196,3 +200,33 @@ def first_outside_by_divergence(ctx: SymmetricContext, layer: dict) -> tuple:
     """The first exponent of ``layer`` whose generator monomial has nonzero
     divergence, or None: one ``nabla_sigma`` per monomial."""
     return next((e for e, f in layer.items() if not ctx.nabla_sigma(f).is_zero()), None)
+
+
+def list_scan_reduce(v: int, basis) -> int:
+    """Fully reduce ``v`` against an echelonized list, largest leading bit first."""
+    for b in basis:
+        if v ^ b < v:
+            v ^= b
+    return v
+
+
+def list_scan_echelon(vectors) -> list:
+    """Echelonized spanning set: each vector reduced against the whole list,
+    which is then re-sorted descending."""
+    basis = []
+    for v in vectors:
+        v = list_scan_reduce(v, basis)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def list_scan_solve_affine(vectors, target: int):
+    """``gf2.solve_affine`` on the list-scan echelon route."""
+    k = len(vectors)
+    basis = list_scan_echelon((v << k) | (1 << i) for i, v in enumerate(vectors))
+    particular = list_scan_reduce(target << k, basis)
+    if particular >> k:
+        return None
+    return particular, [b for b in basis if not b >> k]

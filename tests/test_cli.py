@@ -232,6 +232,7 @@ def test_golden_reports(capsys):
         (["vistoli", "--prime", "7"], "vistoli7.txt"),
         (["k4", "--max-degree", "20"], "k4_20.txt"),
         (["section10", "--max-degree", "40"], "section10_40.txt"),
+        (["section10", "--max-degree", "80"], "section10_80.txt"),
         (["coker", "--max-degree", "24"], "coker_24.txt"),
         (["k4", "--max-degree", "32"], "k4_32.txt"),
     ):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,55 @@ def test_subalgebra_ranks_reject_a_bad_generator(bad, message):
     T = toda_ring()
     with pytest.raises(ValueError, match=message):
         T.subalgebra_ranks([T.gen("y2"), T.parse(bad)], 10)
+
+
+def _fresh_bso6_and_g1_g4():
+    # a ring of its own, so that patching it leaves the cached bso6 ring alone
+    fresh = load_algebra((ROOT / "src/bpuverify/data/bso6.alg").read_text(), "bso6")
+    g = _phi_rho_generators()
+    return fresh, [g[n] for n in ("g1", "g2", "g3", "g4")]
+
+
+def test_subalgebra_ranks_build_no_ambient_monomial_table(monkeypatch):
+    W6, gens = _fresh_bso6_and_g1_g4()
+    expected = product_loop_ranks(bso6_ring(), gens, 24)
+
+    def refuse(d):
+        raise AssertionError(f"monomials_of_degree({d}) called")
+
+    monkeypatch.setattr(W6, "monomials_of_degree", refuse)
+    assert W6.subalgebra_ranks(gens, 24) == expected
+
+
+def _refusal(algebra, generators, monkeypatch, patched_nf):
+    """Run subalgebra_ranks with ``_monomial_nf`` patched; return the degree
+    named by the ValueError and the element it names."""
+    monkeypatch.setattr(algebra, "_monomial_nf", patched_nf)
+    with pytest.raises(ValueError, match=r"not a degree-\d+ normal-form element") as caught:
+        algebra.subalgebra_ranks(generators, 24)
+    monkeypatch.undo()
+    match = re.fullmatch(r"not a degree-(\d+) normal-form element: (.*)", str(caught.value))
+    return int(match.group(1)), algebra.parse(match.group(2))
+
+
+def test_subalgebra_ranks_refuse_an_unreduced_product(monkeypatch):
+    # bso6 is free, so every monomial there is reduced: the Toda ring is where
+    # a product of a normal-form monomial and a generator term needs reducing
+    T = load_algebra((ROOT / "src/bpuverify/data/toda.alg").read_text(), "toda")
+    stated = [T.parse(s) for s in ("y2^2", "y2^3", "y3", "y5^2", "y8 + y3*y5")]
+    d, named = _refusal(T, stated, monkeypatch, lambda m, basis, memo: frozenset({m}))
+    assert T.poly_degree(named) == d
+    assert T.normal_form(named) != named
+
+
+def test_subalgebra_ranks_refuse_a_product_of_the_wrong_degree(monkeypatch):
+    W6, gens = _fresh_bso6_and_g1_g4()
+    w2 = next(iter(W6.gen("w2")))
+    d, named = _refusal(
+        W6, gens, monkeypatch, lambda m, basis, memo: frozenset({mono_mul(m, w2)})
+    )
+    assert W6.poly_degree(named) == d + 2
+    assert W6.normal_form(named) == named
 
 
 @pytest.mark.parametrize("algebra", _oracle_corpus(), ids=lambda a: a.name)

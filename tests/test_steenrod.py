@@ -280,7 +280,9 @@ def test_kz3_compatibility_through_the_restriction():
     K, kact = kz3_ring(), kz3_action()
     T, tact = toda_ring(), toda_action()
     chi = chi_star()
-    for gname, entries in (("x1", (1, 2)), ("x20", (1, 4)), ("x21", (1,))):
+    # Sq^3 x20 and Sq^3 x21 are derived from the tabled Sq^2 = 0 by Adem;
+    # Sq^4 and Sq^8 of x21 are not tabled, so Sq^4..Sq^8 x21 stay out
+    for gname, entries in (("x1", (1, 2)), ("x20", (1, 2, 3, 4)), ("x21", (1, 2, 3))):
         for i in entries:
             lhs = chi.apply(kact.sq(i, K.gen(gname)))
             rhs = tact.sq(i, chi.apply(K.gen(gname)))
