@@ -3,51 +3,34 @@
 A vector over GF(2) is a Python int whose bit i is coordinate i; matrices
 are lists of such ints.  XOR is vector addition, which keeps ranks, spans
 and affine solves both exact and fast.
+
+Every elimination here files vectors in one pivot table, a dict keyed by
+leading bit, so a vector meets only the pivots at its own leading bits.
+Ranks count the table's entries, and affine solves read their solutions off
+a table of vectors that carry choice bits.
 """
 
 from __future__ import annotations
 
-def _reduce(v: int, pivots: dict) -> int:
-    """Clear every pivot's leading bit from ``v``, top down, visiting only set bits."""
-    rest = v
-    while rest:
-        top = rest.bit_length() - 1
-        if top in pivots:
-            v ^= pivots[top]
-        rest = v & ((1 << top) - 1)
+
+def _insert(pivots: dict, v: int) -> int:
+    """XOR the pivot at v's leading bit until that bit is free, then file v
+    there; returns what is left of v, 0 when v lay in the span."""
+    while v:
+        top = v.bit_length() - 1
+        if top not in pivots:
+            pivots[top] = v
+            break
+        v ^= pivots[top]
     return v
 
 
-def reduce_against(v: int, basis) -> int:
-    """Fully reduce ``v`` against an echelonized basis (distinct leading bits)."""
-    return _reduce(v, {b.bit_length() - 1: b for b in basis})
-
-
-def echelon_basis(vectors) -> list:
-    """Echelonized spanning set: distinct leading bits, sorted descending."""
-    pivots = {}
-    for v in vectors:
-        v = _reduce(v, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = v
-    return sorted(pivots.values(), reverse=True)
-
-
 def rank(vectors) -> int:
-    """Rank on pivots keyed by leading bit: a vector meets only those at its leading bits."""
+    """Rank of the span of ``vectors``: the size of their pivot table."""
     pivots = {}
     for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = v
-                break
-            v ^= pivots[top]
+        _insert(pivots, v)
     return len(pivots)
-
-
-def in_span(v: int, basis_echelon) -> bool:
-    return reduce_against(v, basis_echelon) == 0
 
 
 def solve_affine(vectors, target: int):
@@ -56,16 +39,20 @@ def solve_affine(vectors, target: int):
     Returns (particular, nullspace) where ``particular`` is one solution as a
     choice bitmask over the input vectors and ``nullspace`` is a basis of
     homogeneous solutions (also choice bitmasks), or None if inconsistent.
-    Each vector carries its choice bit below its own bits, so one echelon
-    basis tracks both: the members with no vector bits left span the
-    homogeneous solutions.
+    Each vector is filed as (v << k) | (1 << i), carrying its choice bit
+    below its own bits: one whose own bits all clear is filed below bit k and
+    is a homogeneous solution.  The target's own bits are then cleared
+    against the table; a bit with no pivot leaves no solution.
     """
     k = len(vectors)
-    basis = echelon_basis((v << k) | (1 << i) for i, v in enumerate(vectors))
-    particular = reduce_against(target << k, basis)
+    pivots = {}
+    for i, v in enumerate(vectors):
+        _insert(pivots, (v << k) | (1 << i))
+    nullspace = [p for top, p in pivots.items() if top < k]
+    particular = _insert(pivots, target << k)
     if particular >> k:
         return None
-    return particular, [b for b in basis if not b >> k]
+    return particular, nullspace
 
 
 ENUMERATION_LIMIT = 4096  # most solutions enumerate_affine will list

@@ -284,9 +284,9 @@ def _is_prime(p: int) -> bool:
 
 
 def _row_reduce_mod_p(a: IntMatrix, p: int):
-    """Row echelon form of A over GF(p) with unit pivots: (rows, pivot
-    columns, pivot rows), the pivot rows as row indices of A in pivot order.
-    The minor of A on the pivot rows and pivot columns is nonzero mod p."""
+    """Forward elimination of A over GF(p): (pivot columns, pivot rows), the
+    pivot rows as row indices of A in pivot order.  The minor of A on the
+    pivot rows and pivot columns is nonzero mod p."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     m, n = a.rows, a.cols
@@ -307,28 +307,12 @@ def _row_reduce_mod_p(a: IntMatrix, p: int):
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
-    return rows, pivots, order[:len(pivots)]
+    return pivots, order[:len(pivots)]
 
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:
     """Rank of A over the field with p elements (Gaussian elimination)."""
-    return len(_row_reduce_mod_p(a, p)[1])
-
-
-def nullspace_mod_p(a: IntMatrix, p: int) -> list:
-    """Basis of the kernel of A over GF(p), as vectors of entries in [0, p)."""
-    rows, pivots, _ = _row_reduce_mod_p(a, p)
-    basis = []
-    for j in range(a.cols):
-        if j in pivots:
-            continue
-        vec = [0] * a.cols
-        vec[j] = 1
-        for r in range(len(pivots) - 1, -1, -1):  # back-substitute, last pivot first
-            pc = pivots[r]
-            vec[pc] = -sum(x * y for x, y in zip(rows[r][pc + 1:], vec[pc + 1:])) % p
-        basis.append(tuple(vec))
-    return basis
+    return len(_row_reduce_mod_p(a, p)[0])
 
 
 _RANK_PRIME = 2 ** 31 - 1
@@ -469,7 +453,7 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
     first ``rank`` pivots, and the count of valuation 0 must equal the rank
     of A modulo p.
     """
-    _, cols, rows = _row_reduce_mod_p(a, _RANK_PRIME)
+    cols, rows = _row_reduce_mod_p(a, _RANK_PRIME)
     if len(cols) > rank:
         raise ArithmeticError(
             f"rank modulo {_RANK_PRIME} is {len(cols)}, above the rank bound {rank}"
@@ -478,7 +462,7 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
         return None
     m, n = a.rows, a.cols
     flipped = IntMatrix([row[::-1] for row in reversed(a.entries)], n)
-    _, back_cols, back_rows = _row_reduce_mod_p(flipped, _RANK_PRIME)
+    back_cols, back_rows = _row_reduce_mod_p(flipped, _RANK_PRIME)
     g = 0
     for rows, cols in (
         (rows, cols),

@@ -200,9 +200,6 @@ class PresentedAlgebra:
             out = self.mul(out, a)
         return out
 
-    def is_zero(self, p: Poly) -> bool:
-        return not self.normal_form(p)
-
     # -- graded pieces -------------------------------------------------------
     def monomials_of_degree(self, d: int) -> tuple:
         """Normal-form monomials of weighted degree d, order-descending.

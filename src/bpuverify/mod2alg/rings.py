@@ -150,31 +150,12 @@ def bso3_truncated_action(power: int) -> SteenrodAction:
     return SteenrodAction(alg, stiefel_whitney_rule(alg, {"wp2": 2, "wp3": 3}))
 
 
-def toda_dimension_oracle(d: int) -> int:
-    """Independent count of the graded dimension of the six-generator ring.
-
-    Transfer-matrix style enumeration of the two normal-form families
-    {y2^a y8^b y12^c} and {y3^i y5^j y9^e y8^b y12^c : e <= 1, (i,j,e) != 0},
-    with no Groebner machinery involved.
-    """
-    if d < 0:
-        return 0
-    count = 0
-    for a in range(d // 2 + 1):
-        for b in range((d - 2 * a) // 8 + 1):
-            if (d - 2 * a - 8 * b) % 12 == 0:
-                count += 1
-    for b in range(d // 8 + 1):
-        for c in range((d - 8 * b) // 12 + 1):
-            rem0 = d - 8 * b - 12 * c
-            for eps in (0, 1):
-                rem = rem0 - 9 * eps
-                if rem < 0:
-                    continue
-                for i in range(rem // 3 + 1):
-                    if (rem - 3 * i) % 5 == 0:
-                        j = (rem - 3 * i) // 5
-                        if (i, j, eps) != (0, 0, 0):
-                            count += 1
-    return count
-
+@functools.lru_cache(maxsize=None)
+def restriction_maps() -> tuple:
+    """The three restrictions out of the six-generator ring, each paired with
+    the Steenrod action on its target: the constraints ``solve_sq`` takes."""
+    return (
+        (pi_star(), bu4_action()),
+        (phi_star(), bso6_action()),
+        (delta_star(), bso3_action()),
+    )

@@ -192,6 +192,24 @@ def chern_rule(algebra: PresentedAlgebra, class_index: dict) -> Callable:
 
 # -- candidate solving ---------------------------------------------------------
 
+def _solutions(algebra: PresentedAlgebra, vectors, target: int, d: int) -> list:
+    """Every degree-d element whose coordinates choose a subset of ``vectors``
+    that XORs to ``target``."""
+    solved = gf2.solve_affine(vectors, target)
+    masks = [] if solved is None else gf2.enumerate_affine(*solved)
+    return [algebra.from_mask(mask, d) for mask in masks]
+
+
+def sq1_preimages(algebra: PresentedAlgebra, action: SteenrodAction, target: Poly, d: int) -> list:
+    """Every degree-d element s with Sq^1(s) = target.  Sq^1 is additive, so
+    they solve one affine system on the Sq^1 images of the degree's monomials."""
+    images = [
+        algebra.coordinates(action.sq(1, frozenset({m})), d + 1)
+        for m in algebra.monomials_of_degree(d)
+    ]
+    return _solutions(algebra, images, algebra.coordinates(target, d + 1), d)
+
+
 def solve_sq(
     source: PresentedAlgebra,
     maps,  # list of (AlgebraMap, SteenrodAction on the target)
@@ -220,13 +238,7 @@ def solve_sq(
         for bi, m in enumerate(basis):
             stacked[bi] |= tgt.coordinates(fmap.apply(frozenset({m})), d) << offset
         offset += len(tgt.monomials_of_degree(d))
-    solved = gf2.solve_affine(stacked, target)
-    if solved is None:
-        return []
-    particular, nullspace = solved
-    candidates = [
-        source.from_mask(mask, d) for mask in gf2.enumerate_affine(particular, nullspace)
-    ]
+    candidates = _solutions(source, stacked, target, d)
     # forced Sq^1 compatibility filters
     if i == 1:
         candidates = [s for s in candidates if not sq1_action.sq(1, s)]

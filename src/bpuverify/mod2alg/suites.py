@@ -20,10 +20,11 @@ from .rings import (
     phi_star,
     pi_star,
     reduction_map,
+    restriction_maps,
     toda_action,
     toda_ring,
 )
-from .steenrod import solve_sq
+from .steenrod import solve_sq, sq1_preimages
 
 SQUARE_INDICES = (1, 2, 4, 8)
 
@@ -60,15 +61,10 @@ def verify_steenrod_theorem() -> VerificationReport:
     report = VerificationReport("steenrod")
     T = toda_ring()
     act = toda_action()
-    maps = [
-        (pi_star(), bu4_action()),
-        (phi_star(), bso6_action()),
-        (delta_star(), bso3_action()),
-    ]
     for gname in ("y2", "y3", "y5", "y8", "y9", "y12"):
         for i in SQUARE_INDICES:
             expected = expected_square(T, gname, i)
-            candidates = solve_sq(T, maps, act, gname, i)
+            candidates = solve_sq(T, restriction_maps(), act, gname, i)
             hit = expected in candidates
             unique = len(candidates) == 1
             detail = (
@@ -167,13 +163,8 @@ def verify_bpu2_images() -> VerificationReport:
         claimed = trunc.parse(f"wp2^{2**(k+1)-1}*wp3")
         target = trunc.parse(f"wp2^{2**(k+1)-2}*wp3^2")
         ok_sq = tact.sq(1, claimed) == target
-        # uniqueness: enumerate every element of that degree mod (wp3^3)
-        monos = trunc.monomials_of_degree(deg)
-        hits = []
-        for bits in range(1 << len(monos)):
-            elem = trunc.from_mask(bits, deg)
-            if tact.sq(1, elem) == target:
-                hits.append(elem)
+        # uniqueness: every element of that degree mod (wp3^3) with that Sq^1
+        hits = sq1_preimages(trunc, tact, target, deg)
         report.add(
             f"k{k}/sq1-induction",
             ok_sq and hits == [claimed],
@@ -215,12 +206,7 @@ def verify_bpu2_images() -> VerificationReport:
     # resolution of the degree-9 restriction image: the Sq^4 candidate set
     # collapses the two a-priori choices to y3^3 + y9.
     T = toda_ring()
-    maps = [
-        (pi_star(), bu4_action()),
-        (phi_star(), bso6_action()),
-        (delta_star(), bso3_action()),
-    ]
-    candidates = solve_sq(T, maps, toda_action(), "y5", 4)
+    candidates = solve_sq(T, restriction_maps(), toda_action(), "y5", 4)
     resolved = candidates == [T.parse("y3^3 + y9")]
     report.add(
         "x21-resolution",

@@ -9,7 +9,8 @@ the degree-3 class.
 
 from __future__ import annotations
 
-from .intlinalg import nullspace_mod_p, rank_mod_p
+from . import gf2
+from .intlinalg import rank_mod_p
 from .poly import Polynomial, Ring
 from .report import VerificationReport
 from .symfun import (
@@ -29,7 +30,12 @@ def verify_E4_9_4() -> VerificationReport:
     """
     report = VerificationReport("E4-9-4")
     ctx = SymmetricContext(4)
-    kernel = nullspace_mod_p(nabla_matrix(ctx, 2), 2)
+    a = nabla_matrix(ctx, 2)
+    columns = [
+        sum((row[j] % 2) << i for i, row in enumerate(a.entries)) for j in range(a.cols)
+    ]
+    _, nullspace = gf2.solve_affine(columns, 0)
+    kernel = [tuple(mask >> j & 1 for j in range(a.cols)) for mask in nullspace]
     basis = ctx.sigma_basis(2)
     report.add(
         "kernel",

@@ -21,6 +21,13 @@ of each generator monomial by its own divergence.
 By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
 echelon list, which is re-sorted after every insertion, in place of the pivot
 table keyed by leading bit.
+
+By sweep, for the bpu2 suite's Sq^1 uniqueness lines: every element of a
+degree tried in turn, in place of one affine solve.
+
+Test-only constructions with no caller in the library: the n = 3 kernel
+generators, generator monomials in the n = 4 generators, and an independent
+count of the six-generator ring's graded dimensions.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from bpuverify import gf2
 from bpuverify.mod2alg.algebra import mono_divides
 from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, monomial_basis
-from bpuverify.symfun import SymmetricContext
+from bpuverify.symfun import AlphaGenerators, SymmetricContext
 
 _elementary_cache = {}  # (n, k) -> e_k in the v's
 _expand_cache = {}  # (n, sigma exponents) -> expanded monomial
@@ -230,3 +237,72 @@ def list_scan_solve_affine(vectors, target: int):
     if particular >> k:
         return None
     return particular, [b for b in basis if not b >> k]
+
+
+def sweep_sq1_preimages(algebra, action, target, d: int) -> list:
+    """Every degree-d element s with Sq^1(s) = target, trying all 2^n
+    elements of the degree in mask order."""
+    count = len(algebra.monomials_of_degree(d))
+    elements = (algebra.from_mask(bits, d) for bits in range(1 << count))
+    return [s for s in elements if action.sq(1, s) == target]
+
+
+def _divide_exact(f: Polynomial, k: int) -> Polynomial:
+    out = {}
+    for e, c in f.terms.items():
+        if c % k:
+            raise ValueError(f"coefficient {c} not divisible by {k}")
+        out[e] = c // k
+    return Polynomial(f.ring, out)
+
+
+def k3_generators(ctx: SymmetricContext):
+    """Kernel generators for n = 3, normalized so the classical cubic relation
+    27*a6 - 4*a2^3 - a3^2 = 0 holds with exactly these signs.
+
+    The degree-2 and degree-3 kernels are rank one, so a2 and a3 are unique
+    up to sign; the signs below are the ones compatible with the relation
+    (a2 = 3*s2 - s1^2 has negative lex-leading coefficient), and a6 is the
+    exact 27-th part of 4*a2^3 + a3^2.
+    """
+    if ctx.n != 3:
+        raise ValueError("these generators live in three variables")
+    s1, s2, s3 = (ctx.sigma(k) for k in range(1, 4))
+    a2 = 3 * s2 - s1 ** 2
+    a3 = 2 * s1 ** 3 - 9 * s1 * s2 + 27 * s3
+    a6 = _divide_exact(4 * a2 ** 3 + a3 ** 2, 27)
+    return {"a2": a2, "a3": a3, "a6": a6}
+
+
+def alpha_monomial(alphas: AlphaGenerators, exponents) -> Polynomial:
+    a, b, c, e = exponents
+    return alphas.a2 ** a * alphas.a3 ** b * alphas.a4 ** c * alphas.a6 ** e
+
+
+def toda_dimension_oracle(d: int) -> int:
+    """Independent count of the graded dimension of the six-generator ring.
+
+    Transfer-matrix style enumeration of the two normal-form families
+    {y2^a y8^b y12^c} and {y3^i y5^j y9^e y8^b y12^c : e <= 1, (i,j,e) != 0},
+    with no Groebner machinery involved.
+    """
+    if d < 0:
+        return 0
+    count = 0
+    for a in range(d // 2 + 1):
+        for b in range((d - 2 * a) // 8 + 1):
+            if (d - 2 * a - 8 * b) % 12 == 0:
+                count += 1
+    for b in range(d // 8 + 1):
+        for c in range((d - 8 * b) // 12 + 1):
+            rem0 = d - 8 * b - 12 * c
+            for eps in (0, 1):
+                rem = rem0 - 9 * eps
+                if rem < 0:
+                    continue
+                for i in range(rem // 3 + 1):
+                    if (rem - 3 * i) % 5 == 0:
+                        j = (rem - 3 * i) // 5
+                        if (i, j, eps) != (0, 0, 0):
+                            count += 1
+    return count

@@ -24,7 +24,7 @@ import time
 
 from bpuverify import dga as dga_mod
 from bpuverify.intlinalg import IntMatrix, smith_normal_form, solve_integer
-from bpuverify.mod2alg.rings import toda_dimension_oracle, toda_ring
+from bpuverify.mod2alg.rings import toda_ring
 from bpuverify.mod2alg.suites import (
     verify_restriction_square_identities,
     verify_reduction_image_claims,
@@ -36,7 +36,6 @@ from bpuverify.ssverify import spectral_suite
 from bpuverify.symfun import (
     SymmetricContext,
     alpha_generators,
-    alpha_monomial,
     certify_k4_presentation,
     coker_order,
     coordinates,
@@ -44,7 +43,7 @@ from bpuverify.symfun import (
     vistoli_delta_check,
 )
 
-from oracles import delta_polynomial
+from oracles import alpha_monomial, delta_polynomial, toda_dimension_oracle
 
 CTX = SymmetricContext(4)
 ALPHA = alpha_generators(CTX)

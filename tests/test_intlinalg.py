@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from bpuverify import intlinalg
+from bpuverify import gf2, intlinalg
 from bpuverify.intlinalg import (
     IntMatrix,
     check_cokernel_witness,
@@ -15,7 +15,6 @@ from bpuverify.intlinalg import (
     integer_kernel,
     local_row_form,
     nonzero_invariant_factors,
-    nullspace_mod_p,
     rank_mod_p,
     smith_normal_form,
     solve_integer,
@@ -24,10 +23,11 @@ from bpuverify.poly import monomial_basis
 from bpuverify.symfun import (
     SymmetricContext,
     alpha_generators,
-    alpha_monomial,
     coordinates,
     nabla_matrix,
 )
+
+from oracles import alpha_monomial
 
 
 def test_snf_examples():
@@ -122,15 +122,22 @@ def test_rank_mod_p_equals_factors_coprime_to_p():
             assert rank_mod_p(a, p) == expected
 
 
+def _gf2_nullspace(a):
+    """The kernel of A over GF(2) as choice masks over its columns: the
+    nullspace of ``gf2.solve_affine`` on the columns reduced mod 2."""
+    columns = [sum((row[j] % 2) << i for i, row in enumerate(a.entries)) for j in range(a.cols)]
+    return gf2.solve_affine(columns, 0)[1]
+
+
 def test_nullspace_mod_p():
     rng = random.Random(104)
     for _ in range(40):
         a = _random_matrix(rng, max_dim=4)
-        for p in (2, 3):
-            basis = nullspace_mod_p(a, p)
-            assert len(basis) == a.cols - rank_mod_p(a, p)
-            for v in basis:
-                assert all(x % p == 0 for x in a.apply(v))
+        basis = _gf2_nullspace(a)
+        assert len(basis) == a.cols - rank_mod_p(a, 2)
+        assert gf2.rank(basis) == len(basis)
+        for mask in basis:
+            assert all(x % 2 == 0 for x in a.apply([mask >> j & 1 for j in range(a.cols)]))
 
 
 def _rref_mod_p(a, p):
@@ -172,7 +179,12 @@ def test_forward_elimination_matches_the_rref_oracle():
         for p in (2, 3, 2**31 - 1):
             rank, nullspace = _rref_mod_p(a, p)
             assert rank_mod_p(a, p) == rank
-            assert nullspace_mod_p(a, p) == nullspace
+        # the GF(2) kernel spans the same space as the oracle's
+        _, nullspace = _rref_mod_p(a, 2)
+        oracle = [sum(1 << j for j, x in enumerate(v) if x) for v in nullspace]
+        ours = _gf2_nullspace(a)
+        assert len(ours) == len(oracle) == gf2.rank(oracle)
+        assert gf2.rank(ours + oracle) == len(ours)
 
 
 def test_hermite_transform_contract():

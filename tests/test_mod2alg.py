@@ -26,7 +26,6 @@ from bpuverify.mod2alg.rings import (
     phi_star,
     pi_star,
     reduction_map,
-    toda_dimension_oracle,
     toda_ring,
 )
 
@@ -38,7 +37,7 @@ from bpuverify.mod2alg.suites import (
 )
 from bpuverify.poly import monomial_basis
 
-from oracles import lead_filter_monomials, product_loop_ranks
+from oracles import lead_filter_monomials, product_loop_ranks, toda_dimension_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

@@ -11,6 +11,7 @@ from bpuverify.mod2alg import (
     solve_sq,
     table_rule,
 )
+from bpuverify.mod2alg.steenrod import sq1_preimages
 from bpuverify.mod2alg import rings
 from bpuverify.mod2alg.rings import (
     TODA_SQ_TABLE,
@@ -31,7 +32,7 @@ from bpuverify.mod2alg.rings import (
 )
 from bpuverify.mod2alg.suites import verify_steenrod_theorem
 
-from oracles import HandRouteAction
+from oracles import HandRouteAction, sweep_sq1_preimages
 
 
 def test_binom_general():
@@ -290,17 +291,31 @@ def test_kz3_compatibility_through_the_restriction():
 
 
 def test_solve_sq_examples():
-    T, act = toda_ring(), toda_action()
-    maps = [
-        (pi_star(), bu4_action()),
-        (phi_star(), bso6_action()),
-        (delta_star(), bso3_action()),
-    ]
+    T, act, maps = toda_ring(), toda_action(), rings.restriction_maps()
     assert solve_sq(T, maps, act, "y8", 2) == [T.parse("y5^2")]
     assert solve_sq(T, maps, act, "y12", 8) == [T.parse("y3^4*y8 + y8*y12")]
     assert solve_sq(T, maps, act, "y3", 2) == [T.gen("y5")]
     assert solve_sq(T, maps, act, "y5", 4) == [T.parse("y3^3 + y9")]
     assert solve_sq(T, maps, act, "y9", 8) == [T.parse("y3*y5*y9 + y5*y12 + y8*y9")]
+
+
+def test_sq1_preimages_match_the_sweep_on_truncated_bso3():
+    # every target of degree d + 1 against the sweep, for each degree d <= 24
+    # with at most 12 monomials, in H*(BSO(3))/(wp3^3) as the bpu2 suite uses it
+    alg, act = rings.bso3_truncated(3), rings.bso3_truncated_action(3)
+    hit = missed = 0
+    for d in range(25):
+        if len(alg.monomials_of_degree(d)) > 12:
+            continue
+        for bits in range(1 << len(alg.monomials_of_degree(d + 1))):
+            target = alg.from_mask(bits, d + 1)
+            solved = sq1_preimages(alg, act, target, d)
+            swept = sweep_sq1_preimages(alg, act, target, d)
+            assert len(solved) == len(swept), (d, target)
+            assert set(solved) == set(swept), (d, target)
+            hit += bool(swept)
+            missed += not swept
+    assert hit > 20 and missed > 20
 
 
 def test_wu_chern_wrapper():
