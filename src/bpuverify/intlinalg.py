@@ -1,14 +1,13 @@
 """Exact linear algebra over Z, Z/p and Z/p^E: Smith normal form, kernels,
 cokernels, local row forms, and invariant factors without transforms.
 
-Everything is dense and uses arbitrary-precision Python ints.  The matrices
-that show up here (graded pieces of symmetric-function operators) stay small,
-so no sparsity machinery is warranted.  Every Smith decomposition is
-self-certifying: U*A*V == D is re-verified by multiplication before it is
-returned.  ``nonzero_invariant_factors`` carries no transform: it bounds the
-primes of the factors by the gcd of two minors and takes each prime's part
-from an elimination modulo a power of that prime, cross-checked against the
-rank modulo the prime.
+Everything is dense and uses arbitrary-precision Python ints; the matrices
+here (graded pieces of symmetric-function operators) stay small.  Every Smith
+decomposition is re-verified, U*A*V == D, before it is returned.  One row
+elimination over Z/p^E serves every rank, minor, invariant factor and
+cokernel witness: at E = 1 it gives the rank modulo p and a minor that is a
+unit mod p, and at larger E the p-parts of the invariant factors and the
+steps of a local row form.
 """
 
 from __future__ import annotations
@@ -283,36 +282,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _row_reduce_mod_p(a: IntMatrix, p: int):
-    """Forward elimination of A over GF(p): (pivot columns, pivot rows), the
-    pivot rows as row indices of A in pivot order.  The minor of A on the
-    pivot rows and pivot columns is nonzero mod p."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m, n = a.rows, a.cols
-    rows = [[x % p for x in row] for row in a.entries]
-    order = list(range(m))
-    pivots = []
-    for col in range(n):
-        rank = len(pivots)
-        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        order[rank], order[pivot] = order[pivot], order[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(rank + 1, m):
-            if rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-    return pivots, order[:len(pivots)]
-
-
 def rank_mod_p(a: IntMatrix, p: int) -> int:
     """Rank of A over the field with p elements (Gaussian elimination)."""
-    return len(_row_reduce_mod_p(a, p)[0])
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return len(_eliminate_mod_prime_power(a, p, 1, a.rows)[0])
 
 
 _RANK_PRIME = 2 ** 31 - 1
@@ -322,7 +296,7 @@ _TRIAL_BOUND = 2 ** 16
 def has_full_row_rank(a: IntMatrix) -> bool:
     """Whether A is shown to have full row rank: its rank modulo the prime
     2^31 - 1, which never exceeds its rank over Q, equals its row count."""
-    return rank_mod_p(a, _RANK_PRIME) == a.rows
+    return len(_eliminate_mod_prime_power(a, _RANK_PRIME, 1, a.rows)[0]) == a.rows
 
 
 def _valuation(x: int, p: int) -> int:
@@ -335,29 +309,47 @@ def _valuation(x: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class LocalRowForm:
-    """Row elimination of a full-row-rank A over Z/p^E: U*A == H (mod p^E).
+    """Row elimination of a full-row-rank A over Z/p^E: U*A == H (mod p^E),
+    U kept as steps: step r swaps rows r and i, then subtracts c * row r
+    from row k for each k and c of its parallel lists.
 
     Row r of H has p-valuation at least ``valuations[r]`` in every entry, so
-    the functional p^(E - v_r) * u_r, with u_r row r of the invertible U,
-    vanishes on A modulo p^E.  Every v_r is below E, so the v_r are the
-    p-valuations of A's invariant factors, p^E kills the p-part of the
-    cokernel, and these functionals detect every vector outside the column
-    span of A over Z localized at p.
+    the functional p^(E - v_r) * u_r, with u_r row r of U, vanishes on A
+    modulo p^E.  Every v_r is below E, so the v_r are the p-valuations of
+    A's invariant factors, p^E kills the p-part of the cokernel, and these
+    functionals detect every vector outside the column span of A over Z
+    localized at p.
     """
 
     prime: int
     exponent: int
     valuations: tuple
-    transform: tuple
+    steps: tuple
 
     def witness(self, x) -> Optional[tuple]:
         """The first functional p^(E - v_r) * u_r that is nonzero on x modulo
-        p^E, or None when x lies in the column span of A localized at p."""
-        p, e = self.prime, self.exponent
-        for v, u in zip(self.valuations, self.transform):
-            if v and sum(a * b for a, b in zip(u, x)) % p ** v:
-                return tuple(p ** (e - v) * a % p ** e for a in u)
-        return None
+        p^E, or None when x lies in the column span of A localized at p.
+        Steps after r fix entry r of U*x and the row e_r, so u_r = e_r * U
+        comes from steps r, r - 1, ..., 0 alone."""
+        p, e, x = self.prime, self.exponent, list(x)
+        q = p ** e
+        if len(x) != len(self.valuations):
+            raise ValueError("vector length must equal the row count")
+        for r, (v, (i, rows, factors)) in enumerate(zip(self.valuations, self.steps)):
+            x[r], x[i] = x[i], x[r]
+            for k, c in zip(rows, factors):
+                x[k] = (x[k] - c * x[r]) % q
+            if v and x[r] % p ** v:
+                break
+        else:
+            return None
+        u = [0] * len(x)
+        u[r] = 1
+        for s in range(r, -1, -1):
+            i, rows, factors = self.steps[s]
+            u[s] = (u[s] - sum(c * u[k] for k, c in zip(rows, factors))) % q
+            u[s], u[i] = u[i], u[s]
+        return tuple(p ** (e - v) * t % q for t in u)
 
 
 def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
@@ -365,76 +357,85 @@ def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
     p-valuation in the block of rows and columns not yet pivoted.
 
     Full row rank is checked first, by one rank modulo 2^31 - 1, so that some
-    E exceeds every invariant factor's p-valuation; E starts at 8 and doubles
-    until every pivot valuation is below it.  Raises ArithmeticError when A is
-    not of full row rank.
+    E exceeds every invariant factor's p-valuation (see ``_local_elimination``).
+    Raises ArithmeticError when A is not of full row rank.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not has_full_row_rank(a):
         raise ArithmeticError("matrix is not of full row rank")
+    exponent, (valuations, _, _, steps) = _local_elimination(a, p, a.rows)
+    return LocalRowForm(p, exponent, valuations, steps)
+
+
+def _local_elimination(a: IntMatrix, p: int, rank: int):
+    """E and A's elimination modulo p^E, E = 8 doubled until ``rank``
+    pivots are found, which ends when A has rank ``rank`` over Q."""
     exponent = 8
-    while True:
-        u = _identity_rows(a.rows)
-        valuations = _eliminate_mod_prime_power(a, p, exponent, a.rows, u)
-        if valuations is not None:
-            return LocalRowForm(p, exponent, valuations, tuple(tuple(row) for row in u))
+    while len((found := _eliminate_mod_prime_power(a, p, exponent, rank))[0]) < rank:
         exponent *= 2
+    return exponent, found
 
 
-def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int,
-                               companion: list):
-    """The valuations of the first ``rank`` pivots of A's elimination modulo
-    p^exponent, applying every row operation to the row list ``companion``
-    as well; None when some pivot would have valuation exponent or more (the
-    rest of the block is zero)."""
+def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int):
+    """Row elimination of A modulo p^exponent, each pivot an entry of least
+    p-valuation in the block not yet pivoted, for at most ``rank`` pivots.
+
+    Returns (valuations, rows, cols, steps): the pivots' valuations and their
+    row and column indices in A, and the steps of ``LocalRowForm``.  It stops
+    early when the rest of the block is zero, so at exponent 1 it finds the
+    rank modulo p, and the minor of A on its pivots is a unit modulo p.
+    """
     q = p ** exponent
     m = a.rows
     h = [[x % q for x in row] for row in a.entries]
-    valuations = []
+    order = list(range(m))
+    columns = list(range(a.cols))
+    valuations, pivot_cols, steps = [], [], []
     # the rows of h keep only the columns not yet pivoted; low[i] bounds row
     # i's least valuation from below, since a row operation with a pivot of
     # least valuation never lowers it
     low = [0] * m
     level = 0  # the least valuation in the block, which never decreases
-    for r in range(rank):
-        pivot = None
-        while pivot is None:
-            for i in range(r, m):
-                if low[i] > level:
-                    continue
-                least = exponent
-                for j, x in enumerate(h[i]):
-                    if x:
-                        v = _valuation(x, p)
-                        if v < least:
-                            least, col = v, j
-                            if v == level:
-                                break
-                low[i] = least
-                if least == level:
-                    pivot = i, col
-                    break
-            else:
-                level = min(low[r:])
-                if level == exponent:
-                    return None
-        i, j = pivot
+    r = 0
+    while r < rank and level < exponent:
+        for i in range(r, m):
+            if low[i] > level:
+                continue
+            least = exponent
+            for t, x in enumerate(h[i]):
+                if x:
+                    v = _valuation(x, p)
+                    if v < least:
+                        least, j = v, t
+                        if v == level:
+                            break
+            low[i] = least
+            if least == level:
+                break
+        else:
+            level = min(low[r:])
+            continue
         low[r], low[i] = low[i], low[r]
         h[r], h[i] = h[i], h[r]
-        companion[r], companion[i] = companion[i], companion[r]
-        pivot_row, pivot_companion = h[r], companion[r]
+        order[r], order[i] = order[i], order[r]
+        pivot_row = h[r]
         scale = p ** level
         inverse = pow(pivot_row[j] // scale, -1, q)
-        for i in range(r + 1, m):
-            row = h[i]
+        rows, factors = [], []
+        for k in range(r + 1, m):
+            row = h[k]
             if row[j]:
                 c = row[j] // scale * inverse % q
-                h[i] = row = [(x - c * y) % q for x, y in zip(row, pivot_row)]
-                companion[i] = [(x - c * y) % q for x, y in zip(companion[i], pivot_companion)]
+                h[k] = row = [(x - c * y) % q for x, y in zip(row, pivot_row)]
+                rows.append(k)
+                factors.append(c)
             del row[j]
         valuations.append(level)
-    return tuple(valuations)
+        pivot_cols.append(columns.pop(j))
+        steps.append((i, rows, factors))
+        r += 1
+    return tuple(valuations), order[:r], pivot_cols, tuple(steps)
 
 
 def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
@@ -445,15 +446,14 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
     when that exceeds ``rank``, and None when it falls short (then either the
     rank of A is below ``rank`` or 2^31 - 1 divides a factor).  Otherwise the
     factors' product divides every rank x rank minor, so it divides the gcd
-    g of two minors that are units mod 2^31 - 1, their pivots found scanning
-    A forward and backward.  g is factored by trial division; a cofactor with
-    no prime below 2^16 that is not thereby proved prime is an
-    ArithmeticError.  For each prime p of g, elimination modulo p^E (E starts
-    at 8 and doubles) gives the p-valuations of the factors as those of its
-    first ``rank`` pivots, and the count of valuation 0 must equal the rank
-    of A modulo p.
+    g of two minors that are units mod 2^31 - 1, on the pivots of A and of A
+    with rows and columns reversed.  g is factored by trial division; a
+    cofactor with no prime below 2^16 that is not thereby proved prime is an
+    ArithmeticError.  For each prime p of g, the valuations of the pivots of
+    ``_local_elimination`` are those of the factors, and the count of
+    valuation 0 must equal the rank of A modulo p.
     """
-    cols, rows = _row_reduce_mod_p(a, _RANK_PRIME)
+    _, rows, cols, _ = _eliminate_mod_prime_power(a, _RANK_PRIME, 1, a.rows)
     if len(cols) > rank:
         raise ArithmeticError(
             f"rank modulo {_RANK_PRIME} is {len(cols)}, above the rank bound {rank}"
@@ -462,7 +462,7 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
         return None
     m, n = a.rows, a.cols
     flipped = IntMatrix([row[::-1] for row in reversed(a.entries)], n)
-    back_cols, back_rows = _row_reduce_mod_p(flipped, _RANK_PRIME)
+    _, back_rows, back_cols, _ = _eliminate_mod_prime_power(flipped, _RANK_PRIME, 1, rank)
     g = 0
     for rows, cols in (
         (rows, cols),
@@ -472,10 +472,7 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
         g = math.gcd(g, minor.determinant())
     factors = [1] * rank
     for p in _trial_primes(g):
-        exponent = 8
-        while (valuations := _eliminate_mod_prime_power(
-                a, p, exponent, rank, [()] * m)) is None:
-            exponent *= 2
+        valuations = _local_elimination(a, p, rank)[1][0]
         if valuations.count(0) != rank_mod_p(a, p):
             raise ArithmeticError(f"valuations at {p} disagree with the rank modulo {p}")
         factors = [f * p ** v for f, v in zip(factors, valuations)]
@@ -505,7 +502,10 @@ def _trial_primes(g: int) -> list:
 
 def check_cokernel_witness(a: IntMatrix, y, x, modulus: int) -> None:
     """Raise ArithmeticError unless y*A == 0 and y*x != 0 modulo ``modulus``,
-    which together prove that x is not in the column span of A over Z."""
+    which together prove that x is not in the column span of A over Z; a
+    ValueError unless y and x both have one entry per row of A."""
+    if not len(y) == a.rows == len(x):
+        raise ValueError("witness and vector lengths must equal the row count")
     image = [0] * a.cols
     for c, row in zip(y, a.entries):
         if c:

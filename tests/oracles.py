@@ -25,6 +25,10 @@ table keyed by leading bit.
 By sweep, for the bpu2 suite's Sq^1 uniqueness lines: every element of a
 degree tried in turn, in place of one affine solve.
 
+Column by column over GF(p), for bpuverify.intlinalg: the rank modulo p and
+its pivots by forward elimination with normalized pivot rows, in place of
+the elimination over Z/p^E at exponent 1.
+
 Test-only constructions with no caller in the library: the n = 3 kernel
 generators, generator monomials in the n = 4 generators, and an independent
 count of the six-generator ring's graded dimensions.
@@ -245,6 +249,31 @@ def sweep_sq1_preimages(algebra, action, target, d: int) -> list:
     count = len(algebra.monomials_of_degree(d))
     elements = (algebra.from_mask(bits, d) for bits in range(1 << count))
     return [s for s in elements if action.sq(1, s) == target]
+
+
+def row_reduce_mod_p(a, p: int):
+    """Forward elimination of the IntMatrix A over GF(p), each pivot the first
+    nonzero entry of the leftmost column not yet cleared: (pivot columns,
+    pivot rows), the pivot rows as row indices of A in pivot order."""
+    m, n = a.rows, a.cols
+    rows = [[x % p for x in row] for row in a.entries]
+    order = list(range(m))
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        order[rank], order[pivot] = order[pivot], order[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(rank + 1, m):
+            if rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return pivots, order[:len(pivots)]
 
 
 def _divide_exact(f: Polynomial, k: int) -> Polynomial:

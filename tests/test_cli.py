@@ -235,6 +235,7 @@ def test_golden_reports(capsys):
         (["section10", "--max-degree", "80"], "section10_80.txt"),
         (["coker", "--max-degree", "24"], "coker_24.txt"),
         (["k4", "--max-degree", "32"], "k4_32.txt"),
+        (["coker", "--max-degree", "40"], "coker_40.txt"),
     ):
         _, out = run_cli(argv, capsys)
         golden = (FIXTURES / "golden" / fixture).read_text()

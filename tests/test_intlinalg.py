@@ -27,7 +27,7 @@ from bpuverify.symfun import (
     nabla_matrix,
 )
 
-from oracles import alpha_monomial
+from oracles import alpha_monomial, row_reduce_mod_p
 
 
 def test_snf_examples():
@@ -187,6 +187,27 @@ def test_forward_elimination_matches_the_rref_oracle():
         assert gf2.rank(ours + oracle) == len(ours)
 
 
+def test_exponent_one_elimination_matches_the_gf_p_oracle():
+    ctx = SymmetricContext(4)
+    rng = random.Random(111)
+    matrices = [nabla_matrix(ctx, d) for d in range(1, 13)]
+    matrices += [_random_matrix(rng, max_dim=6) for _ in range(60)]
+    for a in matrices:
+        for p in (2, 3, 5, 2**31 - 1):
+            cols, _ = row_reduce_mod_p(a, p)
+            valuations, rows, pivot_cols, _ = intlinalg._eliminate_mod_prime_power(
+                a, p, 1, a.rows)
+            assert len(valuations) == len(rows) == len(pivot_cols) == len(cols)
+            assert valuations == (0,) * len(cols)
+            minor = IntMatrix([[a[i, j] for j in pivot_cols] for i in rows], len(cols))
+            assert minor.determinant() % p != 0, (a, p)
+
+
+def test_rank_prime_is_prime():
+    # the report path takes it as prime without a check
+    assert intlinalg._is_prime(intlinalg._RANK_PRIME)
+
+
 def test_hermite_transform_contract():
     rng = random.Random(105)
     for _ in range(60):
@@ -328,6 +349,17 @@ def _full_row_rank_matrices(rng, count):
     return out
 
 
+def _steps_transform(steps, m, q):
+    """The rows of U built densely: each step's swap and row subtractions
+    applied to the rows of the m x m identity modulo q."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for r, (i, rows, factors) in enumerate(steps):
+        u[r], u[i] = u[i], u[r]
+        for k, c in zip(rows, factors):
+            u[k] = [(x - c * y) % q for x, y in zip(u[k], u[r])]
+    return u
+
+
 def test_local_row_form_matches_the_smith_oracle():
     ctx = SymmetricContext(4)
     rng = random.Random(108)
@@ -342,7 +374,8 @@ def test_local_row_form_matches_the_smith_oracle():
             expected = sorted(_valuation(f, p) for f in snf.invariant_factors)
             assert sorted(form.valuations) == expected
             assert max(form.valuations, default=0) < form.exponent
-            for v, u in zip(form.valuations, form.transform):
+            transform = _steps_transform(form.steps, a.rows, q)
+            for v, u in zip(form.valuations, transform):
                 y = [p ** (form.exponent - v) * t for t in u]
                 assert all(s % q == 0 for s in a.transpose().apply(y))
             # a witness exists exactly when the element's order has a factor p
@@ -352,6 +385,12 @@ def test_local_row_form_matches_the_smith_oracle():
                 assert (y is None) == (element_order_in_cokernel(a, x) % p != 0)
                 if y is not None:
                     check_cokernel_witness(a, y, x, q)
+                # the first entry of U*x that p^(v_r) does not divide picks y
+                first = next((r for r, (v, u) in enumerate(zip(form.valuations, transform))
+                              if v and sum(s * t for s, t in zip(u, x)) % p ** v), None)
+                if first is not None:
+                    scale = p ** (form.exponent - form.valuations[first])
+                    assert y == tuple(scale * t % q for t in transform[first])
 
 
 def test_local_row_form_doubles_the_exponent():
@@ -411,6 +450,19 @@ def test_flipped_cokernel_witness_is_rejected():
             check_cokernel_witness(a, flipped, x, q)
     with pytest.raises(ArithmeticError):
         check_cokernel_witness(a, y, [4 * t for t in x], q)
+
+
+def test_cokernel_witness_lengths_must_equal_the_row_count():
+    a = IntMatrix([[1, 0], [0, 2]])
+    check_cokernel_witness(a, (0, 1), (0, 1), 2)
+    for y, x in (((0, 1), (0, 1, 5)), ((0, 1, 0), (0, 1)), ((0,), (1,))):
+        with pytest.raises(ValueError):
+            check_cokernel_witness(a, y, x, 2)
+    form = local_row_form(a, 2)
+    assert form.witness((0, 1)) is not None
+    for x in ((0, 1, 5), (1,)):
+        with pytest.raises(ValueError):
+            form.witness(x)
 
 
 def _determinantal_factors(a):
@@ -622,9 +674,9 @@ def test_nonzero_invariant_factors_cross_check_the_valuations(monkeypatch):
     eliminate = intlinalg._eliminate_mod_prime_power
 
     def shifted(*args):
-        valuations = eliminate(*args)
-        return valuations and tuple(v + 1 for v in valuations)
+        valuations, *pivots = eliminate(*args)
+        return (tuple(v + 1 for v in valuations), *pivots)
 
     monkeypatch.setattr(intlinalg, "_eliminate_mod_prime_power", shifted)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="disagree with the rank"):
         nonzero_invariant_factors(IntMatrix([[2, 0], [0, 3]]), 2)
