@@ -299,14 +299,6 @@ def has_full_row_rank(a: IntMatrix) -> bool:
     return len(_eliminate_mod_prime_power(a, _RANK_PRIME, 1, a.rows)[0]) == a.rows
 
 
-def _valuation(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class LocalRowForm:
     """Row elimination of a full-row-rank A over Z/p^E: U*A == H (mod p^E),
@@ -399,22 +391,18 @@ def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int):
     level = 0  # the least valuation in the block, which never decreases
     r = 0
     while r < rank and level < exponent:
+        # every block entry has valuation at least level, so the first one
+        # not divisible by p^(level + 1) has valuation exactly level
+        above = p ** (level + 1)
         for i in range(r, m):
             if low[i] > level:
                 continue
-            least = exponent
-            for t, x in enumerate(h[i]):
-                if x:
-                    v = _valuation(x, p)
-                    if v < least:
-                        least, j = v, t
-                        if v == level:
-                            break
-            low[i] = least
-            if least == level:
+            j = next((t for t, x in enumerate(h[i]) if x % above), None)
+            if j is not None:
                 break
+            low[i] = level + 1
         else:
-            level = min(low[r:])
+            level += 1
             continue
         low[r], low[i] = low[i], low[r]
         h[r], h[i] = h[i], h[r]

@@ -31,9 +31,3 @@ def series_mul(a, b, max_degree: int) -> list:
             out[i + j] += x * y
     return out
 
-
-def weighted_monomial_count(weights, degree: int) -> int:
-    """Number of monomials of the given weighted degree (partition-style DP)."""
-    if degree < 0:
-        return 0
-    return geometric_product(weights, degree)[degree]

@@ -16,7 +16,9 @@ Sq^7 on generators as composites of Sq^1, Sq^2 and Sq^4, in place of the Adem
 derivation.
 
 Per monomial, for bpuverify.symfun.certify_k4_presentation: kernel membership
-of each generator monomial by its own divergence.
+of each generator monomial by its own divergence, and the coordinate stack of
+every generator monomial of a degree, in place of the standard monomials
+with a2-exponent at most 2.
 
 By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
 echelon list, which is re-sorted after every insertion, in place of the pivot
@@ -42,7 +44,7 @@ from bpuverify import gf2
 from bpuverify.mod2alg.algebra import mono_divides
 from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, monomial_basis
-from bpuverify.symfun import AlphaGenerators, SymmetricContext
+from bpuverify.symfun import AlphaGenerators, SymmetricContext, coordinates
 
 _elementary_cache = {}  # (n, k) -> e_k in the v's
 _expand_cache = {}  # (n, sigma exponents) -> expanded monomial
@@ -306,6 +308,13 @@ def k3_generators(ctx: SymmetricContext):
 def alpha_monomial(alphas: AlphaGenerators, exponents) -> Polynomial:
     a, b, c, e = exponents
     return alphas.a2 ** a * alphas.a3 ** b * alphas.a4 ** c * alphas.a6 ** e
+
+
+def generator_monomial_stack(ctx: SymmetricContext, alphas: AlphaGenerators, d: int) -> dict:
+    """The sigma coordinates of every generator monomial of degree d, keyed by
+    its exponents (of a2, a3, a4, a6)."""
+    return {e: coordinates(ctx, alpha_monomial(alphas, e), d)
+            for e in monomial_basis(d, (2, 3, 4, 6))}
 
 
 def toda_dimension_oracle(d: int) -> int:

@@ -218,28 +218,34 @@ def test_reports_are_deterministic(capsys):
     assert strip_elapsed(first) == strip_elapsed(second)
 
 
-def test_golden_reports(capsys):
-    for argv, fixture in (
-        (["spectral"], "spectral.txt"),
-        (["coker", "--max-degree", "12"], "coker.txt"),
-        (["vistoli", "--format", "json"], "vistoli.json"),
-        (["steenrod"], "steenrod.txt"),
-        (["bpu2"], "bpu2.txt"),
-        (["dga", "--max-degree", "20"], "dga.txt"),
-        (["section10", "--max-degree", "16"], "section10.txt"),
-        (["k4", "--max-degree", "8"], "k4.txt"),
-        (["vistoli", "--prime", "5"], "vistoli5.txt"),
-        (["vistoli", "--prime", "7"], "vistoli7.txt"),
-        (["k4", "--max-degree", "20"], "k4_20.txt"),
-        (["section10", "--max-degree", "40"], "section10_40.txt"),
-        (["section10", "--max-degree", "80"], "section10_80.txt"),
-        (["coker", "--max-degree", "24"], "coker_24.txt"),
-        (["k4", "--max-degree", "32"], "k4_32.txt"),
-        (["coker", "--max-degree", "40"], "coker_40.txt"),
-    ):
-        _, out = run_cli(argv, capsys)
-        golden = (FIXTURES / "golden" / fixture).read_text()
-        assert strip_elapsed(out) == strip_elapsed(golden), argv
+GOLDEN_REPORTS = (
+    (["spectral"], "spectral.txt"),
+    (["coker", "--max-degree", "12"], "coker.txt"),
+    (["vistoli", "--format", "json"], "vistoli.json"),
+    (["steenrod"], "steenrod.txt"),
+    (["bpu2"], "bpu2.txt"),
+    (["dga", "--max-degree", "20"], "dga.txt"),
+    (["section10", "--max-degree", "16"], "section10.txt"),
+    (["k4", "--max-degree", "8"], "k4.txt"),
+    (["vistoli", "--prime", "5"], "vistoli5.txt"),
+    (["vistoli", "--prime", "7"], "vistoli7.txt"),
+    (["k4", "--max-degree", "20"], "k4_20.txt"),
+    (["section10", "--max-degree", "40"], "section10_40.txt"),
+    (["section10", "--max-degree", "80"], "section10_80.txt"),
+    (["coker", "--max-degree", "24"], "coker_24.txt"),
+    (["k4", "--max-degree", "32"], "k4_32.txt"),
+    (["coker", "--max-degree", "40"], "coker_40.txt"),
+    (["k4", "--max-degree", "40"], "k4_40.txt"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, fixture", GOLDEN_REPORTS, ids=[fixture for _, fixture in GOLDEN_REPORTS]
+)
+def test_golden_reports(argv, fixture, capsys):
+    _, out = run_cli(argv, capsys)
+    golden = (FIXTURES / "golden" / fixture).read_text()
+    assert strip_elapsed(out) == strip_elapsed(golden)
 
 
 def test_benchmark_workloads_match_their_reference_digests(capsys):

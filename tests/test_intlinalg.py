@@ -19,7 +19,6 @@ from bpuverify.intlinalg import (
     smith_normal_form,
     solve_integer,
 )
-from bpuverify.poly import monomial_basis
 from bpuverify.symfun import (
     SymmetricContext,
     alpha_generators,
@@ -27,7 +26,7 @@ from bpuverify.symfun import (
     nabla_matrix,
 )
 
-from oracles import alpha_monomial, row_reduce_mod_p
+from oracles import generator_monomial_stack, row_reduce_mod_p
 
 
 def test_snf_examples():
@@ -393,6 +392,44 @@ def test_local_row_form_matches_the_smith_oracle():
                     assert y == tuple(scale * t % q for t in transform[first])
 
 
+def test_pivot_search_skips_empty_valuation_levels():
+    # invariant factors 1, 27 = 3^3 and 162 = 2 * 3^4: after the unit pivot
+    # the least valuation in the block jumps from 0 to 3, then to 4
+    rng = random.Random(110)
+    d = IntMatrix([[1, 0, 0, 0], [0, 27, 0, 0], [0, 0, 162, 0]])
+    for _ in range(10):
+        u = _random_unimodular(rng, 3)
+        v = _random_unimodular(rng, 4)
+        a = (u @ d) @ v
+        expected = sorted(_valuation(f, 3) for f in smith_normal_form(a).invariant_factors)
+        assert expected == [0, 3, 4]
+        assert intlinalg._eliminate_mod_prime_power(a, 3, 8, 3)[0] == (0, 3, 4)
+        form = local_row_form(a, 3)
+        q = 3 ** form.exponent
+        assert (form.valuations, form.exponent) == ((0, 3, 4), 8)
+        transform = _steps_transform(form.steps, a.rows, q)
+        for val, row in zip(form.valuations, transform):
+            y = [3 ** (form.exponent - val) * t for t in row]
+            assert all(s % q == 0 for s in a.transpose().apply(y))
+        xs = [[int(i == j) for j in range(3)] for i in range(3)]
+        xs += [[rng.randint(-9, 9) for _ in range(3)] for _ in range(6)]
+        for x in xs:
+            y = form.witness(x)
+            assert (y is None) == (element_order_in_cokernel(a, x) % 3 != 0)
+            if y is not None:
+                check_cokernel_witness(a, y, x, q)
+
+
+def _random_unimodular(rng, n):
+    """A product of random elementary row operations on the n x n identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, k = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+    return IntMatrix(rows)
+
+
 def test_local_row_form_doubles_the_exponent():
     form = local_row_form(IntMatrix([[2 ** 40, 6]]), 2)
     assert (form.valuations, form.exponent) == ((1,), 8)
@@ -499,12 +536,8 @@ def _square_core(a):
 def _k4_stacks(max_degree):
     ctx = SymmetricContext(4)
     al = alpha_generators(ctx)
-    out = []
-    for d in range(1, max_degree + 1):
-        expos = monomial_basis(d, (2, 3, 4, 6))
-        if expos:
-            out.append(IntMatrix([coordinates(ctx, alpha_monomial(al, e), d) for e in expos]))
-    return out
+    stacks = (generator_monomial_stack(ctx, al, d) for d in range(1, max_degree + 1))
+    return [IntMatrix(stack.values()) for stack in stacks if stack]
 
 
 # diagonal inputs whose divisibility repair must chain: each repair leaves a

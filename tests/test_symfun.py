@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from bpuverify import intlinalg, symfun
+from bpuverify import cli, intlinalg, symfun
 from bpuverify.intlinalg import (
     IntMatrix,
     element_order_in_cokernel,
     integer_kernel,
+    nonzero_invariant_factors,
     rank_mod_p,
     smith_normal_form,
     solve_integer,
@@ -27,6 +28,7 @@ from bpuverify.symfun import (
     kernel_basis,
     nabla_matrix,
     power_sums,
+    standard_exponents,
     theta_map,
     vandermonde,
     vistoli_delta_check,
@@ -38,6 +40,7 @@ from oracles import (
     elementary,
     expand,
     first_outside_by_divergence,
+    generator_monomial_stack,
     is_symmetric,
     k3_generators,
     to_sigma,
@@ -360,6 +363,71 @@ def test_k4_membership_matches_the_per_monomial_route(monkeypatch, swap):
     assert lattice_lines() == by_generators
     outside = [d for d, (_, detail) in by_generators.items() if "outside" in detail]
     assert bool(outside) == bool(swap)
+
+
+def test_standard_monomials_span_the_generator_monomial_lattice():
+    counts = geometric_product((2, 3, 4, 6), 40)
+    for d in range(41):
+        below = counts[d - 6] if d >= 6 else 0
+        assert len(standard_exponents(d)) == counts[d] - below, d
+    ranks = geometric_product((2, 3, 4), 24)
+    for d in range(1, 25):
+        full = generator_monomial_stack(CTX4, ALPHA, d)
+        if not full:
+            continue
+        standard = IntMatrix([full[e] for e in standard_exponents(d)])
+        assert nonzero_invariant_factors(standard, ranks[d]) == nonzero_invariant_factors(
+            IntMatrix(full.values()), ranks[d]
+        ), d
+
+
+def _swap_generators(monkeypatch, swap):
+    real = symfun.alpha_generators
+
+    def swapped(ctx):
+        gens = real(ctx).as_dict()
+        gens.update({name: sp(text) for name, text in swap.items()})
+        return AlphaGenerators(**gens)
+
+    monkeypatch.setattr(symfun, "alpha_generators", swapped)
+
+
+def test_k4_lattice_lines_rest_on_the_relation(monkeypatch, capsys):
+    # 2*a6 is still divergence-free, but the relation fails, so the standard
+    # monomials need not span the generator-monomial lattice
+    _swap_generators(monkeypatch, {"a6": str(2 * ALPHA.a6)})
+    report = certify_k4_presentation(12)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["relation"].status == "fail"
+    for d in range(13):
+        line = by_name[f"lattice/d{d:02d}"]
+        assert line.status == "fail", d
+        assert "relation" in line.detail, d
+    assert "three-primary-defect" not in by_name
+    assert cli.main(["k4", "--max-degree", "8"]) == 1
+    assert "finding" not in capsys.readouterr().out
+
+
+def test_three_primary_defect_names_only_three_power_factors(monkeypatch):
+    # a divergent a2 fails its lattice lines as outside, the rest on the relation
+    _swap_generators(monkeypatch, {"a2": "8*s2 - 2*s1^2"})
+    by_name = {c.name: c for c in certify_k4_presentation(8).checks}
+    assert all(by_name[f"lattice/d{d:02d}"].status == "fail" for d in range(9))
+    assert "outside" in by_name["lattice/d02"].detail
+    assert "three-primary-defect" not in by_name
+    monkeypatch.undo()
+    # a factor 2 at degree 8 takes that degree, and only it, off the finding
+    real = symfun.nonzero_invariant_factors
+
+    def doubled_at_degree_eight(stack, rank):
+        facs = real(stack, rank)
+        return facs[:-1] + (2 * facs[-1],) if stack.cols == len(CTX4.sigma_basis(8)) else facs
+
+    monkeypatch.setattr(symfun, "nonzero_invariant_factors", doubled_at_degree_eight)
+    report = certify_k4_presentation(8)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["lattice/d08"].detail == "coordinate stack invariant factors (1, 1, 3, 18)"
+    assert "at degrees [4, 6, 7]:" in by_name["three-primary-defect"].detail
 
 
 def test_kernel_element_outside_generator_span():
