@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
 
 
 class IntMatrix:
@@ -112,14 +110,13 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
 class SnfDecomposition:
     """Certified U*A*V == D with D diagonal in divisibility order."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    invariant_factors: tuple
+    __slots__ = ("u", "d", "v", "invariant_factors")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix, invariant_factors: tuple):
+        self.u, self.d, self.v, self.invariant_factors = u, d, v, invariant_factors
 
     @property
     def rank(self) -> int:
@@ -299,7 +296,6 @@ def has_full_row_rank(a: IntMatrix) -> bool:
     return len(_eliminate_mod_prime_power(a, _RANK_PRIME, 1, a.rows)[0]) == a.rows
 
 
-@dataclass(frozen=True)
 class LocalRowForm:
     """Row elimination of a full-row-rank A over Z/p^E: U*A == H (mod p^E),
     U kept as steps: step r swaps rows r and i, then subtracts c * row r
@@ -313,10 +309,10 @@ class LocalRowForm:
     localized at p.
     """
 
-    prime: int
-    exponent: int
-    valuations: tuple
-    steps: tuple
+    __slots__ = ("prime", "exponent", "valuations", "steps")
+
+    def __init__(self, prime: int, exponent: int, valuations: tuple, steps: tuple):
+        self.prime, self.exponent, self.valuations, self.steps = prime, exponent, valuations, steps
 
     def witness(self, x) -> Optional[tuple]:
         """The first functional p^(E - v_r) * u_r that is nonzero on x modulo

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, Optional
 
 from .. import gf2
 from ..poly import Polynomial, Ring, parse_polynomial

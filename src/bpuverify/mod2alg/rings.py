@@ -9,14 +9,15 @@ the free rings).
 from __future__ import annotations
 
 import functools
-from importlib import resources
+import os
 
 from .algebra import AlgebraMap, PresentedAlgebra, load_algebra, load_map_tables
 from .steenrod import SteenrodAction, chern_rule, stiefel_whitney_rule, table_rule
 
 
 def _data(name: str) -> str:
-    return resources.files("bpuverify.data").joinpath(name).read_text()
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,7 +25,6 @@ an unreduced defining relation is a real check of the table, not Sq^i of zero.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .. import gf2
 from .algebra import Poly, PresentedAlgebra, poly_mul

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 Exponents = tuple  # tuple[int, ...], one entry per ring variable
 
@@ -28,24 +26,32 @@ class RingMismatchError(ValueError):
     """Raised when operands live in different rings."""
 
 
-@dataclass(frozen=True)
+# Not a dataclass: importing dataclasses costs a CLI call more than a small suite's run.
 class Ring:
     """A coefficient/variable context: named variables with integer weights.
 
     ``modulus`` 0 means coefficients in Z; m >= 2 means Z/m.
     """
 
-    variables: tuple
-    weights: tuple
-    modulus: int = 0
+    __slots__ = ("variables", "weights", "modulus")
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.weights):
+    def __init__(self, variables: tuple, weights: tuple, modulus: int = 0):
+        if len(variables) != len(weights):
             raise ValueError("one weight per variable required")
-        if self.modulus < 0 or self.modulus == 1:
+        if modulus < 0 or modulus == 1:
             raise ValueError("modulus must be 0 (for Z) or >= 2")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
+        self.variables, self.weights, self.modulus = variables, weights, modulus
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, Ring) and (
+            (self.variables, self.weights, self.modulus)
+            == (other.variables, other.weights, other.modulus)
+        )
+
+    def __hash__(self):
+        return hash((self.variables, self.weights, self.modulus))
 
     @property
     def nvars(self):

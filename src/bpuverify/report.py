@@ -7,29 +7,25 @@ do.  Serialization is byte-stable apart from the elapsed-time field.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 STATUSES = ("pass", "fail", "finding")
 
 
-@dataclass(frozen=True)
+# Not a dataclass: importing dataclasses costs a CLI call more than a small suite's run.
 class Check:
-    name: str
-    status: str
-    detail: str
-    witness: str = ""
+    __slots__ = ("name", "status", "detail", "witness")
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
+    def __init__(self, name: str, status: str, detail: str, witness: str = ""):
+        if status not in STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        self.name, self.status, self.detail, self.witness = name, status, detail, witness
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "checks", "elapsed_ms")
+
+    def __init__(self, suite: str, checks: list = None, elapsed_ms: int = 0):
+        self.suite, self.elapsed_ms = suite, elapsed_ms
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, detail: str, witness: str = ""):
         self.checks.append(Check(name, "pass" if ok else "fail", detail, witness))
@@ -80,6 +76,8 @@ def serialize(reports, fmt: str) -> str:
     """Render one report or a list of reports as text or JSON."""
     many = isinstance(reports, (list, tuple))
     if fmt == "json":
+        import json  # only JSON output needs it; text runs skip the import
+
         payload = [r.to_json_dict() for r in reports] if many else reports.to_json_dict()
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if fmt == "text":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .intlinalg import (
     IntMatrix,
@@ -129,14 +128,13 @@ def kernel_basis(ctx: SymmetricContext, degree: int) -> list:
 # -- the divergence-free generators for n = 4 --------------------------------
 
 
-@dataclass(frozen=True)
 class AlphaGenerators:
     """The four divergence-free generators of the n = 4 kernel ring."""
 
-    a2: Polynomial
-    a3: Polynomial
-    a4: Polynomial
-    a6: Polynomial
+    __slots__ = ("a2", "a3", "a4", "a6")
+
+    def __init__(self, a2: Polynomial, a3: Polynomial, a4: Polynomial, a6: Polynomial):
+        self.a2, self.a3, self.a4, self.a6 = a2, a3, a4, a6
 
     def as_dict(self):
         return {"a2": self.a2, "a3": self.a3, "a4": self.a4, "a6": self.a6}

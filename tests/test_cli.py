@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bpuverify import cli
-from bpuverify.report import VerificationReport, serialize, strip_elapsed
+from bpuverify.report import Check, VerificationReport, serialize, strip_elapsed
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -285,3 +285,35 @@ def test_serialize_empty_report():
     assert text == "suite empty\nelapsed_ms 0\n"
     with pytest.raises(ValueError):
         serialize(empty, "yaml")
+
+
+def test_check_rejects_unknown_status():
+    assert Check("n", "finding", "d").witness == ""
+    with pytest.raises(ValueError):
+        Check("n", "skipped", "d")
+
+
+def test_reports_do_not_share_checks():
+    first, second = VerificationReport("x"), VerificationReport("x")
+    first.add("only-here", True, "one check")
+    assert [c.name for c in first.checks] == ["only-here"]
+    assert second.checks == []
+
+
+def test_cli_import_path_skips_unneeded_stdlib_modules():
+    """A CLI process pays for every module it imports before any suite runs.
+    -S keeps site's own imports out of the measured set."""
+    probe = (
+        "import sys, bpuverify.cli\n"
+        "from bpuverify.report import VerificationReport, serialize\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'json', 'typing') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "report = VerificationReport('probe')\n"
+        "report.add('ok', True, 'fine')\n"
+        "sys.stdout.write(serialize(report, 'json'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["checks"][0]["name"] == "ok"

@@ -223,6 +223,28 @@ def test_ring_mismatch_raises():
         P("v1", V2) * P("v1", V4)
 
 
+@pytest.mark.parametrize("variables, weights, modulus", [
+    (("v1", "v2"), (1,), 0),  # one weight short
+    (("v1",), (1, 1), 0),  # one weight too many
+    (("v1",), (1,), 1),
+    (("v1",), (1,), -2),
+    (("v1", "v2"), (1, 0), 0),
+    (("v1",), (-1,), 0),
+])
+def test_ring_rejects_bad_contexts(variables, weights, modulus):
+    with pytest.raises(ValueError):
+        Ring(variables, weights, modulus)
+
+
+def test_equal_rings_built_apart_are_interchangeable():
+    twin = Ring(("v1", "v2"), (1, 1))
+    assert twin is not V2 and twin == V2 and hash(twin) == hash(V2)
+    assert Ring(("v1", "v2"), (1, 1), 2) != V2 and Ring(("v1", "v2"), (1, 2)) != V2
+    assert P("v1 + v2", twin) * P("v1 - v2", V2) == P("v1^2 - v2^2", V2)
+    assert P("v1", twin) + P("v2", V2) - P("v1", V2) == P("v2", twin)
+    assert len({P("v1", twin), P("v1", V2)}) == 1
+
+
 def test_text_round_trip():
     for text in ("8*s2 - 3*s1^2", "s1^3 - 4*s1*s2 + 8*s3", "0", "12*s4 - 3*s1*s3 + s2^2"):
         p = P(text, SIGMA4)
