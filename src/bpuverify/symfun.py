@@ -7,7 +7,8 @@ are twice these and appear only in report labels.)
 
 The divergence operator is the sum of all partial d/dv_i.  On symmetric
 polynomials, written in elementary-symmetric coordinates, it acts as the
-derivation sending s_k to (n - k + 1) * s_{k-1}.  Symmetric polynomials are
+derivation sending s_k to (n - k + 1) * s_{k-1}: one rule gives the operator,
+its matrix and the certificate that it is onto.  Symmetric polynomials are
 never expanded into the v's here; that route, and the rewrite back into sigma
 coordinates, live in tests/oracles.py as the reference for cross-checks.
 
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .intlinalg import (
     IntMatrix,
     check_cokernel_witness,
     element_order_in_cokernel,
-    has_full_row_rank,
     integer_kernel,
     local_row_form,
     nonzero_invariant_factors,
@@ -71,24 +72,23 @@ class SymmetricContext:
         return out
 
     def nabla_sigma(self, f: Polynomial) -> Polynomial:
-        """The same operator in sigma-coordinates: a derivation with
-        s_k |-> (n - k + 1) s_{k-1} (and s_1 |-> n)."""
+        """The same operator in sigma-coordinates, by ``monomial_divergence``."""
         if f.ring != self.sigma_ring:
             raise ValueError("expected a sigma-ring polynomial")
         out = {}
         for e, c in f.terms.items():
-            for k in range(1, self.n + 1):
-                power = e[k - 1]
-                if not power:
-                    continue
-                coeff = c * power * (self.n - k + 1)
-                new = list(e)
-                new[k - 1] -= 1
-                if k >= 2:
-                    new[k - 2] += 1
-                key = tuple(new)
-                out[key] = out.get(key, 0) + coeff
+            for t, factor in self.monomial_divergence(e):
+                out[t] = out.get(t, 0) + c * factor
         return Polynomial(self.sigma_ring, out)
+
+    def monomial_divergence(self, e: tuple):
+        """Yield the divergence of the sigma-monomial with exponents e as
+        (exponents, coefficient) pairs with distinct exponents: the derivation
+        s_k |-> (n - k + 1) s_{k-1}, s_1 |-> n, on each variable present."""
+        for i, power in enumerate(e):
+            if power:
+                head = e[:i - 1] + (e[i - 1] + 1,) if i else ()
+                yield head + (power - 1,) + e[i + 1:], power * (self.n - i)
 
 
 def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
@@ -108,9 +108,30 @@ def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
     row_of = {t: i for i, t in enumerate(ctx.sigma_basis(degree - 1))}
     rows = [[0] * len(src) for _ in row_of]
     for j, mono in enumerate(src):
-        for t, c in ctx.nabla_sigma(ctx.sigma_ring.monomial(mono)).terms.items():
-            rows[row_of[t]][j] = c
+        for t, c in ctx.monomial_divergence(mono):
+            rows[row_of[t]][j] += c
     return IntMatrix(rows)
+
+
+def divergence_onto_shape(ctx: SymmetricContext, degree: int):
+    """(rows, cols) of the divergence from degree d to d - 1 (no rows at
+    d = 0), or None when it is not shown onto over Q; no matrix is built.
+
+    For mu of degree d - 1 with s1-exponent a, the divergence of s1*mu is
+    n(a+1)*mu plus terms s1*nu, nu being mu with one s_k (k >= 2) turned into
+    s_{k-1}, so below mu when exponents are compared from s_n down: the block
+    on the columns s1*mu is triangular with nonzero diagonal.  Each column is
+    checked as ``monomial_divergence`` gives it: its one term at or above mu,
+    or outside the rows, is mu, with a nonzero coefficient.
+    """
+    rows = ctx.sigma_basis(degree - 1) if degree else ()
+    in_rows = set(rows)
+    for mu in rows:
+        high = [(t, c) for t, c in ctx.monomial_divergence((mu[0] + 1,) + mu[1:])
+                if t not in in_rows or t[::-1] >= mu[::-1]]
+        if len(high) != 1 or high[0][0] != mu or not high[0][1]:
+            return None
+    return len(rows), len(ctx.sigma_basis(degree))
 
 
 def kernel_basis(ctx: SymmetricContext, degree: int) -> list:
@@ -177,15 +198,15 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     as all generator monomials of degree d; when (c) fails, every lattice line
     fails and says so.
 
-    The kernel rank is the column count minus the row count of the divergence
-    matrix, which is onto by one rank modulo 2^31 - 1.  The kernel is
-    saturated, so a monomial lies in it exactly when its divergence vanishes,
-    and then the stack of standard-monomial coordinates has rank at most the
-    kernel rank and the same nonzero invariant factors as its coordinates in a
-    kernel basis.  Those factors come from ``nonzero_invariant_factors``, with
-    no unimodular transform.  Each standard monomial is a lower one times one
-    generator, and its membership is read off the generators' divergences
-    (``_first_outside``).
+    The kernel rank is cols - rows of the divergence, shown onto by
+    ``divergence_onto_shape``.  The kernel is saturated, so a monomial lies
+    in it exactly when its divergence vanishes, and then the stack of
+    standard-monomial coordinates has rank at most the kernel rank and the
+    same nonzero invariant factors as its coordinates in a kernel basis.
+    Those factors come from ``nonzero_invariant_factors``, with no unimodular
+    transform.  Each standard monomial is a lower one times one generator, as
+    a {sigma exponents: coefficient} dict that gives its stack row; its
+    membership is read off the generators' divergences (``_first_outside``).
     """
     if max_degree < 2:
         raise ValueError("max degree must be at least 2")
@@ -197,11 +218,7 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     for name, gen in al.as_dict().items():
         img = ctx.nabla_sigma(gen)
         divergent.append(not img.is_zero())
-        report.add(
-            f"divergence/{name}",
-            img.is_zero(),
-            f"divergence({name}) = {img}",
-        )
+        report.add(f"divergence/{name}", img.is_zero(), f"divergence({name}) = {img}")
     relation = 64 * al.a6 - al.a2 ** 3 - 27 * al.a3 ** 2 + 48 * al.a2 * al.a4
     report.add(
         "relation",
@@ -212,9 +229,9 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     )
 
     series = geometric_product((2, 3, 4), max_degree)
-    generators = tuple(al.as_dict().values())
-    # degree -> {exponents: standard monomial}; a degree is dropped once no
-    # higher degree is built from it
+    generators = [tuple(g.terms.items()) for g in al.as_dict().values()]
+    # degree -> {exponents: standard monomial as {sigma exponents: coefficient}};
+    # a degree is dropped once no higher degree is built from it
     layers = {}
     lattice_failures = []
     for d in range(max_degree + 1):
@@ -223,18 +240,19 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
         for e in expos:
             i = next((k for k, x in enumerate(e) if x), None)
             if i is None:
-                layer[e] = ctx.sigma_ring.one()
-            else:
-                lower = e[:i] + (e[i] - 1,) + e[i + 1:]
-                layer[e] = layers[d - _K4_WEIGHTS[i]][lower] * generators[i]
+                layer[e] = {(0,) * ctx.n: 1}
+                continue
+            product = {}
+            for e1, c1 in layers[d - _K4_WEIGHTS[i]][e[:i] + (e[i] - 1,) + e[i + 1:]].items():
+                for e2, c2 in generators[i]:
+                    t = tuple(map(operator.add, e1, e2))
+                    product[t] = product.get(t, 0) + c1 * c2
+            layer[e] = {t: c for t, c in product.items() if c}
         layers.pop(d - max(_K4_WEIGHTS), None)
-        if d == 0:
-            rankk = 1
-        else:
-            a = nabla_matrix(ctx, d)
-            if not has_full_row_rank(a):
-                raise ArithmeticError(f"divergence is not onto at degree {d}")
-            rankk = a.cols - a.rows
+        shape = divergence_onto_shape(ctx, d)
+        if shape is None:
+            raise ArithmeticError(f"divergence is not onto at degree {d}")
+        rankk = shape[1] - shape[0]
         outside = _first_outside(layer, divergent)
         detail_lattice, facs = "", None
         if outside is not None:
@@ -244,7 +262,10 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
             ok_lattice = False
             detail_lattice = "the relation fails, so the standard monomials need not span the lattice"
         elif expos:
-            stack = IntMatrix([coordinates(ctx, layer[e], d) for e in expos])
+            stack = IntMatrix([[layer[e].get(m, 0) for m in ctx.sigma_basis(d)] for e in expos])
+            # a term outside the basis would be dropped from its row unseen
+            if any(len(r) - r.count(0) != len(layer[e]) for r, e in zip(stack.entries, expos)):
+                raise ArithmeticError(f"standard monomial terms outside the degree-{d} sigma basis")
             try:
                 facs = nonzero_invariant_factors(stack, rankk)
             except ArithmeticError as err:
@@ -294,13 +315,13 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
 
 
 def _first_outside(layer: dict, divergent) -> tuple:
-    """The first exponent of ``layer`` whose generator monomial has nonzero
-    divergence, or None.  The divergence is a locally nilpotent derivation of
-    a domain of characteristic 0, so its kernel is factorially closed: a
-    nonzero monomial is outside it exactly when it involves a generator
-    flagged ``divergent``."""
-    return next((e for e, f in layer.items() if not f.is_zero()
-                 and any(x and bad for x, bad in zip(e, divergent))), None)
+    """The first exponent of ``layer`` whose generator monomial, a dict of
+    sigma terms, has nonzero divergence, or None.  The divergence is a
+    locally nilpotent derivation of a domain of characteristic 0, so its
+    kernel is factorially closed: a nonzero monomial is outside it exactly
+    when it involves a generator flagged ``divergent``."""
+    return next((e for e, f in layer.items()
+                 if f and any(x and bad for x, bad in zip(e, divergent))), None)
 
 
 def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):

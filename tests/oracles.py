@@ -210,9 +210,11 @@ class HandRouteAction(SteenrodAction):
 
 
 def first_outside_by_divergence(ctx: SymmetricContext, layer: dict) -> tuple:
-    """The first exponent of ``layer`` whose generator monomial has nonzero
-    divergence, or None: one ``nabla_sigma`` per monomial."""
-    return next((e for e, f in layer.items() if not ctx.nabla_sigma(f).is_zero()), None)
+    """The first exponent of ``layer`` whose generator monomial, a dict of
+    sigma terms, has nonzero divergence, or None: one ``nabla_sigma`` per
+    monomial."""
+    return next((e for e, f in layer.items()
+                 if not ctx.nabla_sigma(Polynomial(ctx.sigma_ring, f)).is_zero()), None)
 
 
 def list_scan_reduce(v: int, basis) -> int:

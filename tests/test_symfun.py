@@ -8,6 +8,7 @@ from bpuverify import cli, intlinalg, symfun
 from bpuverify.intlinalg import (
     IntMatrix,
     element_order_in_cokernel,
+    has_full_row_rank,
     integer_kernel,
     nonzero_invariant_factors,
     rank_mod_p,
@@ -24,6 +25,7 @@ from bpuverify.symfun import (
     coker_order,
     coordinates,
     delta_sigma,
+    divergence_onto_shape,
     h3_order,
     kernel_basis,
     nabla_matrix,
@@ -136,6 +138,91 @@ def test_nabla_matrix_examples():
     assert nabla_matrix(CTX4, 1).entries == ((4,),)
 
 
+def test_divergence_onto_shape_agrees_with_the_matrix_rank():
+    cases = [(n, d) for n in range(1, 7) for d in range(1, 19)]
+    cases += [(4, d) for d in range(19, 41)]
+    contexts = {n: SymmetricContext(n) for n in range(1, 7)}
+    for n, d in cases:
+        a = nabla_matrix(contexts[n], d)
+        assert has_full_row_rank(a), (n, d)
+        assert divergence_onto_shape(contexts[n], d) == (a.rows, a.cols), (n, d)
+    assert divergence_onto_shape(CTX4, 0) == (0, 1)
+    with pytest.raises(ValueError):
+        divergence_onto_shape(CTX4, -1)
+
+
+def _s1_term(e):
+    """The exponents of the term that s1 |-> n contributes to the
+    divergence of the monomial e: the diagonal entry of the s1*mu block."""
+    return (e[0] - 1,) + e[1:]
+
+
+# corruptions of the exponent-level rule, each breaking the triangular block
+CORRUPTED_RULES = {
+    "diagonal-dropped": lambda e, terms: [(t, c) for t, c in terms if t != _s1_term(e)],
+    "diagonal-zeroed": lambda e, terms: [
+        (t, 0 if t == _s1_term(e) else c) for t, c in terms
+    ],
+    "second-term-at-mu": lambda e, terms: terms + [
+        (t, c) for t, c in terms if t == _s1_term(e)
+    ],
+    # s1^3 |-> s2 lowers the degree by one and raises the s2-exponent
+    "term-above-mu": lambda e, terms: terms + (
+        [((e[0] - 3, e[1] + 1) + e[2:], 1)] if e[0] >= 3 else []
+    ),
+    # s1^2 |-> 1 lowers the degree by two, so below mu but outside the rows
+    "term-outside-rows": lambda e, terms: terms + (
+        [((e[0] - 2,) + e[1:], 1)] if e[0] >= 2 else []
+    ),
+}
+
+
+def _corrupt_rule(monkeypatch, name):
+    real = SymmetricContext.monomial_divergence
+    corrupt = CORRUPTED_RULES[name]
+    monkeypatch.setattr(
+        SymmetricContext, "monomial_divergence", lambda self, e: corrupt(e, list(real(self, e)))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_RULES))
+def test_divergence_onto_shape_refuses_a_corrupted_derivation(monkeypatch, name):
+    ctx = SymmetricContext(4)
+    assert divergence_onto_shape(ctx, 6) == (len(ctx.sigma_basis(5)), len(ctx.sigma_basis(6)))
+    _corrupt_rule(monkeypatch, name)
+    assert divergence_onto_shape(ctx, 6) is None
+
+
+def test_divergence_operator_matrix_and_certificate_share_one_rule(monkeypatch):
+    s1 = CTX4.sigma(1)
+    assert CTX4.nabla_sigma(s1) == CTX4.sigma_ring.const(4)
+    _corrupt_rule(monkeypatch, "diagonal-zeroed")
+    assert CTX4.nabla_sigma(s1).is_zero()
+    assert nabla_matrix(CTX4, 1).entries == ((0,),)
+    assert divergence_onto_shape(CTX4, 1) is None
+
+
+def test_k4_stops_where_the_divergence_is_not_shown_onto(monkeypatch, capsys):
+    # the term above mu first appears for mu = s1^2, at degree 3
+    _corrupt_rule(monkeypatch, "term-above-mu")
+    with pytest.raises(ArithmeticError, match="divergence is not onto at degree 3$"):
+        certify_k4_presentation(8)
+    assert cli.main(["k4", "--max-degree", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: divergence is not onto at degree 3\n"
+
+
+def test_k4_stack_rows_refuse_terms_outside_the_sigma_basis(monkeypatch):
+    # a2 + 64 and a matching a6 keep every generator divergence-free and the
+    # relation exact, so the inhomogeneous a2 reaches the coordinate stack
+    one = CTX4.sigma_ring.one()
+    a6 = ALPHA.a6 + 3 * ALPHA.a2 ** 2 + 192 * ALPHA.a2 + 4096 * one - 48 * ALPHA.a4
+    _swap_generators(monkeypatch, {"a2": str(ALPHA.a2 + 64 * one), "a6": str(a6)})
+    with pytest.raises(ArithmeticError, match="outside the degree-2 sigma basis"):
+        certify_k4_presentation(4)
+
+
 def test_kernel_basis_examples():
     k2 = kernel_basis(CTX4, 2)
     assert len(k2) == 1
@@ -240,16 +327,16 @@ def test_certify_k4_rank_and_hilbert_pass_lattice_fails_three_locally():
 
 
 def test_hilbert_lines_compare_against_the_computed_kernel_rank(monkeypatch):
-    # one row short, each divergence matrix reads a kernel rank one too high;
-    # the monomial counts still match the series, so only a comparison with
-    # the computed rank fails
-    real = symfun.nabla_matrix
+    # one certified row short, each degree d >= 1 reads a kernel rank one too
+    # high; the monomial counts still match the series, so only a comparison
+    # with the computed rank fails
+    real = symfun.divergence_onto_shape
 
     def one_row_short(ctx, degree):
-        a = real(ctx, degree)
-        return IntMatrix(a.entries[:-1], a.cols)
+        rows, cols = real(ctx, degree)
+        return (rows - 1 if degree else rows), cols
 
-    monkeypatch.setattr(symfun, "nabla_matrix", one_row_short)
+    monkeypatch.setattr(symfun, "divergence_onto_shape", one_row_short)
     by_name = {c.name: c for c in certify_k4_presentation(8).checks}
     assert by_name["hilbert/d00"].status == "pass"
     for d in range(1, 9):
