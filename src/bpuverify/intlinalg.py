@@ -1,13 +1,12 @@
 """Exact linear algebra over Z, Z/p and Z/p^E: Smith normal form, kernels,
-cokernels, local row forms, and invariant factors without transforms.
+cokernels, local row forms, and the p-parts of invariant factors.
 
 Everything is dense and uses arbitrary-precision Python ints; the matrices
 here (graded pieces of symmetric-function operators) stay small.  Every Smith
 decomposition is re-verified, U*A*V == D, before it is returned.  One row
-elimination over Z/p^E serves every rank, minor, invariant factor and
-cokernel witness: at E = 1 it gives the rank modulo p and a minor that is a
-unit mod p, and at larger E the p-parts of the invariant factors and the
-steps of a local row form.
+elimination over Z/p^E serves every rank, invariant factor and cokernel
+witness: at E = 1 it gives the rank modulo p, and at larger E the p-parts of
+the invariant factors and the steps of a local row form.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable, cols: Optional[int] = None):
+    def __init__(self, entries, cols: int | None = None):
         """``entries`` are rows of ints, kept as given.  ``cols`` gives the width
         of a matrix with no rows (default 0), else it must equal theirs."""
         rows = tuple(map(tuple, entries))
@@ -76,32 +75,6 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -287,7 +260,6 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
 
 
 _RANK_PRIME = 2 ** 31 - 1
-_TRIAL_BOUND = 2 ** 16
 
 
 def has_full_row_rank(a: IntMatrix) -> bool:
@@ -314,7 +286,7 @@ class LocalRowForm:
     def __init__(self, prime: int, exponent: int, valuations: tuple, steps: tuple):
         self.prime, self.exponent, self.valuations, self.steps = prime, exponent, valuations, steps
 
-    def witness(self, x) -> Optional[tuple]:
+    def witness(self, x) -> tuple | None:
         """The first functional p^(E - v_r) * u_r that is nonzero on x modulo
         p^E, or None when x lies in the column span of A localized at p.
         Steps after r fix entry r of U*x and the row e_r, so u_r = e_r * U
@@ -422,68 +394,6 @@ def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int):
     return tuple(valuations), order[:r], pivot_cols, tuple(steps)
 
 
-def nonzero_invariant_factors(a: IntMatrix, rank: int) -> Optional[tuple]:
-    """The nonzero invariant factors of A, in divisibility order, computed
-    without a unimodular transform; ``rank`` bounds the rank of A from above.
-
-    The rank of A modulo 2^31 - 1 bounds it from below: an ArithmeticError
-    when that exceeds ``rank``, and None when it falls short (then either the
-    rank of A is below ``rank`` or 2^31 - 1 divides a factor).  Otherwise the
-    factors' product divides every rank x rank minor, so it divides the gcd
-    g of two minors that are units mod 2^31 - 1, on the pivots of A and of A
-    with rows and columns reversed.  g is factored by trial division; a
-    cofactor with no prime below 2^16 that is not thereby proved prime is an
-    ArithmeticError.  For each prime p of g, the valuations of the pivots of
-    ``_local_elimination`` are those of the factors, and the count of
-    valuation 0 must equal the rank of A modulo p.
-    """
-    _, rows, cols, _ = _eliminate_mod_prime_power(a, _RANK_PRIME, 1, a.rows)
-    if len(cols) > rank:
-        raise ArithmeticError(
-            f"rank modulo {_RANK_PRIME} is {len(cols)}, above the rank bound {rank}"
-        )
-    if len(cols) < rank:
-        return None
-    m, n = a.rows, a.cols
-    flipped = IntMatrix([row[::-1] for row in reversed(a.entries)], n)
-    _, back_rows, back_cols, _ = _eliminate_mod_prime_power(flipped, _RANK_PRIME, 1, rank)
-    g = 0
-    for rows, cols in (
-        (rows, cols),
-        ([m - 1 - i for i in back_rows], [n - 1 - j for j in back_cols]),
-    ):
-        minor = IntMatrix([[a.entries[i][j] for j in cols] for i in rows], rank)
-        g = math.gcd(g, minor.determinant())
-    factors = [1] * rank
-    for p in _trial_primes(g):
-        valuations = _local_elimination(a, p, rank)[1][0]
-        if valuations.count(0) != rank_mod_p(a, p):
-            raise ArithmeticError(f"valuations at {p} disagree with the rank modulo {p}")
-        factors = [f * p ** v for f, v in zip(factors, valuations)]
-    return tuple(factors)
-
-
-def _trial_primes(g: int) -> list:
-    """The primes of g > 0 by trial division below 2^16; an ArithmeticError
-    when a cofactor is left that has no prime below the bound and is too
-    large to be proved prime by it."""
-    primes = []
-    f = 2
-    while f * f <= g:
-        if f >= _TRIAL_BOUND:
-            raise ArithmeticError(
-                f"minor gcd cofactor {g} has no prime factor below {_TRIAL_BOUND}"
-            )
-        if g % f == 0:
-            primes.append(f)
-            while g % f == 0:
-                g //= f
-        f += 1 if f == 2 else 2
-    if g > 1:
-        primes.append(g)
-    return primes
-
-
 def check_cokernel_witness(a: IntMatrix, y, x, modulus: int) -> None:
     """Raise ArithmeticError unless y*A == 0 and y*x != 0 modulo ``modulus``,
     which together prove that x is not in the column span of A over Z; a
@@ -500,7 +410,7 @@ def check_cokernel_witness(a: IntMatrix, y, x, modulus: int) -> None:
         raise ArithmeticError("cokernel witness vanishes on the vector")
 
 
-def element_order_in_cokernel(a: IntMatrix, x) -> Optional[int]:
+def element_order_in_cokernel(a: IntMatrix, x) -> int | None:
     """Least k >= 1 with k*x in the column span of A; None means infinite order."""
     x = tuple(int(t) for t in x)
     if len(x) != a.rows:
@@ -518,7 +428,7 @@ def element_order_in_cokernel(a: IntMatrix, x) -> Optional[int]:
     return order
 
 
-def solve_integer(columns: list, target) -> Optional[tuple]:
+def solve_integer(columns: list, target) -> tuple | None:
     """Solve sum x_j * columns[j] == target exactly over Z, or None.
 
     ``columns`` is a list of equal-length integer vectors.  Membership in the

@@ -65,7 +65,7 @@ class MapNotWellDefined(ValueError):
 class PresentedAlgebra:
     """Graded-commutative GF(2) algebra from weighted generators and relations."""
 
-    def __init__(self, name: str, generators: Iterable, relations: Iterable = ()):
+    def __init__(self, name: str, generators: list, relations: list | tuple = ()):
         self.name = name
         gens = list(generators)
         self.gen_names = tuple(g for g, _ in gens)
@@ -344,7 +344,7 @@ class PresentedAlgebra:
             out.append((gf2.rank(vectors), len(vectors)))
         return out
 
-    def with_relations(self, extra, name: Optional[str] = None) -> "PresentedAlgebra":
+    def with_relations(self, extra, name: str | None = None) -> "PresentedAlgebra":
         """Quotient by additional homogeneous relations (e.g. truncations)."""
         return PresentedAlgebra(
             name or f"{self.name}-quotient",

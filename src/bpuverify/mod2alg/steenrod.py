@@ -51,7 +51,7 @@ class SteenrodAction:
     """Squares on a presented algebra from a generator rule, extended to every
     index by Adem and to every element by Cartan."""
 
-    def __init__(self, algebra: PresentedAlgebra, rule: Callable):
+    def __init__(self, algebra: PresentedAlgebra, rule):
         self.algebra = algebra
         self.rule = rule
         self._gen_cache = {}
@@ -123,7 +123,7 @@ class SteenrodAction:
         return value
 
 
-def table_rule(algebra: PresentedAlgebra, table: dict) -> Callable:
+def table_rule(algebra: PresentedAlgebra, table: dict):
     """Generator rule from a finite table {generator name: {i: value text}}.
 
     Each value is parsed, checked to have degree |g| + i, and normalized once;
@@ -147,7 +147,7 @@ def table_rule(algebra: PresentedAlgebra, table: dict) -> Callable:
 
 # -- Wu formulas ---------------------------------------------------------------
 
-def _wu_rule(algebra: PresentedAlgebra, class_index: dict, step: int) -> Callable:
+def _wu_rule(algebra: PresentedAlgebra, class_index: dict, step: int):
     """Wu formula for classes c_k of degree step * k: Sq^(step * i)(c_k) is the
     sum of binom(k - j - 1, i - j) c_(k+i-j) c_j, and Sq^m vanishes for m not
     a multiple of step."""
@@ -174,7 +174,7 @@ def _wu_rule(algebra: PresentedAlgebra, class_index: dict, step: int) -> Callabl
     return rule
 
 
-def stiefel_whitney_rule(algebra: PresentedAlgebra, class_index: dict) -> Callable:
+def stiefel_whitney_rule(algebra: PresentedAlgebra, class_index: dict):
     """Complete generator rule for a ring of Stiefel-Whitney classes.
 
     ``class_index`` maps generator name -> k for w_k; w_0 = 1, w_1 = 0 and
@@ -183,7 +183,7 @@ def stiefel_whitney_rule(algebra: PresentedAlgebra, class_index: dict) -> Callab
     return _wu_rule(algebra, class_index, 1)
 
 
-def chern_rule(algebra: PresentedAlgebra, class_index: dict) -> Callable:
+def chern_rule(algebra: PresentedAlgebra, class_index: dict):
     """Complete generator rule for mod-2 Chern classes; odd squares vanish
     because the ring is concentrated in even degrees."""
     return _wu_rule(algebra, class_index, 2)

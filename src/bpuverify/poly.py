@@ -77,7 +77,7 @@ class Ring:
         e[self.index(name)] = 1
         return Polynomial(self, {tuple(e): 1})
 
-    def monomial(self, exponents: Iterable, coeff: int = 1) -> "Polynomial":
+    def monomial(self, exponents: Exponents, coeff: int = 1) -> "Polynomial":
         return Polynomial(self, {tuple(exponents): coeff})
 
     def degree_of(self, exponents: Exponents) -> int:
@@ -89,7 +89,7 @@ class Polynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Mapping):
+    def __init__(self, ring: Ring, terms: dict):
         canonical = {}
         m = ring.modulus
         for exp, c in terms.items():
@@ -119,7 +119,7 @@ class Polynomial:
             raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
         return degs.pop()
 
-    def coefficient(self, exponents: Iterable) -> int:
+    def coefficient(self, exponents: Exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
 
     def graded_part(self, degree: int) -> "Polynomial":
@@ -198,7 +198,7 @@ class Polynomial:
             out[e2] = out.get(e2, 0) + c * k
         return Polynomial(self.ring, out)
 
-    def substitute(self, images: Mapping) -> "Polynomial":
+    def substitute(self, images: dict) -> "Polynomial":
         """Evaluate the algebra homomorphism sending each variable to its image.
 
         ``images`` maps variable names to polynomials of one common target

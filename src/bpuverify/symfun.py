@@ -13,16 +13,15 @@ never expanded into the v's here; that route, and the rewrite back into sigma
 coordinates, live in tests/oracles.py as the reference for cross-checks.
 
 The suites never build a kernel basis: they decide membership by the
-divergence and lattice equality by invariant factors.  Only ``kernel_basis``,
-a helper for tests and demos, reads a lattice basis off a Hermite normal
-form.  Nothing is done over the rationals.
+divergence and lattice equality by lead-term certificates and invariant
+factors.  Only ``kernel_basis``, a helper for tests and demos, reads a lattice
+basis off a Hermite normal form.  Nothing is done over the rationals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from .intlinalg import (
     IntMatrix,
@@ -30,8 +29,8 @@ from .intlinalg import (
     element_order_in_cokernel,
     integer_kernel,
     local_row_form,
-    nonzero_invariant_factors,
     _is_prime,
+    _local_elimination,
 )
 from .poly import Polynomial, Ring, monomial_basis
 from .report import VerificationReport
@@ -186,142 +185,143 @@ def standard_exponents(degree: int) -> list:
 def certify_k4_presentation(max_degree: int) -> VerificationReport:
     """Degreewise certification that the four generators present the kernel.
 
-    For every degree d <= max_degree: (a) the kernel lattice rank matches the
-    coefficient of t^d in 1/((1-t^2)(1-t^3)(1-t^4)); (b) the Z-lattice spanned
-    by the standard monomials B_d, the generator monomials with a2-exponent at
-    most 2, equals the kernel lattice (all invariant factors of their
-    coordinate stack are 1); (c) the single degree-6 relation holds exactly;
-    (d) |B_d|, the monomial count minus the relation multiples (e -> e + 3 on
-    the a2-exponent), matches that kernel rank.
-
-    The relation has coefficient -1 on a2^3, so B_d spans the same Z-lattice
-    as all generator monomials of degree d; when (c) fails, every lattice line
-    fails and says so.
-
-    The kernel rank is cols - rows of the divergence, shown onto by
-    ``divergence_onto_shape``.  The kernel is saturated, so a monomial lies
-    in it exactly when its divergence vanishes, and then the stack of
-    standard-monomial coordinates has rank at most the kernel rank and the
-    same nonzero invariant factors as its coordinates in a kernel basis.
-    Those factors come from ``nonzero_invariant_factors``, with no unimodular
-    transform.  Each standard monomial is a lower one times one generator, as
-    a {sigma exponents: coefficient} dict that gives its stack row; its
-    membership is read off the generators' divergences (``_first_outside``).
+    For every degree d <= max_degree: (a) the kernel rank, cols - rows of the
+    divergence shown onto by ``divergence_onto_shape``, matches the t^d
+    coefficient of 1/((1-t^2)(1-t^3)(1-t^4)); (b) the standard monomials B_d,
+    with a2-exponent at most 2 and read in or out of the saturated kernel by
+    ``_first_outside``, span the kernel lattice: their sigma-coordinate stack
+    has invariant factors 1; (c) the degree-6 relation holds exactly, so B_d
+    spans every generator monomial of degree d; (d) |B_d| is that rank.  The
+    stack is never built.  Away from 3: compared s1 first, each generator leads
+    with +-3^k and B_d's leads are distinct (the lead map's kernel is spanned
+    by (3, -2, 0, 0)), so the stack has a triangular minor of 3-power
+    determinant.  At 3: u = (a2^2 - 64*a4)/3 is integral and divergence-free,
+    and compared s4 first a2, a3, u lead with units at 3, so their degree-d
+    monomials are a kernel basis at 3.  By 64*a4 = a2^2 - 3u and 4096*a6 =
+    16*a2^3 + 144*a2*u + 1728*a3^2, B_d times powers of 64 is a square M_d in
+    that basis with the stack's 3-adic factors.  When a fact used here fails,
+    every lattice line fails and names it; a generator, or u, with terms off
+    its degree raises ArithmeticError.
     """
     if max_degree < 2:
         raise ValueError("max degree must be at least 2")
     report = VerificationReport("k4")
     ctx = SymmetricContext(4)
-    al = alpha_generators(ctx)
+    gens = alpha_generators(ctx).as_dict()
+    a2, a3, a4, a6 = gens.values()
+    u = Polynomial(ctx.sigma_ring, {e: c // 3 for e, c in (a2 ** 2 - 64 * a4).terms.items()})
+    for name, f, w in zip((*gens, "u"), (*gens.values(), u), (*_K4_WEIGHTS, 4)):
+        if any(ctx.sigma_ring.degree_of(e) != w for e in f.terms):
+            raise ArithmeticError(f"{name} has terms outside the degree-{w} sigma basis")
 
     divergent = []
-    for name, gen in al.as_dict().items():
+    for name, gen in gens.items():
         img = ctx.nabla_sigma(gen)
         divergent.append(not img.is_zero())
         report.add(f"divergence/{name}", img.is_zero(), f"divergence({name}) = {img}")
-    relation = 64 * al.a6 - al.a2 ** 3 - 27 * al.a3 ** 2 + 48 * al.a2 * al.a4
-    report.add(
-        "relation",
-        relation.is_zero(),
-        "64*a6 - a2^3 - 27*a3^2 + 48*a2*a4 == 0"
-        if relation.is_zero()
-        else f"relation residue {relation}",
-    )
+    relation = 64 * a6 - a2 ** 3 - 27 * a3 ** 2 + 48 * a2 * a4
+    report.add("relation", relation.is_zero(), "64*a6 - a2^3 - 27*a3^2 + 48*a2*a4 == 0"
+               if relation.is_zero() else f"relation residue {relation}")
 
+    degrees = range(max_degree + 1)
+    shapes = [divergence_onto_shape(ctx, d) for d in degrees]
+    if None in shapes:
+        raise ArithmeticError(f"divergence is not onto at degree {shapes.index(None)}")
+    ranks = [cols - rows for rows, cols in shapes]
+    bases = [standard_exponents(d) for d in degrees]
+    ring = Ring(("a2", "a3", "u"), (2, 3, 4))
+    local_bases = [monomial_basis(d, ring.weights) for d in degrees]
+    # (exponents, coefficient) of each lead term, compared s1 first and s4 first
+    lead1 = [max(f.terms.items(), default=((0,) * 4, 0)) for f in gens.values()]
+    lead4 = [max(f.terms.items(), key=lambda t: t[0][::-1], default=((0,) * 4, 0))
+             for f in (a2, a3, u)]
+    blocker = next((detail for ok, detail in [
+        (relation.is_zero(),
+         "the relation fails, so the standard monomials need not span the lattice"),
+        (3 * u == a2 ** 2 - 64 * a4, "3 does not divide a2^2 - 64*a4, so u is not integral"),
+        (not any(divergent[:2]) and ctx.nabla_sigma(u).is_zero(),
+         "a2, a3 or u is not divergence-free"),
+        (4096 * a6 == 16 * a2 ** 3 + 144 * a2 * u + 1728 * a3 ** 2,
+         "4096*a6 differs from 16*a2^3 + 144*a2*u + 1728*a3^2"),
+        *((_is_three_power(c), f"the s1-first lead coefficient of {name} is {c}, not +-3^k")
+          for name, (_, c) in zip(gens, lead1)),
+        *((len(b) == r and _distinct_leads(b, lead1),
+           f"the standard monomials at degree {d} are not {r} with distinct s1-first leads")
+          for d, (b, r) in enumerate(zip(bases, ranks))),
+        *((c % 3, f"the s4-first lead coefficient of {name} is {c}, divisible by 3")
+          for name, (_, c) in zip(("a2", "a3", "u"), lead4)),
+        *((len(b) == r and _distinct_leads(b, lead4),
+           f"the monomials in a2, a3 and u at degree {d} are not {r} with distinct s4-first leads")
+          for d, (b, r) in enumerate(zip(local_bases, ranks))),
+    ] if not ok), None)
+
+    x2, x3, xu = (ring.var(v) for v in ring.variables)
+    # the powers of a2, a3, 64*a4 and 4096*a6, written in a2, a3 and u
+    powers = [[f ** k for k in range(max_degree // w + 1)] for f, w in zip(
+        (x2, x3, x2 ** 2 - 3 * xu, 16 * x2 ** 3 + 144 * x2 * xu + 1728 * x3 ** 2), _K4_WEIGHTS)]
+    zero = [gen.is_zero() for gen in gens.values()]
     series = geometric_product((2, 3, 4), max_degree)
-    generators = [tuple(g.terms.items()) for g in al.as_dict().values()]
-    # degree -> {exponents: standard monomial as {sigma exponents: coefficient}};
-    # a degree is dropped once no higher degree is built from it
-    layers = {}
     lattice_failures = []
-    for d in range(max_degree + 1):
-        expos = standard_exponents(d)
-        layer = layers[d] = {}
-        for e in expos:
-            i = next((k for k, x in enumerate(e) if x), None)
-            if i is None:
-                layer[e] = {(0,) * ctx.n: 1}
-                continue
-            product = {}
-            for e1, c1 in layers[d - _K4_WEIGHTS[i]][e[:i] + (e[i] - 1,) + e[i + 1:]].items():
-                for e2, c2 in generators[i]:
-                    t = tuple(map(operator.add, e1, e2))
-                    product[t] = product.get(t, 0) + c1 * c2
-            layer[e] = {t: c for t, c in product.items() if c}
-        layers.pop(d - max(_K4_WEIGHTS), None)
-        shape = divergence_onto_shape(ctx, d)
-        if shape is None:
-            raise ArithmeticError(f"divergence is not onto at degree {d}")
-        rankk = shape[1] - shape[0]
-        outside = _first_outside(layer, divergent)
-        detail_lattice, facs = "", None
+    for d, expos, rankk in zip(degrees, bases, ranks):
+        outside = _first_outside(expos, divergent, zero)
+        facs = None
         if outside is not None:
-            ok_lattice = False
             detail_lattice = f"monomial a^{outside} outside the kernel lattice"
-        elif not relation.is_zero():
-            ok_lattice = False
-            detail_lattice = "the relation fails, so the standard monomials need not span the lattice"
-        elif expos:
-            stack = IntMatrix([[layer[e].get(m, 0) for m in ctx.sigma_basis(d)] for e in expos])
-            # a term outside the basis would be dropped from its row unseen
-            if any(len(r) - r.count(0) != len(layer[e]) for r, e in zip(stack.entries, expos)):
-                raise ArithmeticError(f"standard monomial terms outside the degree-{d} sigma basis")
-            try:
-                facs = nonzero_invariant_factors(stack, rankk)
-            except ArithmeticError as err:
-                raise ArithmeticError(f"degree {d}: {err}") from err
-            if facs is None:
-                ok_lattice = False
-                detail_lattice = (
-                    f"coordinate stack rank modulo 2^31 - 1 is below the kernel rank {rankk}"
-                )
-            else:
-                ok_lattice = all(f == 1 for f in facs)
-                if not ok_lattice:
-                    detail_lattice = f"coordinate stack invariant factors {facs}"
+        elif blocker:
+            detail_lattice = blocker
         else:
-            ok_lattice = rankk == 0
-        report.add(
-            f"rank/d{d:02d}",
-            rankk == series[d],
-            f"kernel rank {rankk} at degree {d} (ambient dim "
-            f"{len(ctx.sigma_basis(d))}), series expects {series[d]}",
-        )
-        report.add(
-            f"lattice/d{d:02d}",
-            ok_lattice,
-            detail_lattice or f"generator-monomial lattice equals the kernel lattice at degree {d}",
-        )
-        # the factors divide one another, so all are powers of 3 when the last,
-        # of bit length k, divides 3^k
-        if not ok_lattice and facs and 3 ** facs[-1].bit_length() % facs[-1] == 0:
+            rows = [math.prod((p[x] for p, x in zip(powers, e)), start=ring.one()) for e in expos]
+            facs = _three_adic_factors(
+                IntMatrix([[r.coefficient(m) for m in local_bases[d]] for r in rows], rankk))
+            detail_lattice = f"coordinate stack invariant factors {facs}"
+        ok_lattice = facs is not None and all(f == 1 for f in facs)
+        report.add(f"rank/d{d:02d}", rankk == series[d], f"kernel rank {rankk} at degree {d} "
+                   f"(ambient dim {shapes[d][1]}), series expects {series[d]}")
+        report.add(f"lattice/d{d:02d}", ok_lattice, detail_lattice if not ok_lattice else
+                   f"generator-monomial lattice equals the kernel lattice at degree {d}")
+        # the factors divide one another, so all are powers of 3 when the last is
+        if not ok_lattice and facs and _is_three_power(facs[-1]):
             lattice_failures.append(d)
-        report.add(
-            f"hilbert/d{d:02d}",
-            len(expos) == rankk,
-            f"monomial count minus relation multiples matches rank at degree {d}",
-        )
+        report.add(f"hilbert/d{d:02d}", len(expos) == rankk,
+                   f"monomial count minus relation multiples matches rank at degree {d}")
     if lattice_failures:
         report.finding(
             "three-primary-defect",
-            "the generator-monomial lattices have 3-power index in the kernel "
-            f"lattices at degrees {lattice_failures}: mod 3 the degree-4 "
-            "generator is congruent to sigma2^2, a unit multiple of the square "
-            "of the degree-2 generator, so it stops being a polynomial "
-            "generator 3-locally; the kernel element (a2^2 - 64*a4)/3 is "
-            "integral but is not an integer polynomial in the four generators",
+            "the generator-monomial lattices have 3-power index in the kernel lattices at "
+            f"degrees {lattice_failures}: mod 3 the degree-4 generator is congruent to "
+            "sigma2^2, a unit multiple of the square of the degree-2 generator, so it stops "
+            "being a polynomial generator 3-locally; the kernel element (a2^2 - 64*a4)/3 "
+            "is integral but is not an integer polynomial in the four generators",
         )
     return report
 
 
-def _first_outside(layer: dict, divergent) -> tuple:
-    """The first exponent of ``layer`` whose generator monomial, a dict of
-    sigma terms, has nonzero divergence, or None.  The divergence is a
-    locally nilpotent derivation of a domain of characteristic 0, so its
-    kernel is factorially closed: a nonzero monomial is outside it exactly
-    when it involves a generator flagged ``divergent``."""
-    return next((e for e, f in layer.items()
-                 if f and any(x and bad for x, bad in zip(e, divergent))), None)
+def _distinct_leads(expos, leads) -> bool:
+    """Whether the products of powers ``expos`` of factors with lead terms
+    ``leads`` have distinct leads, leading terms multiplying over Z."""
+    return len(expos) == len({
+        tuple(map(sum, zip(*([x * t for t in lead] for x, (lead, _) in zip(e, leads)))))
+        for e in expos})
+
+
+def _is_three_power(c: int) -> bool:
+    """Whether c is +-3^k, i.e. a nonzero divisor of 3^(bit length of c)."""
+    return c != 0 and 3 ** c.bit_length() % c == 0
+
+
+def _three_adic_factors(m: IntMatrix) -> tuple:
+    """The 3-parts of the invariant factors of a square M of full rank, in
+    divisibility order: 3^v for each pivot valuation v over Z/3^E."""
+    return tuple(3 ** v for v in _local_elimination(m, 3, m.rows)[1][0])
+
+
+def _first_outside(expos, divergent, zero) -> tuple:
+    """The first exponent in ``expos`` whose generator monomial is nonzero (no
+    factor flagged ``zero``: a domain) and outside the kernel (a factor flagged
+    ``divergent``: the kernel of a locally nilpotent derivation of a
+    characteristic-0 domain is factorially closed), or None."""
+    return next((e for e in expos if not any(x and z for x, z in zip(e, zero))
+                 and any(x and bad for x, bad in zip(e, divergent))), None)
 
 
 def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):

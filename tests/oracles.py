@@ -18,7 +18,10 @@ derivation.
 Per monomial, for bpuverify.symfun.certify_k4_presentation: kernel membership
 of each generator monomial by its own divergence, and the coordinate stack of
 every generator monomial of a degree, in place of the standard monomials
-with a2-exponent at most 2.
+with a2-exponent at most 2.  By minors, for the same suite: the nonzero
+invariant factors of a sigma-coordinate stack from two minors that are units
+modulo 2^31 - 1, their Bareiss determinants and trial division of their gcd,
+in place of the two lead-term certificates.
 
 By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
 echelon list, which is re-sorted after every insertion, in place of the pivot
@@ -39,8 +42,10 @@ count of the six-generator ring's graded dimensions.
 from __future__ import annotations
 
 import itertools
+import math
 
-from bpuverify import gf2
+from bpuverify import gf2, intlinalg
+from bpuverify.intlinalg import IntMatrix, rank_mod_p
 from bpuverify.mod2alg.algebra import mono_divides
 from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, monomial_basis
@@ -209,12 +214,11 @@ class HandRouteAction(SteenrodAction):
         return value
 
 
-def first_outside_by_divergence(ctx: SymmetricContext, layer: dict) -> tuple:
-    """The first exponent of ``layer`` whose generator monomial, a dict of
-    sigma terms, has nonzero divergence, or None: one ``nabla_sigma`` per
-    monomial."""
-    return next((e for e, f in layer.items()
-                 if not ctx.nabla_sigma(Polynomial(ctx.sigma_ring, f)).is_zero()), None)
+def first_outside_by_divergence(ctx: SymmetricContext, alphas: AlphaGenerators, expos) -> tuple:
+    """The first exponent in ``expos`` whose generator monomial has nonzero
+    divergence, or None: one ``nabla_sigma`` per monomial."""
+    return next((e for e in expos
+                 if not ctx.nabla_sigma(alpha_monomial(alphas, e)).is_zero()), None)
 
 
 def list_scan_reduce(v: int, basis) -> int:
@@ -346,3 +350,89 @@ def toda_dimension_oracle(d: int) -> int:
                         if (i, j, eps) != (0, 0, 0):
                             count += 1
     return count
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant of a square IntMatrix by fraction-free (Bareiss)
+    elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    rows = [list(row) for row in a.entries]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[n - 1][n - 1] if n else 1
+
+
+_TRIAL_BOUND = 2 ** 16
+
+
+def nonzero_invariant_factors(a: IntMatrix, rank: int) -> tuple | None:
+    """The nonzero invariant factors of A, in divisibility order, computed
+    without a unimodular transform; ``rank`` bounds the rank of A from above.
+
+    The rank of A modulo 2^31 - 1 bounds it from below: an ArithmeticError
+    when that exceeds ``rank``, and None when it falls short (then either the
+    rank of A is below ``rank`` or 2^31 - 1 divides a factor).  Otherwise the
+    factors' product divides every rank x rank minor, so it divides the gcd
+    g of two minors that are units mod 2^31 - 1, on the pivots of A and of A
+    with rows and columns reversed.  g is factored by trial division; a
+    cofactor with no prime below 2^16 that is not thereby proved prime is an
+    ArithmeticError.  For each prime p of g, the valuations of the pivots of
+    ``_local_elimination`` are those of the factors, and the count of
+    valuation 0 must equal the rank of A modulo p.
+    """
+    prime = intlinalg._RANK_PRIME
+    _, rows, cols, _ = intlinalg._eliminate_mod_prime_power(a, prime, 1, a.rows)
+    if len(cols) > rank:
+        raise ArithmeticError(f"rank modulo {prime} is {len(cols)}, above the rank bound {rank}")
+    if len(cols) < rank:
+        return None
+    m, n = a.rows, a.cols
+    flipped = IntMatrix([row[::-1] for row in reversed(a.entries)], n)
+    _, back_rows, back_cols, _ = intlinalg._eliminate_mod_prime_power(flipped, prime, 1, rank)
+    g = 0
+    for rows, cols in (
+        (rows, cols),
+        ([m - 1 - i for i in back_rows], [n - 1 - j for j in back_cols]),
+    ):
+        minor = IntMatrix([[a.entries[i][j] for j in cols] for i in rows], rank)
+        g = math.gcd(g, determinant(minor))
+    factors = [1] * rank
+    for p in _trial_primes(g):
+        valuations = intlinalg._local_elimination(a, p, rank)[1][0]
+        if valuations.count(0) != rank_mod_p(a, p):
+            raise ArithmeticError(f"valuations at {p} disagree with the rank modulo {p}")
+        factors = [f * p ** v for f, v in zip(factors, valuations)]
+    return tuple(factors)
+
+
+def _trial_primes(g: int) -> list:
+    """The primes of g > 0 by trial division below 2^16; an ArithmeticError
+    when a cofactor is left that has no prime below the bound and is too
+    large to be proved prime by it."""
+    primes = []
+    f = 2
+    while f * f <= g:
+        if f >= _TRIAL_BOUND:
+            raise ArithmeticError(
+                f"minor gcd cofactor {g} has no prime factor below {_TRIAL_BOUND}")
+        if g % f == 0:
+            primes.append(f)
+            while g % f == 0:
+                g //= f
+        f += 1 if f == 2 else 2
+    if g > 1:
+        primes.append(g)
+    return primes

@@ -236,6 +236,7 @@ GOLDEN_REPORTS = (
     (["k4", "--max-degree", "32"], "k4_32.txt"),
     (["coker", "--max-degree", "40"], "coker_40.txt"),
     (["k4", "--max-degree", "40"], "k4_40.txt"),
+    (["k4", "--max-degree", "52"], "k4_52.txt"),
 )
 
 
@@ -317,3 +318,28 @@ def test_cli_import_path_skips_unneeded_stdlib_modules():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["checks"][0]["name"] == "ok"
+
+
+def test_every_annotation_in_the_package_resolves():
+    """Annotations are strings (``from __future__ import annotations``), so a
+    name that no module imports shows only when they are evaluated."""
+    import importlib
+    import inspect
+    import pkgutil
+    import typing
+
+    import bpuverify
+
+    checked = 0
+    for info in pkgutil.walk_packages(bpuverify.__path__, "bpuverify."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+                    checked += 1
+    assert checked > 100

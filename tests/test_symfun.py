@@ -10,7 +10,6 @@ from bpuverify.intlinalg import (
     element_order_in_cokernel,
     has_full_row_rank,
     integer_kernel,
-    nonzero_invariant_factors,
     rank_mod_p,
     smith_normal_form,
     solve_integer,
@@ -45,6 +44,7 @@ from oracles import (
     generator_monomial_stack,
     is_symmetric,
     k3_generators,
+    nonzero_invariant_factors,
     to_sigma,
 )
 
@@ -215,7 +215,7 @@ def test_k4_stops_where_the_divergence_is_not_shown_onto(monkeypatch, capsys):
 
 def test_k4_stack_rows_refuse_terms_outside_the_sigma_basis(monkeypatch):
     # a2 + 64 and a matching a6 keep every generator divergence-free and the
-    # relation exact, so the inhomogeneous a2 reaches the coordinate stack
+    # relation exact, so only the homogeneity check refuses the inhomogeneous a2
     one = CTX4.sigma_ring.one()
     a6 = ALPHA.a6 + 3 * ALPHA.a2 ** 2 + 192 * ALPHA.a2 + 4096 * one - 48 * ALPHA.a4
     _swap_generators(monkeypatch, {"a2": str(ALPHA.a2 + 64 * one), "a6": str(a6)})
@@ -445,7 +445,7 @@ def test_k4_membership_matches_the_per_monomial_route(monkeypatch, swap):
     by_generators = lattice_lines()
     monkeypatch.setattr(
         symfun, "_first_outside",
-        lambda layer, divergent: first_outside_by_divergence(CTX4, layer),
+        lambda expos, divergent, zero: first_outside_by_divergence(CTX4, swapped(CTX4), expos),
     )
     assert lattice_lines() == by_generators
     outside = [d for d, (_, detail) in by_generators.items() if "outside" in detail]
@@ -466,6 +466,73 @@ def test_standard_monomials_span_the_generator_monomial_lattice():
         assert nonzero_invariant_factors(standard, ranks[d]) == nonzero_invariant_factors(
             IntMatrix(full.values()), ranks[d]
         ), d
+
+
+def test_k4_lattice_lines_match_the_sigma_stack_route():
+    """The lead-term certificates against the route they replaced: the sigma
+    coordinates of B_d and their nonzero invariant factors from two minors."""
+    by_name = {c.name: c for c in certify_k4_presentation(24).checks}
+    ranks = geometric_product((2, 3, 4), 24)
+    for d in range(25):
+        full = generator_monomial_stack(CTX4, ALPHA, d)
+        stack = IntMatrix([full[e] for e in standard_exponents(d)], len(CTX4.sigma_basis(d)))
+        facs = nonzero_invariant_factors(stack, ranks[d])
+        line = by_name[f"lattice/d{d:02d}"]
+        if all(f == 1 for f in facs):
+            assert line.status == "pass", d
+        else:
+            assert (line.status, line.detail) == (
+                "fail", f"coordinate stack invariant factors {facs}"), d
+
+
+def test_k4_builds_only_square_matrices(monkeypatch):
+    # no |B_d| x (ambient dim) sigma-coordinate stack: M_d is |B_d| x |B_d|
+    shapes = []
+
+    def recording(entries, cols=None):
+        m = IntMatrix(entries, cols)
+        shapes.append((m.rows, m.cols))
+        return m
+
+    monkeypatch.setattr(symfun, "IntMatrix", recording)
+    certify_k4_presentation(24)
+    assert len(shapes) == 25 and all(rows == cols for rows, cols in shapes)
+
+
+def _widen_the_window(monkeypatch):
+    # a2^3 and a3^2 share the lead s1^6
+    monkeypatch.setattr(symfun, "standard_exponents", lambda d: [
+        e for e in monomial_basis(d, (2, 3, 4, 6)) if e[0] <= 3])
+
+
+def _swap_with_relation(monkeypatch, k):
+    # a4 + k*a2^2 and a6 - (3k/4)*a2^3 keep the relation exact and both divergence-free
+    _swap_generators(monkeypatch, {"a4": str(ALPHA.a4 + k * ALPHA.a2 ** 2),
+                                   "a6": str(ALPHA.a6 - 3 * k // 4 * ALPHA.a2 ** 3)})
+
+
+def _one_kernel_row_short(monkeypatch):
+    real = symfun.divergence_onto_shape
+    monkeypatch.setattr(symfun, "divergence_onto_shape",
+                        lambda ctx, d: (real(ctx, d)[0] - 1, real(ctx, d)[1]) if d else real(ctx, d))
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_widen_the_window, "the standard monomials at degree 6 are not 3 with distinct s1-first leads"),
+    # u = (a2^2 - 64*a4)/3 loses 64k/3 * a2^2: integral for k = 12, not for k = 4
+    (lambda mp: _swap_with_relation(mp, 12), "the s1-first lead coefficient of a4 is 108, not +-3^k"),
+    (lambda mp: _swap_with_relation(mp, 4), "3 does not divide a2^2 - 64*a4, so u is not integral"),
+    (_one_kernel_row_short, "the standard monomials at degree 1 are not 1 with distinct s1-first"),
+], ids=["window", "lead-coefficient", "u-integral", "kernel-rank"])
+def test_k4_lattice_lines_name_the_failed_certificate_fact(monkeypatch, corrupt, named):
+    corrupt(monkeypatch)
+    by_name = {c.name: c for c in certify_k4_presentation(12).checks}
+    assert by_name["relation"].status == "pass"
+    assert all(by_name[f"divergence/{g}"].status == "pass" for g in ("a2", "a3", "a4", "a6"))
+    for d in range(13):
+        line = by_name[f"lattice/d{d:02d}"]
+        assert line.status == "fail" and named in line.detail, (d, line.detail)
+    assert "three-primary-defect" not in by_name
 
 
 def _swap_generators(monkeypatch, swap):
@@ -504,13 +571,13 @@ def test_three_primary_defect_names_only_three_power_factors(monkeypatch):
     assert "three-primary-defect" not in by_name
     monkeypatch.undo()
     # a factor 2 at degree 8 takes that degree, and only it, off the finding
-    real = symfun.nonzero_invariant_factors
+    real = symfun._three_adic_factors
 
-    def doubled_at_degree_eight(stack, rank):
-        facs = real(stack, rank)
-        return facs[:-1] + (2 * facs[-1],) if stack.cols == len(CTX4.sigma_basis(8)) else facs
+    def doubled_at_degree_eight(m):
+        facs = real(m)
+        return facs[:-1] + (2 * facs[-1],) if m.rows == len(standard_exponents(8)) else facs
 
-    monkeypatch.setattr(symfun, "nonzero_invariant_factors", doubled_at_degree_eight)
+    monkeypatch.setattr(symfun, "_three_adic_factors", doubled_at_degree_eight)
     report = certify_k4_presentation(8)
     by_name = {c.name: c for c in report.checks}
     assert by_name["lattice/d08"].detail == "coordinate stack invariant factors (1, 1, 3, 18)"
