@@ -291,6 +291,16 @@ def monomial_basis(degree: int, weights) -> tuple:
     return tuple(found)
 
 
+def _distinct_leads(expos, leads) -> bool:
+    """Whether the products of powers ``expos`` of factors with lead
+    monomials ``leads`` have distinct leads.  Over a domain, and under any
+    monomial order, the lead of a product is the product of the leads, so
+    products with distinct leads are linearly independent."""
+    return len(expos) == len({
+        tuple(map(sum, zip(*([x * t for t in lead] for x, lead in zip(e, leads)))))
+        for e in expos})
+
+
 def _append_completions(found, weights, i, remaining, prefix):
     # Largest exponent first; the last exponent is solved, not searched.  A
     # plain function, not a closure: a closure that calls itself is a

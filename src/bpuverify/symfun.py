@@ -32,7 +32,7 @@ from .intlinalg import (
     _is_prime,
     _local_elimination,
 )
-from .poly import Polynomial, Ring, monomial_basis
+from .poly import Polynomial, Ring, _distinct_leads, monomial_basis
 from .report import VerificationReport
 from .series import geometric_product
 
@@ -245,12 +245,12 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
          "4096*a6 differs from 16*a2^3 + 144*a2*u + 1728*a3^2"),
         *((_is_three_power(c), f"the s1-first lead coefficient of {name} is {c}, not +-3^k")
           for name, (_, c) in zip(gens, lead1)),
-        *((len(b) == r and _distinct_leads(b, lead1),
+        *((len(b) == r and _distinct_leads(b, [e for e, _ in lead1]),
            f"the standard monomials at degree {d} are not {r} with distinct s1-first leads")
           for d, (b, r) in enumerate(zip(bases, ranks))),
         *((c % 3, f"the s4-first lead coefficient of {name} is {c}, divisible by 3")
           for name, (_, c) in zip(("a2", "a3", "u"), lead4)),
-        *((len(b) == r and _distinct_leads(b, lead4),
+        *((len(b) == r and _distinct_leads(b, [e for e, _ in lead4]),
            f"the monomials in a2, a3 and u at degree {d} are not {r} with distinct s4-first leads")
           for d, (b, r) in enumerate(zip(local_bases, ranks))),
     ] if not ok), None)
@@ -262,6 +262,7 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     zero = [gen.is_zero() for gen in gens.values()]
     series = geometric_product((2, 3, 4), max_degree)
     lattice_failures = []
+    exponent = 8  # the 3-adic factors grow with d, so each M_d starts at the last E
     for d, expos, rankk in zip(degrees, bases, ranks):
         outside = _first_outside(expos, divergent, zero)
         facs = None
@@ -271,8 +272,9 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
             detail_lattice = blocker
         else:
             rows = [math.prod((p[x] for p, x in zip(powers, e)), start=ring.one()) for e in expos]
-            facs = _three_adic_factors(
-                IntMatrix([[r.coefficient(m) for m in local_bases[d]] for r in rows], rankk))
+            exponent, facs = _three_adic_factors(
+                IntMatrix([[r.coefficient(m) for m in local_bases[d]] for r in rows], rankk),
+                exponent)
             detail_lattice = f"coordinate stack invariant factors {facs}"
         ok_lattice = facs is not None and all(f == 1 for f in facs)
         report.add(f"rank/d{d:02d}", rankk == series[d], f"kernel rank {rankk} at degree {d} "
@@ -296,23 +298,17 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     return report
 
 
-def _distinct_leads(expos, leads) -> bool:
-    """Whether the products of powers ``expos`` of factors with lead terms
-    ``leads`` have distinct leads, leading terms multiplying over Z."""
-    return len(expos) == len({
-        tuple(map(sum, zip(*([x * t for t in lead] for x, (lead, _) in zip(e, leads)))))
-        for e in expos})
-
-
 def _is_three_power(c: int) -> bool:
     """Whether c is +-3^k, i.e. a nonzero divisor of 3^(bit length of c)."""
     return c != 0 and 3 ** c.bit_length() % c == 0
 
 
-def _three_adic_factors(m: IntMatrix) -> tuple:
-    """The 3-parts of the invariant factors of a square M of full rank, in
-    divisibility order: 3^v for each pivot valuation v over Z/3^E."""
-    return tuple(3 ** v for v in _local_elimination(m, 3, m.rows)[1][0])
+def _three_adic_factors(m: IntMatrix, exponent: int) -> tuple:
+    """E and the 3-parts of the invariant factors of a square M of full rank,
+    in divisibility order: 3^v for each pivot valuation v over Z/3^E, with E
+    doubled from ``exponent`` until every pivot is found."""
+    exponent, (valuations, _, _, _) = _local_elimination(m, 3, m.rows, exponent)
+    return exponent, tuple(3 ** v for v in valuations)
 
 
 def _first_outside(expos, divergent, zero) -> tuple:

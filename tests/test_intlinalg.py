@@ -396,6 +396,18 @@ def test_local_row_form_matches_the_smith_oracle():
                     assert y == tuple(scale * t % q for t in transform[first])
 
 
+def test_local_elimination_valuations_do_not_depend_on_the_start():
+    # factors 1, 3^9 and 2 * 3^10 fall short at E = 8, so the default start reruns at 16
+    rng = random.Random(111)
+    d = IntMatrix([[1, 0, 0, 0], [0, 3 ** 9, 0, 0], [0, 0, 2 * 3 ** 10, 0]])
+    for _ in range(5):
+        a = (_random_unimodular(rng, 3) @ d) @ _random_unimodular(rng, 4)
+        runs = {start: intlinalg._local_elimination(a, 3, 3, start) for start in (1, 8, 16, 32)}
+        assert intlinalg._local_elimination(a, 3, 3) == runs[8]
+        assert {start: e for start, (e, _) in runs.items()} == {1: 16, 8: 16, 16: 16, 32: 32}
+        assert all(found[0] == (0, 9, 10) for _, found in runs.values())
+
+
 def test_pivot_search_skips_empty_valuation_levels():
     # invariant factors 1, 27 = 3^3 and 162 = 2 * 3^4: after the unit pivot
     # the least valuation in the block jumps from 0 to 3, then to 4

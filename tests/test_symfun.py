@@ -573,9 +573,11 @@ def test_three_primary_defect_names_only_three_power_factors(monkeypatch):
     # a factor 2 at degree 8 takes that degree, and only it, off the finding
     real = symfun._three_adic_factors
 
-    def doubled_at_degree_eight(m):
-        facs = real(m)
-        return facs[:-1] + (2 * facs[-1],) if m.rows == len(standard_exponents(8)) else facs
+    def doubled_at_degree_eight(m, exponent):
+        exponent, facs = real(m, exponent)
+        if m.rows == len(standard_exponents(8)):
+            facs = facs[:-1] + (2 * facs[-1],)
+        return exponent, facs
 
     monkeypatch.setattr(symfun, "_three_adic_factors", doubled_at_degree_eight)
     report = certify_k4_presentation(8)
