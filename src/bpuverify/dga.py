@@ -12,9 +12,20 @@ A projection onto the monomial families {x2^a x8^b x12^c} and
 the chain-homotopy identity P D + D P = projection + identity on every
 normal-form monomial, which pins the homology to Z/2[x2, x8, x12] (x) E[x3].
 
-D, P and the projection take and return normal forms.  The Groebner leads of W
-are x2*x3, x2*x5, x2*x9 and x9^2, so a normal-form monomial with x3^2, x5 or x9
-has no x2 and at most one x9, and the exponent shifts of D and P keep it so.
+D, P and the projection are each one rule on a normal-form monomial's
+exponent tuple: the Leibniz rule on odd x5 and x9 exponents, P's case table,
+and the projection's two families.  ``differential``, ``homotopy_p`` and
+``lambda_projection`` are their GF(2) linear extensions.  A suite call
+evaluates each rule once per normal-form monomial into its own table: for
+each degree d, the D columns as bitmasks over degree d + 1, the P columns
+over degree d - 1 and the projection over degree d.  D^2 = 0, the homotopy
+identity, the chain map and the ranks of D are XORs and GF(2) ranks of
+those masks.
+
+The rules take and return normal forms.  The Groebner leads of W are x2*x3,
+x2*x5, x2*x9 and x9^2, so a normal-form monomial with x3^2, x5 or x9 has no
+x2 and at most one x9, and the exponent shifts of D and P keep it so.  A
+rule value outside the target degree's normal-form basis raises ValueError.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import functools
 
 from . import gf2
-from .mod2alg.algebra import AlgebraMap, Poly, PresentedAlgebra, poly_mul
+from .mod2alg.algebra import AlgebraMap, Monomial, Poly, PresentedAlgebra
 from .mod2alg.rings import toda_action, toda_ring
 from .report import VerificationReport
 from .series import geometric_product, series_mul
@@ -42,94 +53,175 @@ def w_algebra() -> PresentedAlgebra:
     )
 
 
-# generator positions in W's monomials, and D's images on x5 and x9
+# generator positions in W's monomials; D takes x5 to x3^2 and x9 to x5^2
 _X2, _X3, _X5, _X9 = (w_algebra().gen_names.index(g) for g in ("x2", "x3", "x5", "x9"))
-_DIFFERENTIAL_TABLE = {_X5: w_algebra().parse("x3^2"), _X9: w_algebra().parse("x5^2")}
+_D_SQUARES = ((_X5, _X3), (_X9, _X5))
+
+
+def _d_rule(m: Monomial) -> list:
+    """The monomials of D(m): the Leibniz rule on an odd x5 or x9 exponent,
+    x5 -> x3^2 and x9 -> x5^2; in char 2 an even exponent differentiates to
+    zero."""
+    out = []
+    for g, h in _D_SQUARES:
+        if m[g] % 2:
+            t = list(m)
+            t[g] -= 1
+            t[h] += 2
+            out.append(tuple(t))
+    return out
+
+
+def _p_rule(m: Monomial) -> tuple:
+    """The monomials of P(m), by the case table on m = n * x3^i x5^j x9^k
+    with n in the x2/x8/x12 subring:
+      i >= 2                      -> n * x3^(i-2) x5^(j+1) x9^k
+      i <= 1, j,k even, j != 0    -> n * x3^i x5^(j-2) x9^(k+1)
+      otherwise                   -> 0
+
+    k <= 1 on normal forms, since x9^2 is a Groebner lead of W.
+    """
+    i, j, k = m[_X3], m[_X5], m[_X9]
+    new = list(m)
+    if i >= 2:
+        new[_X3] -= 2
+        new[_X5] += 1
+    elif j % 2 == 0 and k % 2 == 0 and j != 0:
+        new[_X5] -= 2
+        new[_X9] += 1
+    else:
+        return ()
+    return (tuple(new),)
+
+
+def _projection_rule(m: Monomial) -> tuple:
+    """m itself on x2^a x8^b x12^c and x8^b x12^c x3, nothing otherwise."""
+    if m[_X5] or m[_X9] or m[_X3] > 1 or (m[_X3] and m[_X2]):
+        return ()
+    return (m,)
+
+
+def _linear(rule, p: Poly) -> Poly:
+    """The GF(2) linear extension of a monomial rule: the XOR of its values."""
+    out = set()
+    for m in p:
+        for t in rule(m):
+            out ^= {t}
+    return frozenset(out)
 
 
 def differential(p: Poly) -> Poly:
     """Leibniz extension of x5 -> x3^2, x9 -> x5^2 (zero on x2, x3, x8, x12);
     normal forms in, normal forms out."""
-    out = set()
-    for m in p:
-        for gidx, image in _DIFFERENTIAL_TABLE.items():
-            if m[gidx] % 2:  # char 2: even exponents differentiate to zero
-                rest = list(m)
-                rest[gidx] -= 1
-                out ^= poly_mul({tuple(rest)}, image)
-    return frozenset(out)
+    return _linear(_d_rule, p)
 
 
 def lambda_projection(p: Poly) -> Poly:
     """Identity on monomials x2^a x8^b x12^c and x8^b x12^c x3, zero otherwise;
     normal forms in, normal forms out."""
-    return frozenset(
-        m for m in p
-        if not m[_X5] and not m[_X9] and (not m[_X3] or (m[_X3] == 1 and not m[_X2]))
-    )
+    return _linear(_projection_rule, p)
 
 
 def homotopy_p(p: Poly) -> Poly:
-    """The degree-lowering chain homotopy, defined on normal-form monomials.
+    """The degree-lowering chain homotopy, by ``_p_rule``'s case table on each
+    normal-form monomial; normal forms in, normal forms out."""
+    return _linear(_p_rule, p)
 
-    For m = n * x3^i x5^j x9^k with n in the x2/x8/x12 subring:
-      i >= 2                      -> n * x3^(i-2) x5^(j+1) x9^k
-      i <= 1, j,k even, j != 0    -> n * x3^i x5^(j-2) x9^(k+1)
-      otherwise                   -> 0
 
-    Normal forms in, normal forms out: k <= 1 on normal forms, since x9^2 is
-    a Groebner lead of W.
-    """
-    out = frozenset()
-    for m in p:
-        i, j, k = m[_X3], m[_X5], m[_X9]
-        new = list(m)
-        if i >= 2:
-            new[_X3] -= 2
-            new[_X5] += 1
-            out = out ^ {tuple(new)}
-        elif j % 2 == 0 and k % 2 == 0 and j != 0:
-            new[_X5] -= 2
-            new[_X9] += 1
-            out = out ^ {tuple(new)}
+def _compose(columns: list, mask: int) -> int:
+    """A map applied to a mask: the XOR of columns[k] over its set bits k."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= columns[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _squares_to_zero_at(d: int) -> bool:
-    """D^2 = 0 on every degree-d normal-form monomial, checked once per degree."""
-    return not any(
-        differential(differential(frozenset({m})))
-        for m in w_algebra().monomials_of_degree(d)
-    )
+class _Tables:
+    """D, P and the projection on W's normal-form bases, filled one degree at
+    a time on first use.
+
+    ``d_cols(e)``, ``p_cols(e)`` and ``proj_cols(e)`` hold, for each monomial
+    of ``monomials_of_degree(e)`` in order, the mask of its image over degree
+    e + 1, e - 1 and e; each rule runs once per monomial.  A table lives for
+    one suite call, so it always reads the rules as they are at that call.
+    """
+
+    def __init__(self):
+        self.alg = w_algebra()
+        self._columns = {}
+        self._zero_through = -1
+        self._ranks = {}
+
+    def _fill(self, name: str, rule, d: int, e: int) -> list:
+        """The masks over degree e of the rule's values on the degree-d monomials."""
+        key = name, d
+        if key not in self._columns:
+            alg = self.alg
+            index = alg.basis_index(e) if e >= 0 else {}
+            columns = []
+            for m in alg.monomials_of_degree(d) if d >= 0 else ():
+                mask = 0
+                for t in rule(m):
+                    if t not in index:
+                        raise ValueError(
+                            f"not a degree-{e} normal-form element: "
+                            f"{alg.format(_linear(rule, {m}))} = {name}({alg.format({m})})"
+                        )
+                    mask ^= 1 << index[t]
+                columns.append(mask)
+            self._columns[key] = columns
+        return self._columns[key]
+
+    def d_cols(self, d: int) -> list:
+        return self._fill("D", _d_rule, d, d + 1)
+
+    def p_cols(self, d: int) -> list:
+        return self._fill("P", _p_rule, d, d - 1)
+
+    def proj_cols(self, d: int) -> list:
+        return self._fill("projection", _projection_rule, d, d)
+
+    def squares_to_zero(self, d: int) -> bool:
+        """D^2 = 0 on every degree-d normal-form monomial."""
+        above = self.d_cols(d + 1)
+        return not any(_compose(above, c) for c in self.d_cols(d))
+
+    def squares_to_zero_through(self, n: int) -> bool:
+        """D^2 = 0 on every normal-form monomial of degree at most n; the
+        degrees already shown are not checked again."""
+        while self._zero_through < n:
+            if not self.squares_to_zero(self._zero_through + 1):
+                return False
+            self._zero_through += 1
+        return True
+
+    def rank(self, d: int) -> int:
+        """GF(2) rank of D from degree d to degree d + 1."""
+        if d not in self._ranks:
+            self._ranks[d] = gf2.rank(self.d_cols(d))
+        return self._ranks[d]
+
+    def homology_dimension(self, d: int) -> int:
+        if not self.squares_to_zero_through(d + 1):
+            raise ArithmeticError("the differential does not square to zero")
+        kernel_dim = len(self.d_cols(d)) - self.rank(d)
+        if d == 0:
+            return kernel_dim
+        return kernel_dim - self.rank(d - 1)
 
 
 def verify_differential_squares_to_zero(max_degree: int) -> bool:
-    return all(_squares_to_zero_at(d) for d in range(max_degree + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _rank_of_d(d: int) -> int:
-    """GF(2) rank of D from degree d to degree d + 1."""
-    alg = w_algebra()
-    return gf2.rank(
-        [alg.coordinates(differential(frozenset({m})), d + 1)
-         for m in alg.monomials_of_degree(d)]
-    )
+    return _Tables().squares_to_zero_through(max_degree)
 
 
 def homology_dimension(d: int) -> int:
     """dim ker(D at degree d) - dim im(D from degree d-1), over GF(2).
 
-    D^2 = 0 is certified through degree d + 1 before ranks are taken; both
-    the per-degree D^2 checks and the ranks are computed once and reused.
+    D^2 = 0 is certified through degree d + 1 before ranks are taken.
     """
-    if not verify_differential_squares_to_zero(d + 1):
-        raise ArithmeticError("the differential does not square to zero")
-    kernel_dim = len(w_algebra().monomials_of_degree(d)) - _rank_of_d(d)
-    if d == 0:
-        return kernel_dim
-    return kernel_dim - _rank_of_d(d - 1)
+    return _Tables().homology_dimension(d)
 
 
 def stated_answer_series(max_degree: int) -> list:
@@ -158,28 +250,39 @@ def homology_series(max_degree: int) -> list:
 
 def verify_homotopy(max_degree: int) -> VerificationReport:
     """P D + D P = projection + identity on every normal-form monomial."""
+    return _homotopy_checks(_Tables(), max_degree)
+
+
+def _homotopy_checks(tables: _Tables, max_degree: int) -> VerificationReport:
     report = VerificationReport("dga")
-    alg = w_algebra()
+    alg = tables.alg
     report.add(
         "d-squared",
-        verify_differential_squares_to_zero(max_degree + 1),
+        tables.squares_to_zero_through(max_degree + 1),
         f"D^2 = 0 on all normal-form monomials through degree {max_degree + 1}",
     )
-    # one sweep for both checks, each stopping at its first failure
+    # one sweep for both checks, each stopping at its first failure; per
+    # monomial m of degree d (bit i), with masks for elements:
+    #   P(D m) + D(P m) against projection(m) + m, over degree d
+    #   D(projection m) against projection(D m), over degree d + 1
     bad = None
     chain_ok = True
     checked = 0
-    for m in (m for d in range(max_degree + 1) for m in alg.monomials_of_degree(d)):
-        mono = frozenset({m})
-        d_mono = differential(mono)
-        if bad is None:
-            lhs = homotopy_p(d_mono) ^ differential(homotopy_p(mono))
-            rhs = lambda_projection(mono) ^ mono
-            checked += 1
-            if lhs != rhs:
-                bad = (mono, lhs, rhs)
-        if chain_ok and differential(lambda_projection(mono)) != lambda_projection(d_mono):
-            chain_ok = False
+    for d in range(max_degree + 1):
+        d_cols, p_cols, proj = tables.d_cols(d), tables.p_cols(d), tables.proj_cols(d)
+        d_below, p_above = tables.d_cols(d - 1), tables.p_cols(d + 1)
+        proj_above = tables.proj_cols(d + 1)
+        for i, (dm, pm, lm) in enumerate(zip(d_cols, p_cols, proj)):
+            if bad is None:
+                lhs = _compose(p_above, dm) ^ _compose(d_below, pm)
+                rhs = lm ^ 1 << i
+                checked += 1
+                if lhs != rhs:
+                    bad = [alg.from_mask(mask, d) for mask in (1 << i, lhs, rhs)]
+            if chain_ok and _compose(d_cols, lm) != _compose(proj_above, dm):
+                chain_ok = False
+            if bad is not None and not chain_ok:
+                break
         if bad is not None and not chain_ok:
             break
     report.add(
@@ -196,7 +299,7 @@ def verify_homotopy(max_degree: int) -> VerificationReport:
         chain_ok,
         f"the projection commutes with D through degree {max_degree}",
     )
-    dims = [homology_dimension(d) for d in range(max_degree + 1)]
+    dims = [tables.homology_dimension(d) for d in range(max_degree + 1)]
     series = homology_series(max_degree)
     mismatches = [
         (d, dims[d], series[d]) for d in range(max_degree + 1) if dims[d] != series[d]
@@ -232,12 +335,16 @@ KERNEL_GENERATORS = ("x2", "x8", "x12", "x3", "x5^2", "x3^2*x9 + x5^3")
 
 def ker_d_generators_check(max_degree: int) -> VerificationReport:
     """ker D equals the subalgebra on the six listed elements, degreewise."""
+    return _kernel_generators_check(_Tables(), max_degree)
+
+
+def _kernel_generators_check(tables: _Tables, max_degree: int) -> VerificationReport:
     report = VerificationReport("dga-kernel")
-    alg = w_algebra()
+    alg = tables.alg
     gens = [alg.parse(s) for s in KERNEL_GENERATORS]
     first_bad = None
     for d, (sub_dim, _) in enumerate(alg.subalgebra_ranks(gens, max_degree)):
-        kernel_dim = len(alg.monomials_of_degree(d)) - _rank_of_d(d)
+        kernel_dim = len(tables.d_cols(d)) - tables.rank(d)
         if sub_dim != kernel_dim and first_bad is None:
             first_bad = (d, kernel_dim, sub_dim)
     report.add(
@@ -285,8 +392,9 @@ def verify_sq1_correspondence(max_degree: int) -> bool:
 def dga_suite(max_degree: int) -> VerificationReport:
     """The homotopy suite through max_degree, with the kernel generators
     checked through min(30, max_degree)."""
-    report = verify_homotopy(max_degree)
-    report.extend(ker_d_generators_check(min(30, max_degree)))
+    tables = _Tables()
+    report = _homotopy_checks(tables, max_degree)
+    report.extend(_kernel_generators_check(tables, min(30, max_degree)))
     report.add(
         "sq1-correspondence",
         verify_sq1_correspondence(min(20, max_degree)),

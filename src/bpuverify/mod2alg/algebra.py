@@ -238,14 +238,19 @@ class PresentedAlgebra:
                 cache[e] = (monos, {m: i for i, m in enumerate(monos)})
         return cache[d][0]
 
+    def basis_index(self, d: int) -> dict:
+        """{monomial: bit} over monomials_of_degree(d); the cached dict itself,
+        which callers only read."""
+        self.monomials_of_degree(d)
+        return self._graded_cache[d][1]
+
     def coordinates(self, p: Poly, d: int) -> int:
         """Bitmask over monomials_of_degree(d) of an element already in normal form.
 
         Raises ValueError on any monomial outside the degree-d normal-form
         basis, so a reducible or wrong-degree monomial fails loudly.
         """
-        self.monomials_of_degree(d)
-        index = self._graded_cache[d][1]
+        index = self.basis_index(d)
         mask = 0
         for m in p:
             if m not in index:

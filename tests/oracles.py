@@ -27,6 +27,12 @@ By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
 echelon list, which is re-sorted after every insertion, in place of the pivot
 table keyed by leading bit.
 
+Per monomial, for bpuverify.dga: D^2 = 0 in a degree by applying the public
+``differential`` twice to each normal-form monomial, and the rank of D by
+the ``coordinates`` of each monomial's differential, in place of the
+per-degree bitmask tables.  Both go through the public linear extensions,
+so they see a patched monomial rule.
+
 By sweep, for the bpu2 suite's Sq^1 uniqueness lines: every element of a
 degree tried in turn, in place of one affine solve.
 
@@ -44,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from bpuverify import gf2, intlinalg
+from bpuverify import dga, gf2, intlinalg
 from bpuverify.intlinalg import IntMatrix, rank_mod_p
 from bpuverify.mod2alg.algebra import mono_divides
 from bpuverify.mod2alg.steenrod import SteenrodAction
@@ -249,6 +255,29 @@ def list_scan_solve_affine(vectors, target: int):
     if particular >> k:
         return None
     return particular, [b for b in basis if not b >> k]
+
+
+def dga_squares_to_zero_at(d: int) -> bool:
+    """D^2 = 0 on every degree-d normal-form monomial, D applied twice."""
+    return not any(
+        dga.differential(dga.differential(frozenset({m})))
+        for m in dga.w_algebra().monomials_of_degree(d)
+    )
+
+
+def dga_rank_of_d(d: int) -> int:
+    """GF(2) rank of D from degree d to degree d + 1, by coordinates."""
+    alg = dga.w_algebra()
+    return gf2.rank(
+        [alg.coordinates(dga.differential(frozenset({m})), d + 1)
+         for m in alg.monomials_of_degree(d)]
+    )
+
+
+def dga_homology_dimension(d: int) -> int:
+    """dim ker D - dim im D in degree d, from dga_rank_of_d."""
+    kernel_dim = len(dga.w_algebra().monomials_of_degree(d)) - dga_rank_of_d(d)
+    return kernel_dim - dga_rank_of_d(d - 1) if d else kernel_dim
 
 
 def sweep_sq1_preimages(algebra, action, target, d: int) -> list:

@@ -225,6 +225,7 @@ GOLDEN_REPORTS = (
     (["steenrod"], "steenrod.txt"),
     (["bpu2"], "bpu2.txt"),
     (["dga", "--max-degree", "20"], "dga.txt"),
+    (["dga", "--max-degree", "54"], "dga_54.txt"),
     (["section10", "--max-degree", "16"], "section10.txt"),
     (["k4", "--max-degree", "8"], "k4.txt"),
     (["vistoli", "--prime", "5"], "vistoli5.txt"),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bpuverify import dga
+from bpuverify import cli, dga
 from bpuverify.dga import (
     dga_suite,
     differential,
@@ -19,6 +19,7 @@ from bpuverify.dga import (
     w_algebra,
 )
 from bpuverify.mod2alg.rings import toda_action, toda_ring
+from oracles import dga_homology_dimension, dga_rank_of_d, dga_squares_to_zero_at
 
 
 def test_differential_examples():
@@ -123,24 +124,23 @@ def test_normal_form_shape():
 
 
 def test_mod2_functions_take_and_return_normal_forms(monkeypatch):
-    """D, P and the projection are only handed normal forms by the suite, and
-    return normal forms; Sq^i of a raw relation's terms is a normal form too."""
+    """The rules of D, P and the projection are only handed normal-form
+    monomials by the suite, and return normal forms; Sq^i of a raw relation's
+    terms is a normal form too."""
     alg = w_algebra()
     seen = {}
 
-    def recording(name, fn):
-        def wrapper(p):
-            out = fn(p)
-            seen.setdefault(name, []).extend((p, out))
+    def recording(name, rule):
+        def wrapper(m):
+            out = rule(m)
+            seen.setdefault(name, []).extend((frozenset({m}), frozenset(out)))
             return out
         return wrapper
 
-    for name in ("differential", "homotopy_p", "lambda_projection"):
+    for name in ("_d_rule", "_p_rule", "_projection_rule"):
         monkeypatch.setattr(dga, name, recording(name, getattr(dga, name)))
-    dga._squares_to_zero_at.cache_clear()
-    dga._rank_of_d.cache_clear()
     assert dga_suite(30).passed
-    assert sorted(seen) == ["differential", "homotopy_p", "lambda_projection"]
+    assert sorted(seen) == ["_d_rule", "_p_rule", "_projection_rule"]
     for name, elements in seen.items():
         for p in elements:
             assert alg.normal_form(p) == p, (name, alg.format(p))
@@ -182,14 +182,19 @@ def _two_sweep_oracle(max_degree):
     return checked, bad, chain_ok
 
 
+def _monomial(alg, text):
+    (m,) = alg.parse(text)
+    return m
+
+
 def _corrupt_homotopy(original, alg, text):
-    broken = alg.parse(text)
-    return lambda p: frozenset() if p == broken else original(p)
+    broken = _monomial(alg, text)
+    return lambda m: () if m == broken else original(m)
 
 
 def _corrupt_projection(original, alg, text):
-    extra = alg.parse(text)
-    return lambda p: original(p) | (extra & alg.normal_form(p))
+    extra = _monomial(alg, text)
+    return lambda m: (m,) if m == extra else original(m)
 
 
 @pytest.mark.parametrize(
@@ -197,16 +202,16 @@ def _corrupt_projection(original, alg, text):
     [
         # the homotopy identity fails at x5*x8 in degree 13; D commutes with
         # the projection
-        ([("homotopy_p", _corrupt_homotopy, "x3^2*x8")], True),
+        ([("_p_rule", _corrupt_homotopy, "x3^2*x8")], True),
         # keeping x3^2 breaks the chain map at x5 in degree 5, before the
         # homotopy identity fails at x3^2 in degree 6
-        ([("lambda_projection", _corrupt_projection, "x3^2")], False),
+        ([("_projection_rule", _corrupt_projection, "x3^2")], False),
         # the homotopy identity fails in degree 13 and the chain map only at
         # x5*x12 in degree 17, so the sweep must go on after the first failure
         (
             [
-                ("homotopy_p", _corrupt_homotopy, "x3^2*x8"),
-                ("lambda_projection", _corrupt_projection, "x3^2*x12"),
+                ("_p_rule", _corrupt_homotopy, "x3^2*x8"),
+                ("_projection_rule", _corrupt_projection, "x3^2*x12"),
             ],
             False,
         ),
@@ -227,3 +232,84 @@ def test_one_sweep_matches_the_two_sweep_oracle_on_failures(monkeypatch, corrupt
         f"{alg.format(bad[0])}: lhs {alg.format(bad[1])} rhs {alg.format(bad[2])}"
     )
     assert checks["projection-chain-map"].status == ("pass" if chain_ok else "fail")
+
+
+def test_tables_match_the_per_monomial_oracle_through_degree_40():
+    tables = dga._Tables()
+    for d in range(41):
+        assert tables.squares_to_zero(d) == dga_squares_to_zero_at(d), d
+        assert tables.rank(d) == dga_rank_of_d(d), d
+        assert homology_dimension(d) == dga_homology_dimension(d), d
+
+
+def _parity_blind_d_rule(m):
+    """D with the parity test dropped: x5^j -> x5^(j-1)*x3^2 for every j >= 1,
+    so D(x5^2) = x3^2*x5, and D^2 is first nonzero in degree 9, on x9."""
+    out = []
+    for g, h in dga._D_SQUARES:
+        if m[g]:
+            t = list(m)
+            t[g] -= 1
+            t[h] += 2
+            out.append(tuple(t))
+    return out
+
+
+def test_both_routes_fail_d_squared_at_the_same_first_degree(monkeypatch):
+    monkeypatch.setattr(dga, "_d_rule", _parity_blind_d_rule)
+    tables = dga._Tables()
+    table_verdicts = [tables.squares_to_zero(d) for d in range(41)]
+    assert table_verdicts == [dga_squares_to_zero_at(d) for d in range(41)]
+    assert table_verdicts.index(False) == 9
+    assert verify_differential_squares_to_zero(8) and not verify_differential_squares_to_zero(9)
+    # ranks are read only where D^2 = 0 is shown through one degree above
+    assert homology_dimension(7) == 0
+    for run in (lambda: homology_dimension(8), lambda: verify_homotopy(20)):
+        with pytest.raises(ArithmeticError, match="does not square to zero"):
+            run()
+
+
+def _inhomogeneous_d_rule(original):
+    """D with x9 -> x5^2 + x3^3, whose x3^3 has degree 9, not 10."""
+    def rule(m):
+        out = list(original(m))
+        if m[dga._X9] % 2:
+            t = list(m)
+            t[dga._X9] -= 1
+            t[dga._X3] += 3
+            out.append(tuple(t))
+        return out
+    return rule
+
+
+def test_an_inhomogeneous_d_rule_is_refused_by_both_routes(monkeypatch):
+    """x9 -> x5^2 + x3^3 keeps D a derivation with D^2 = 0, so neither route
+    fails d-squared on it; the oracle's coordinates and the table both refuse
+    the degree-9 term in the image of x9, naming the element."""
+    monkeypatch.setattr(dga, "_d_rule", _inhomogeneous_d_rule(dga._d_rule))
+    assert all(dga_squares_to_zero_at(d) for d in range(21))
+    with pytest.raises(ValueError, match=r"degree-10 normal-form element: x5\^2 \+ x3\^3$"):
+        dga_rank_of_d(9)
+    with pytest.raises(ValueError, match=r"degree-10 normal-form element: x5\^2 \+ x3\^3 = D\(x9\)"):
+        dga._Tables().rank(9)
+
+
+def _reducible_p_rule(original, alg):
+    """P with P(x3^2) = x3*x2, a monomial the Groebner lead x2*x3 divides."""
+    x3_squared, x2_x3 = _monomial(alg, "x3^2"), _monomial(alg, "x2*x3")
+    return lambda m: (x2_x3,) if m == x3_squared else original(m)
+
+
+def test_an_off_basis_rule_value_is_a_value_error(monkeypatch):
+    alg = w_algebra()
+    monkeypatch.setattr(dga, "_p_rule", _reducible_p_rule(dga._p_rule, alg))
+    with pytest.raises(ValueError, match=r"not a degree-5 normal-form element: x3\*x2 = P\(x3\^2\)"):
+        verify_homotopy(20)
+
+
+def test_an_off_basis_rule_value_is_an_internal_error_in_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(dga, "_p_rule", _reducible_p_rule(dga._p_rule, w_algebra()))
+    assert cli.main(["dga", "--max-degree", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a degree-5 normal-form element: x3*x2")

@@ -148,6 +148,36 @@ def test_section10_sweeps_no_subalgebra_above_the_generator_degrees(monkeypatch,
     assert degrees and max(degrees) <= 15
 
 
+def _spy_on_monomial_basis(monkeypatch) -> list:
+    degrees = []
+    real = suites.monomial_basis
+
+    def spy(degree, weights):
+        degrees.append(degree)
+        return real(degree, weights)
+
+    monkeypatch.setattr(suites, "monomial_basis", spy)
+    return degrees
+
+
+def test_g_independence_sweeps_no_degree_when_the_leads_have_full_rank(monkeypatch, capsys):
+    degrees = _spy_on_monomial_basis(monkeypatch)
+    assert cli.main(["section10", "--max-degree", "200"]) == 0
+    assert "pass g-independence: " in capsys.readouterr().out
+    assert degrees == []
+
+
+def test_g_independence_sweeps_when_the_leads_are_dependent(monkeypatch):
+    """Under bso6's own order the leads are w3, w5^2, w5*w3 and w6^2, whose
+    exponent vectors are dependent (twice that of w5*w3 is that of w5^2 plus
+    twice that of w3), so the degrees are swept to name the clash."""
+    degrees = _spy_on_monomial_basis(monkeypatch)
+    W6 = bso6_ring()
+    failure = suites._lead_independence_failure(W6, _g_generators(), 200, W6.gen_names)
+    assert failure == "two monomials of degree 16 share a lead under lex w6 > w5 > w4 > w3 > w2"
+    assert degrees == list(range(17))
+
+
 def test_mod2alg_does_not_import_symfun():
     probe = "import sys, bpuverify.mod2alg.suites; print('bpuverify.symfun' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
