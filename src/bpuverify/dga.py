@@ -140,7 +140,7 @@ def _compose(columns: list, mask: int) -> int:
 
 class _Tables:
     """D, P and the projection on W's normal-form bases, filled one degree at
-    a time on first use.
+    a time on first use; a sweep drops the degrees it has passed.
 
     ``d_cols(e)``, ``p_cols(e)`` and ``proj_cols(e)`` hold, for each monomial
     of ``monomials_of_degree(e)`` in order, the mask of its image over degree
@@ -203,10 +203,15 @@ class _Tables:
             self._ranks[d] = gf2.rank(self.d_cols(d))
         return self._ranks[d]
 
+    def drop_below(self, d: int) -> None:
+        """Forget the columns of the degrees below d; ranks and D^2 verdicts stay."""
+        for key in [key for key in self._columns if key[1] < d]:
+            del self._columns[key]
+
     def homology_dimension(self, d: int) -> int:
         if not self.squares_to_zero_through(d + 1):
             raise ArithmeticError("the differential does not square to zero")
-        kernel_dim = len(self.d_cols(d)) - self.rank(d)
+        kernel_dim = len(self.alg.monomials_of_degree(d)) - self.rank(d)
         if d == 0:
             return kernel_dim
         return kernel_dim - self.rank(d - 1)
@@ -256,35 +261,40 @@ def verify_homotopy(max_degree: int) -> VerificationReport:
 def _homotopy_checks(tables: _Tables, max_degree: int) -> VerificationReport:
     report = VerificationReport("dga")
     alg = tables.alg
-    report.add(
-        "d-squared",
-        tables.squares_to_zero_through(max_degree + 1),
-        f"D^2 = 0 on all normal-form monomials through degree {max_degree + 1}",
-    )
-    # one sweep for both checks, each stopping at its first failure; per
-    # monomial m of degree d (bit i), with masks for elements:
-    #   P(D m) + D(P m) against projection(m) + m, over degree d
-    #   D(projection m) against projection(D m), over degree d + 1
+    # one ascending pass over the degrees: D^2 = 0 and the rank of D, and per
+    # monomial m of degree d (bit i), with masks for elements,
+    #   P(D m) + D(P m) against projection(m) + m, over degree d, and
+    #   D(projection m) against projection(D m), over degree d + 1,
+    # each check stopping at its first failure; the columns of degree d - 1
+    # are dropped after degree d, so the tables hold a few degrees at a time
+    squares_zero = True
     bad = None
     chain_ok = True
     checked = 0
     for d in range(max_degree + 1):
-        d_cols, p_cols, proj = tables.d_cols(d), tables.p_cols(d), tables.proj_cols(d)
-        d_below, p_above = tables.d_cols(d - 1), tables.p_cols(d + 1)
-        proj_above = tables.proj_cols(d + 1)
-        for i, (dm, pm, lm) in enumerate(zip(d_cols, p_cols, proj)):
-            if bad is None:
-                lhs = _compose(p_above, dm) ^ _compose(d_below, pm)
-                rhs = lm ^ 1 << i
-                checked += 1
-                if lhs != rhs:
-                    bad = [alg.from_mask(mask, d) for mask in (1 << i, lhs, rhs)]
-            if chain_ok and _compose(d_cols, lm) != _compose(proj_above, dm):
-                chain_ok = False
-            if bad is not None and not chain_ok:
-                break
-        if bad is not None and not chain_ok:
-            break
+        squares_zero = squares_zero and tables.squares_to_zero_through(d + 1)
+        tables.rank(d)
+        if bad is None or chain_ok:
+            d_cols, p_cols, proj = tables.d_cols(d), tables.p_cols(d), tables.proj_cols(d)
+            d_below, p_above = tables.d_cols(d - 1), tables.p_cols(d + 1)
+            proj_above = tables.proj_cols(d + 1)
+            for i, (dm, pm, lm) in enumerate(zip(d_cols, p_cols, proj)):
+                if bad is None:
+                    lhs = _compose(p_above, dm) ^ _compose(d_below, pm)
+                    rhs = lm ^ 1 << i
+                    checked += 1
+                    if lhs != rhs:
+                        bad = [alg.from_mask(mask, d) for mask in (1 << i, lhs, rhs)]
+                if chain_ok and _compose(d_cols, lm) != _compose(proj_above, dm):
+                    chain_ok = False
+                if bad is not None and not chain_ok:
+                    break
+        tables.drop_below(d)
+    report.add(
+        "d-squared",
+        squares_zero,
+        f"D^2 = 0 on all normal-form monomials through degree {max_degree + 1}",
+    )
     report.add(
         "homotopy-identity",
         bad is None,
@@ -344,7 +354,7 @@ def _kernel_generators_check(tables: _Tables, max_degree: int) -> VerificationRe
     gens = [alg.parse(s) for s in KERNEL_GENERATORS]
     first_bad = None
     for d, (sub_dim, _) in enumerate(alg.subalgebra_ranks(gens, max_degree)):
-        kernel_dim = len(tables.d_cols(d)) - tables.rank(d)
+        kernel_dim = len(alg.monomials_of_degree(d)) - tables.rank(d)
         if sub_dim != kernel_dim and first_bad is None:
             first_bad = (d, kernel_dim, sub_dim)
     report.add(
