@@ -4,22 +4,20 @@ Runs the registered suites and emits deterministic text or JSON reports:
 one line per check in text mode, the documented object schema in JSON mode.
 Exit status: 0 when no check failed (findings do not fail a run), 1 on any
 failing check, 2 on usage or internal errors or an unwritable ``--out`` file.
+The command line is read off the tables ``SUITES``, ``_OPTIONS`` and
+``_OPTION_READERS``; each suite imports its modules when it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
-from . import dga, ssverify, symfun
-from .intlinalg import _is_prime
-from .mod2alg import suites as mod2suites
-from .poly import monomial_basis
 from .report import VerificationReport, serialize
 
 
 def _run_k4(opts) -> VerificationReport:
+    from . import symfun
     return symfun.certify_k4_presentation(opts.max_degree or 16)
 
 
@@ -32,12 +30,13 @@ def _run_coker(opts) -> VerificationReport:
     by elimination over Z/2^E, vanishing on the divergence matrix modulo 2^E
     but not on 2*f, shows that 2*f is not in the image.  Only order/s1,
     whose divergence is not zero, takes the Smith normal form route."""
+    from . import poly, symfun
     report = VerificationReport("coker")
     ctx = symfun.SymmetricContext(4)
     al = symfun.alpha_generators(ctx)
     max_degree = opts.max_degree or 16
     for d in range(0, max_degree + 1):
-        for c, e in reversed(monomial_basis(d, (4, 6))):
+        for c, e in reversed(poly.monomial_basis(d, (4, 6))):
             f = al.a4 ** c * al.a6 ** e
             order = symfun.coker_order(ctx, f)
             label = f"a4^{c}*a6^{e}" if (c or e) else "1"
@@ -56,28 +55,34 @@ def _run_coker(opts) -> VerificationReport:
 
 
 def _run_vistoli(opts) -> VerificationReport:
+    from . import symfun
     return symfun.vistoli_delta_check(opts.prime or 3)
 
 
 def _run_steenrod(opts) -> VerificationReport:
+    from .mod2alg import suites as mod2suites
     report = mod2suites.verify_steenrod_theorem()
     report.extend(mod2suites.verify_restriction_square_identities(), prefix="restriction/")
     return report
 
 
 def _run_bpu2(opts) -> VerificationReport:
+    from .mod2alg import suites as mod2suites
     return mod2suites.verify_bpu2_images()
 
 
 def _run_reduction_image(opts) -> VerificationReport:
+    from .mod2alg import suites as mod2suites
     return mod2suites.verify_reduction_image_claims(opts.max_degree or 24)
 
 
 def _run_dga(opts) -> VerificationReport:
+    from . import dga
     return dga.dga_suite(opts.max_degree or 40)
 
 
 def _run_spectral(opts) -> VerificationReport:
+    from . import ssverify
     return ssverify.spectral_suite()
 
 
@@ -115,59 +120,84 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
 def _odd_prime(text: str) -> int:
+    from .intlinalg import _is_prime
     value = _positive_int(text)
     if value % 2 == 0 or not _is_prime(value):
-        raise argparse.ArgumentTypeError(f"must be an odd prime, got {value}")
+        raise ValueError(f"must be an odd prime, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bpuverify",
-        description="Exact-arithmetic verification suites for the cohomology "
-        "computations around BPU(4).",
-    )
-    parser.add_argument(
-        "suite",
-        choices=[name for name, _ in SUITES] + ["all"],
-        help="verification suite to run",
-    )
-    parser.add_argument(
-        "--max-degree",
-        type=_positive_int,
-        default=None,
-        help="degree bound for the graded sweeps of k4 (at least 2), coker, "
-        "section10 and dga (defaults: k4/coker 16, section10 24, dga 40)",
-    )
-    parser.add_argument(
-        "--prime", type=_odd_prime, default=None,
-        help="odd prime for the vistoli suite (default 3)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    parser.add_argument("--out", default=None, help="also write the report to FILE")
-    return parser
+# option -> (converter, metavar, help); each sets the attribute named after it
+_OPTIONS = {
+    "--max-degree": (_positive_int, "N", "degree bound for the graded sweeps of k4 (at least "
+                     "2), coker, section10 and dga (defaults: k4/coker 16, section10 24, dga 40)"),
+    "--prime": (_odd_prime, "P", "odd prime for the vistoli suite (default 3)"),
+    "--format": (str, "{text,json}", "report format (default text)"),
+    "--out": (str, "FILE", "also write the report to FILE"),
+}
+
+
+class Options:
+    """A parsed command line: the suite, and each option's value or default."""
+    suite = max_degree = prime = out = None
+    format = "text"
+
+
+_USAGE = "usage: bpuverify [-h]{} {{{},all}}\n".format(
+    "".join(f" [{option} {metavar}]" for option, (_, metavar, _) in _OPTIONS.items()),
+    ",".join(name for name, _ in SUITES))
+
+
+def parse_args(argv) -> Options | None:
+    """The suite and options of a command line, or None after printing the
+    -h/--help text.  An option, on either side of the suite, takes the next
+    argument or the text after ``=``.  Raises ValueError on a usage error."""
+    opts, args = Options(), iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_USAGE + "".join(
+                f"  {flag} {meta}: {text}\n" for flag, (_, meta, text) in _OPTIONS.items()))
+            return None
+        option, eq, value = arg.partition("=")
+        if option in _OPTIONS:
+            value = value if eq else next(args, None)
+            try:
+                if value is None:
+                    raise ValueError("expected one argument")
+                setattr(opts, option[2:].replace("-", "_"), _OPTIONS[option][0](value))
+            except ValueError as exc:
+                raise ValueError(f"argument {option}: {exc}") from None
+        elif opts.suite is None and arg in [name for name, _ in SUITES] + ["all"]:
+            opts.suite = arg
+        else:
+            raise ValueError(f"unrecognized argument: {arg}")
+    if opts.suite is None:
+        raise ValueError("a suite is required")
+    if opts.format not in ("text", "json"):
+        raise ValueError(f"argument --format: invalid choice: {opts.format!r}")
+    for option, readers in _OPTION_READERS.items():
+        if getattr(opts, option) is not None and opts.suite not in readers + ("all",):
+            raise ValueError(f"suite {opts.suite} does not read --{option.replace('_', '-')}")
+    if opts.suite in ("k4", "all") and opts.max_degree == 1:
+        raise ValueError("k4 needs --max-degree of at least 2")
+    return opts
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        opts = parser.parse_args(argv)
-        for option, readers in _OPTION_READERS.items():
-            if getattr(opts, option) is not None and opts.suite not in readers + ("all",):
-                parser.error(f"suite {opts.suite} does not read --{option.replace('_', '-')}")
-        if opts.suite in ("k4", "all") and opts.max_degree == 1:
-            parser.error("k4 needs --max-degree of at least 2")
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        opts = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        sys.stderr.write(f"{_USAGE}bpuverify: error: {exc}\n")
+        return 2
+    if opts is None:
+        return 0
     try:
         if opts.suite == "all":
             reports = [run_suite(name, opts) for name, _ in SUITES]

@@ -208,7 +208,8 @@ class PresentedAlgebra:
         are the m*x_j, for m of degree e - deg x_j with no generator after
         x_j, that no Groebner lead involving x_j divides.  Every degree up to
         d not yet cached is filled in ascending order, each with its
-        {monomial: index} map.
+        {monomial: index} map and its monomials bucketed by last generator,
+        so that x_j reads only the buckets of generators up to x_j.
         """
         if d < 0:
             raise ValueError("degree must be >= 0")
@@ -216,26 +217,20 @@ class PresentedAlgebra:
         if d not in cache:
             n = len(self.gen_degrees)
             leads = [[lead for lead, _ in self.groebner if lead[j]] for j in range(n)]
+            unit = (0,) * n
+            units = [] if any(lead == unit for lead, _ in self.groebner) else [unit]
             for e in range(d + 1):
                 if e in cache:
                     continue
-                if e == 0:
-                    unit = (0,) * n
-                    found = [] if any(lead == unit for lead, _ in self.groebner) else [unit]
-                else:
-                    found = []
-                    for j, w in enumerate(self.gen_degrees):
-                        if w > e:
-                            continue
-                        for m in cache[e - w][0]:
-                            if any(m[j + 1:]):
-                                continue
-                            m = m[:j] + (m[j] + 1,) + m[j + 1:]
-                            if not any(mono_divides(lead, m) for lead in leads[j]):
-                                found.append(m)
-                    found.sort(reverse=True)
-                monos = tuple(found)
-                cache[e] = (monos, {m: i for i, m in enumerate(monos)})
+                # buckets[0] holds the unit, buckets[j + 1] those whose last generator is x_j
+                buckets = [units if e == 0 else []]
+                for j, w in enumerate(self.gen_degrees):
+                    lower = itertools.chain(*cache[e - w][2][: j + 2]) if w <= e else ()
+                    raised = (m[:j] + (m[j] + 1,) + m[j + 1:] for m in lower)
+                    buckets.append([m for m in raised
+                                    if not any(mono_divides(lead, m) for lead in leads[j])])
+                monos = tuple(sorted(itertools.chain(*buckets), reverse=True))
+                cache[e] = (monos, {m: i for i, m in enumerate(monos)}, buckets)
         return cache[d][0]
 
     def basis_index(self, d: int) -> dict:

@@ -9,7 +9,10 @@ built as a v-polynomial.  Expansions are cached per variable count.
 
 Over all ambient monomials, for bpuverify.mod2alg: the normal-form monomials
 of a degree as the ambient ones no Groebner lead divides, and subalgebra
-ranks from a product of generator powers per monomial.
+ranks from a product of generator powers per monomial.  By a full scan, for
+the same module: each generator x_j raising every normal-form monomial of
+the degree below, dropping those with a generator after x_j, in place of
+the buckets kept by last generator.
 
 By fixed decompositions, for bpuverify.mod2alg.steenrod: Sq^3, Sq^5, Sq^6 and
 Sq^7 on generators as composites of Sq^1, Sq^2 and Sq^4, in place of the Adem
@@ -163,6 +166,27 @@ def lead_filter_monomials(algebra, d: int) -> tuple:
         m for m in monomial_basis(d, algebra.gen_degrees)
         if not any(mono_divides(lead, m) for lead in leads)
     )
+
+
+def full_scan_monomials(algebra, max_degree: int) -> list:
+    """The normal-form monomials of each degree 0..max_degree, order-descending:
+    for each generator x_j, every one of degree e - deg x_j with no generator
+    after x_j, times x_j, unless a Groebner lead involving x_j divides it."""
+    n = len(algebra.gen_degrees)
+    leads = [[lead for lead, _ in algebra.groebner if lead[j]] for j in range(n)]
+    unit = (0,) * n
+    out = [() if any(lead == unit for lead, _ in algebra.groebner) else (unit,)]
+    for e in range(1, max_degree + 1):
+        found = []
+        for j, w in enumerate(algebra.gen_degrees):
+            for m in out[e - w] if w <= e else ():
+                if any(m[j + 1:]):
+                    continue
+                m = m[:j] + (m[j] + 1,) + m[j + 1:]
+                if not any(mono_divides(lead, m) for lead in leads[j]):
+                    found.append(m)
+        out.append(tuple(sorted(found, reverse=True)))
+    return out
 
 
 def product_loop_ranks(algebra, generators, max_degree: int) -> list:

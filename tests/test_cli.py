@@ -308,7 +308,8 @@ def test_cli_import_path_skips_unneeded_stdlib_modules():
     probe = (
         "import sys, bpuverify.cli\n"
         "from bpuverify.report import VerificationReport, serialize\n"
-        "loaded = [m for m in ('dataclasses', 'inspect', 'json', 'typing') if m in sys.modules]\n"
+        "unneeded = ('argparse', 'dataclasses', 'gettext', 'inspect', 'json', 'locale', 'typing')\n"
+        "loaded = [m for m in unneeded if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "report = VerificationReport('probe')\n"
         "report.add('ok', True, 'fine')\n"
@@ -319,6 +320,93 @@ def test_cli_import_path_skips_unneeded_stdlib_modules():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["checks"][0]["name"] == "ok"
+
+
+def test_a_cli_call_loads_only_its_suites_modules():
+    """Importing the CLI loads no suite module; each suite imports its own
+    modules when it runs.  -S keeps site's own imports out of the set."""
+    probe = (
+        "import json, sys, bpuverify.cli\n"
+        "if sys.argv[1:]:\n"
+        "    bpuverify.cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('bpuverify'))\n"
+        "sys.stderr.write(json.dumps(loaded))\n"
+    )
+
+    def loaded(*argv):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe, *argv],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert result.stdout.startswith("suite ") if argv else result.stdout == ""
+        return set(json.loads(result.stderr))
+
+    assert loaded() == {"bpuverify", "bpuverify.cli", "bpuverify.report"}
+    section10 = loaded("section10", "--max-degree", "8")
+    assert "bpuverify.mod2alg.suites" in section10
+    assert not {"bpuverify.dga", "bpuverify.symfun", "bpuverify.ssverify"} & section10
+    k4 = loaded("k4", "--max-degree", "4")
+    assert "bpuverify.symfun" in k4
+    assert not [m for m in k4 if m.startswith(("bpuverify.mod2alg", "bpuverify.dga", "bpuverify.gf2"))]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero_with_usage_and_every_suite_on_stdout(flag, capsys):
+    assert cli.main([flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:")
+    assert captured.err == ""
+    for name in [name for name, _ in cli.SUITES] + ["all"]:
+        assert name in captured.out, name
+
+
+def test_option_spellings_and_positions_give_the_same_report(capsys):
+    reports = []
+    for argv in (
+        ["coker", "--max-degree", "5"],
+        ["coker", "--max-degree=5"],
+        ["--max-degree", "5", "coker"],
+        ["--format=text", "--max-degree=5", "coker"],
+        ["coker", "--max-degree", "9", "--max-degree=5"],
+    ):
+        code, out = run_cli(argv, capsys)
+        assert code == 0, argv
+        reports.append(strip_elapsed(out))
+    assert reports[1:] == reports[:1] * 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["spectral", "coker"],
+        ["spectral", "--verbose"],
+        ["vistoli", "--prime"],
+        ["spectral", "--format", "yaml"],
+        ["k4", "--max", "5"],
+        ["k4", "--max=5"],
+        ["--out"],
+    ],
+    ids=["no-suite", "two-suites", "unknown-option", "no-value", "format-yaml",
+         "abbreviation", "abbreviation-equals", "only-an-option"],
+)
+def test_malformed_command_lines_are_usage_errors(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:"), captured.err
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    """The bpuverify console script calls main() with no arguments."""
+    monkeypatch.setattr(sys, "argv", ["bpuverify", "vistoli", "--format=json"])
+    code, out = run_cli(None, capsys)
+    assert code == 0
+    assert json.loads(out)["suite"] == "vistoli"
+    monkeypatch.setattr(sys, "argv", ["bpuverify", "vistoli", "--prime", "9"])
+    assert cli.main() == 2
+    assert capsys.readouterr().err.startswith("usage:")
 
 
 def test_every_annotation_in_the_package_resolves():

@@ -37,7 +37,12 @@ from bpuverify.mod2alg.suites import (
 )
 from bpuverify.poly import monomial_basis
 
-from oracles import lead_filter_monomials, product_loop_ranks, toda_dimension_oracle
+from oracles import (
+    full_scan_monomials,
+    lead_filter_monomials,
+    product_loop_ranks,
+    toda_dimension_oracle,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -434,6 +439,18 @@ def test_subalgebra_ranks_refuse_a_product_of_the_wrong_degree(monkeypatch):
 def test_monomials_of_degree_match_the_lead_filter_oracle(algebra):
     for d in range(41):
         assert algebra.monomials_of_degree(d) == lead_filter_monomials(algebra, d), d
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [w_algebra(), toda_ring(), bso6_ring(), bso3_truncated(4)],
+    ids=lambda a: a.name,
+)
+def test_bucketed_fill_matches_the_full_scan_oracle_through_degree_60(algebra):
+    expected = full_scan_monomials(algebra, 60)
+    assert [algebra.monomials_of_degree(d) for d in range(61)] == expected
+    for d, monos in enumerate(expected):
+        assert algebra.basis_index(d) == {m: i for i, m in enumerate(monos)}, d
 
 
 def test_monomials_of_degree_queried_out_of_order():
