@@ -328,10 +328,11 @@ def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
     return LocalRowForm(p, exponent, valuations, steps)
 
 
-def _local_elimination(a: IntMatrix, p: int, rank: int, exponent: int = 8):
-    """E and A's elimination modulo p^E, E = ``exponent`` doubled until
-    ``rank`` pivots are found, which ends when A has rank ``rank`` over Q.
-    The pivot valuations are all below E, so they do not depend on the start."""
+def _local_elimination(a: IntMatrix, p: int, rank: int):
+    """E and A's elimination modulo p^E, E = 8 doubled until ``rank`` pivots
+    are found, which ends when A has rank ``rank`` over Q.  The pivot
+    valuations are all below E, so they do not depend on the start."""
+    exponent = 8
     while len((found := _eliminate_mod_prime_power(a, p, exponent, rank))[0]) < rank:
         exponent *= 2
     return exponent, found

@@ -206,8 +206,10 @@ class PresentedAlgebra:
         Normal-form monomials are an order ideal: dividing one by a generator
         x_j it contains leaves a normal-form monomial.  So those of degree e
         are the m*x_j, for m of degree e - deg x_j with no generator after
-        x_j, that no Groebner lead involving x_j divides.  Every degree up to
-        d not yet cached is filled in ascending order, each with its
+        x_j, that no Groebner lead involving x_j divides.  As m is itself a
+        normal form, such a lead has x_j-exponent exactly m_j + 1, so the
+        leads are indexed by generator and exponent.  Every degree up to d
+        not yet cached is filled in ascending order, each with its
         {monomial: index} map and its monomials bucketed by last generator,
         so that x_j reads only the buckets of generators up to x_j.
         """
@@ -216,7 +218,10 @@ class PresentedAlgebra:
         cache = self._graded_cache
         if d not in cache:
             n = len(self.gen_degrees)
-            leads = [[lead for lead, _ in self.groebner if lead[j]] for j in range(n)]
+            leads = [{} for _ in range(n)]  # leads[j][t]: the leads with x_j-exponent t
+            for lead, _ in self.groebner:
+                for j, t in enumerate(lead):
+                    leads[j].setdefault(t, []).append(lead)
             unit = (0,) * n
             units = [] if any(lead == unit for lead, _ in self.groebner) else [unit]
             for e in range(d + 1):
@@ -226,9 +231,10 @@ class PresentedAlgebra:
                 buckets = [units if e == 0 else []]
                 for j, w in enumerate(self.gen_degrees):
                     lower = itertools.chain(*cache[e - w][2][: j + 2]) if w <= e else ()
+                    near = leads[j]
                     raised = (m[:j] + (m[j] + 1,) + m[j + 1:] for m in lower)
-                    buckets.append([m for m in raised
-                                    if not any(mono_divides(lead, m) for lead in leads[j])])
+                    buckets.append([m for m in raised if m[j] not in near
+                                    or not any(mono_divides(lead, m) for lead in near[m[j]])])
                 monos = tuple(sorted(itertools.chain(*buckets), reverse=True))
                 cache[e] = (monos, {m: i for i, m in enumerate(monos)}, buckets)
         return cache[d][0]

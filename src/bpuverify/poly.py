@@ -16,6 +16,7 @@ Example: ``8*s2 - 3*s1^2``.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 
@@ -278,17 +279,15 @@ def monomial_basis(degree: int, weights) -> tuple:
     """All exponent tuples of the given weighted degree, one entry per weight.
 
     Deterministic order: lexicographic descending on the exponent tuple
-    (all entries share the degree, so this is graded-lex), as the recursion
-    yields them.
+    (all entries share the degree, so this is graded-lex).  The tuple is
+    cached, and callers only read it.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     weights = tuple(weights)
     if not weights:
         return ((),) if degree == 0 else ()
-    found = []
-    _append_completions(found, weights, 0, degree, ())
-    return tuple(found)
+    return _completions(weights, degree)
 
 
 def _distinct_leads(expos, leads) -> bool:
@@ -296,23 +295,23 @@ def _distinct_leads(expos, leads) -> bool:
     monomials ``leads`` have distinct leads.  Over a domain, and under any
     monomial order, the lead of a product is the product of the leads, so
     products with distinct leads are linearly independent."""
+    columns = tuple(zip(*leads))  # each variable's exponent in every lead
     return len(expos) == len({
-        tuple(map(sum, zip(*([x * t for t in lead] for x, lead in zip(e, leads)))))
-        for e in expos})
+        tuple([sum(map(operator.mul, e, col)) for col in columns]) for e in expos})
 
 
-def _append_completions(found, weights, i, remaining, prefix):
-    # Largest exponent first; the last exponent is solved, not searched.  A
-    # plain function, not a closure: a closure that calls itself is a
-    # reference cycle, and would keep each call's whole list alive until the
-    # cycle collector runs (139 MB against 26 MB through degree 151 of W).
-    w = weights[i]
-    if i == len(weights) - 1:
-        if remaining % w == 0:
-            found.append(prefix + (remaining // w,))
-        return
-    for k in range(remaining // w, -1, -1):
-        _append_completions(found, weights, i + 1, remaining - k * w, prefix + (k,))
+@functools.lru_cache(maxsize=None)
+def _completions(weights: tuple, remaining: int) -> tuple:
+    """The exponent tuples of weighted degree ``remaining`` in the nonempty
+    ``weights``, lexicographically descending: largest first exponent first,
+    then the completions of the other weights, which are themselves cached,
+    so each suffix of the weights is enumerated once per remaining degree."""
+    w = weights[0]
+    if len(weights) == 1:
+        return ((remaining // w,),) if remaining % w == 0 else ()
+    rest = weights[1:]
+    return tuple([(k,) + t for k in range(remaining // w, -1, -1)
+                  for t in _completions(rest, remaining - k * w)])
 
 
 # -- text syntax -----------------------------------------------------------

@@ -30,7 +30,6 @@ from .intlinalg import (
     integer_kernel,
     local_row_form,
     _is_prime,
-    _local_elimination,
 )
 from .poly import Polynomial, Ring, _distinct_leads, monomial_basis
 from .report import VerificationReport
@@ -48,7 +47,6 @@ class SymmetricContext:
         self.sigma_ring = Ring(
             tuple(f"s{i+1}" for i in range(n)), tuple(range(1, n + 1))
         )
-        self._sigma_bases = {}
         self._local_forms = {}  # prime -> (degree, divergence matrix, LocalRowForm)
 
     # -- basic generators -------------------------------------------------
@@ -56,9 +54,7 @@ class SymmetricContext:
         return self.sigma_ring.var(f"s{k}")
 
     def sigma_basis(self, degree: int):
-        if degree not in self._sigma_bases:
-            self._sigma_bases[degree] = monomial_basis(degree, self.sigma_ring.weights)
-        return self._sigma_bases[degree]
+        return monomial_basis(degree, self.sigma_ring.weights)
 
     # -- the divergence operator -------------------------------------------
     def nabla(self, f: Polynomial) -> Polynomial:
@@ -126,8 +122,9 @@ def divergence_onto_shape(ctx: SymmetricContext, degree: int):
     rows = ctx.sigma_basis(degree - 1) if degree else ()
     in_rows = set(rows)
     for mu in rows:
+        key = mu[::-1]
         high = [(t, c) for t, c in ctx.monomial_divergence((mu[0] + 1,) + mu[1:])
-                if t not in in_rows or t[::-1] >= mu[::-1]]
+                if t[::-1] >= key or t not in in_rows]
         if len(high) != 1 or high[0][0] != mu or not high[0][1]:
             return None
     return len(rows), len(ctx.sigma_basis(degree))
@@ -197,11 +194,13 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     by (3, -2, 0, 0)), so the stack has a triangular minor of 3-power
     determinant.  At 3: u = (a2^2 - 64*a4)/3 is integral and divergence-free,
     and compared s4 first a2, a3, u lead with units at 3, so their degree-d
-    monomials are a kernel basis at 3.  By 64*a4 = a2^2 - 3u and 4096*a6 =
-    16*a2^3 + 144*a2*u + 1728*a3^2, B_d times powers of 64 is a square M_d in
-    that basis with the stack's 3-adic factors.  When a fact used here fails,
-    every lattice line fails and names it; a generator, or u, with terms off
-    its degree raises ArithmeticError.
+    monomials are a kernel basis at 3.  As 64 is a unit at 3, 64*a4 = a2^2 -
+    3u and 4096*a6 = 16*a2^3 + 48*a2*(3u) + 1728*a3^2 give Z_(3)[a2, a3, a4,
+    a6] = Z_(3)[a2, a3, 3u], so at 3 the stack spans the lattice of the
+    a2^i*a3^j*(3u)^k, diagonal in that basis with entry 3^k: the invariant
+    factors are those 3^k, sorted, and no matrix is built.  When a fact used
+    here fails, every lattice line fails and names it; a generator, or u,
+    with terms off its degree raises ArithmeticError.
     """
     if max_degree < 2:
         raise ValueError("max degree must be at least 2")
@@ -229,8 +228,7 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
         raise ArithmeticError(f"divergence is not onto at degree {shapes.index(None)}")
     ranks = [cols - rows for rows, cols in shapes]
     bases = [standard_exponents(d) for d in degrees]
-    ring = Ring(("a2", "a3", "u"), (2, 3, 4))
-    local_bases = [monomial_basis(d, ring.weights) for d in degrees]
+    local_bases = [monomial_basis(d, (2, 3, 4)) for d in degrees]
     # (exponents, coefficient) of each lead term, compared s1 first and s4 first
     lead1 = [max(f.terms.items(), default=((0,) * 4, 0)) for f in gens.values()]
     lead4 = [max(f.terms.items(), key=lambda t: t[0][::-1], default=((0,) * 4, 0))
@@ -255,14 +253,9 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
           for d, (b, r) in enumerate(zip(local_bases, ranks))),
     ] if not ok), None)
 
-    x2, x3, xu = (ring.var(v) for v in ring.variables)
-    # the powers of a2, a3, 64*a4 and 4096*a6, written in a2, a3 and u
-    powers = [[f ** k for k in range(max_degree // w + 1)] for f, w in zip(
-        (x2, x3, x2 ** 2 - 3 * xu, 16 * x2 ** 3 + 144 * x2 * xu + 1728 * x3 ** 2), _K4_WEIGHTS)]
     zero = [gen.is_zero() for gen in gens.values()]
     series = geometric_product((2, 3, 4), max_degree)
     lattice_failures = []
-    exponent = 8  # the 3-adic factors grow with d, so each M_d starts at the last E
     for d, expos, rankk in zip(degrees, bases, ranks):
         outside = _first_outside(expos, divergent, zero)
         facs = None
@@ -271,10 +264,7 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
         elif blocker:
             detail_lattice = blocker
         else:
-            rows = [math.prod((p[x] for p, x in zip(powers, e)), start=ring.one()) for e in expos]
-            exponent, facs = _three_adic_factors(
-                IntMatrix([[r.coefficient(m) for m in local_bases[d]] for r in rows], rankk),
-                exponent)
+            facs = _three_adic_factors(local_bases[d])
             detail_lattice = f"coordinate stack invariant factors {facs}"
         ok_lattice = facs is not None and all(f == 1 for f in facs)
         report.add(f"rank/d{d:02d}", rankk == series[d], f"kernel rank {rankk} at degree {d} "
@@ -303,12 +293,12 @@ def _is_three_power(c: int) -> bool:
     return c != 0 and 3 ** c.bit_length() % c == 0
 
 
-def _three_adic_factors(m: IntMatrix, exponent: int) -> tuple:
-    """E and the 3-parts of the invariant factors of a square M of full rank,
-    in divisibility order: 3^v for each pivot valuation v over Z/3^E, with E
-    doubled from ``exponent`` until every pivot is found."""
-    exponent, (valuations, _, _, _) = _local_elimination(m, 3, m.rows, exponent)
-    return exponent, tuple(3 ** v for v in valuations)
+def _three_adic_factors(local_basis) -> tuple:
+    """The invariant factors of B_d's coordinate stack, in divisibility
+    order, from the exponents (i, j, k) of the degree-d monomials
+    a2^i*a3^j*u^k: 3^k for each, once the certificates of
+    ``certify_k4_presentation`` hold."""
+    return tuple(sorted(3 ** e[2] for e in local_basis))
 
 
 def _first_outside(expos, divergent, zero) -> tuple:

@@ -24,7 +24,14 @@ every generator monomial of a degree, in place of the standard monomials
 with a2-exponent at most 2.  By minors, for the same suite: the nonzero
 invariant factors of a sigma-coordinate stack from two minors that are units
 modulo 2^31 - 1, their Bareiss determinants and trial division of their gcd,
-in place of the two lead-term certificates.
+in place of the two lead-term certificates.  By elimination, for the same
+suite: the 3-adic factors of B_d's stack from the square M_d, B_d written in
+the monomials in a2, a3 and u, over Z/3^E with E carried from one degree to
+the next, in place of the closed form 3^k.
+
+By recursion, for bpuverify.poly: the exponent tuples of a weighted degree,
+each exponent searched largest first and the last one solved, in place of
+the cached suffix tables.
 
 By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
 echelon list, which is re-sorted after every insertion, in place of the pivot
@@ -57,8 +64,8 @@ from bpuverify import dga, gf2, intlinalg
 from bpuverify.intlinalg import IntMatrix, rank_mod_p
 from bpuverify.mod2alg.algebra import mono_divides
 from bpuverify.mod2alg.steenrod import SteenrodAction
-from bpuverify.poly import Polynomial, monomial_basis
-from bpuverify.symfun import AlphaGenerators, SymmetricContext, coordinates
+from bpuverify.poly import Polynomial, Ring, monomial_basis
+from bpuverify.symfun import AlphaGenerators, SymmetricContext, coordinates, standard_exponents
 
 _elementary_cache = {}  # (n, k) -> e_k in the v's
 _expand_cache = {}  # (n, sigma exponents) -> expanded monomial
@@ -489,3 +496,61 @@ def _trial_primes(g: int) -> list:
     if g > 1:
         primes.append(g)
     return primes
+
+
+def recursive_monomial_basis(degree: int, weights) -> tuple:
+    """The exponent tuples of the given weighted degree, lexicographically
+    descending, by a recursion over the weights that rebuilds every suffix."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    weights = tuple(weights)
+    if not weights:
+        return ((),) if degree == 0 else ()
+    found = []
+    _append_completions(found, weights, 0, degree, ())
+    return tuple(found)
+
+
+def _append_completions(found, weights, i, remaining, prefix):
+    # largest exponent first; the last exponent is solved, not searched
+    w = weights[i]
+    if i == len(weights) - 1:
+        if remaining % w == 0:
+            found.append(prefix + (remaining // w,))
+        return
+    for k in range(remaining // w, -1, -1):
+        _append_completions(found, weights, i + 1, remaining - k * w, prefix + (k,))
+
+
+def local_elimination_from(a: IntMatrix, p: int, rank: int, exponent: int):
+    """E and A's elimination modulo p^E, E = ``exponent`` doubled until
+    ``rank`` pivots are found: ``intlinalg._local_elimination`` from any start."""
+    while len((found := intlinalg._eliminate_mod_prime_power(a, p, exponent, rank))[0]) < rank:
+        exponent *= 2
+    return exponent, found
+
+
+def k4_three_adic_factors_by_elimination(max_degree: int) -> list:
+    """For each degree d <= max_degree, the 3-parts of the invariant factors
+    of B_d's sigma-coordinate stack, in divisibility order, by elimination.
+
+    By 64*a4 = a2^2 - 3u and 4096*a6 = 16*a2^3 + 144*a2*u + 1728*a3^2, the
+    standard monomials with a2, a3, a4, a6 replaced by a2, a3, 64*a4 and
+    4096*a6 are the rows of a square M_d over the monomials in a2, a3 and u.
+    Its pivot valuations over Z/3^E give the factors 3^v; E starts at 8 and
+    each degree starts at the last degree's E, as the factors grow with d.
+    """
+    ring = Ring(("a2", "a3", "u"), (2, 3, 4))
+    x2, x3, xu = (ring.var(v) for v in ring.variables)
+    powers = [[f ** k for k in range(max_degree // w + 1)] for f, w in zip(
+        (x2, x3, x2 ** 2 - 3 * xu, 16 * x2 ** 3 + 144 * x2 * xu + 1728 * x3 ** 2),
+        (2, 3, 4, 6))]
+    out, exponent = [], 8
+    for d in range(max_degree + 1):
+        local = monomial_basis(d, ring.weights)
+        rows = [math.prod((p[x] for p, x in zip(powers, e)), start=ring.one())
+                for e in standard_exponents(d)]
+        m = IntMatrix([[r.coefficient(t) for t in local] for r in rows], len(local))
+        exponent, (valuations, _, _, _) = local_elimination_from(m, 3, m.rows, exponent)
+        out.append(tuple(3 ** v for v in valuations))
+    return out

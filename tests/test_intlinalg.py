@@ -28,6 +28,7 @@ from bpuverify.symfun import (
 from oracles import (
     determinant,
     generator_monomial_stack,
+    local_elimination_from,
     nonzero_invariant_factors,
     row_reduce_mod_p,
 )
@@ -397,12 +398,12 @@ def test_local_row_form_matches_the_smith_oracle():
 
 
 def test_local_elimination_valuations_do_not_depend_on_the_start():
-    # factors 1, 3^9 and 2 * 3^10 fall short at E = 8, so the default start reruns at 16
+    # factors 1, 3^9 and 2 * 3^10 fall short at E = 8, so the start 8 reruns at 16
     rng = random.Random(111)
     d = IntMatrix([[1, 0, 0, 0], [0, 3 ** 9, 0, 0], [0, 0, 2 * 3 ** 10, 0]])
     for _ in range(5):
         a = (_random_unimodular(rng, 3) @ d) @ _random_unimodular(rng, 4)
-        runs = {start: intlinalg._local_elimination(a, 3, 3, start) for start in (1, 8, 16, 32)}
+        runs = {start: local_elimination_from(a, 3, 3, start) for start in (1, 8, 16, 32)}
         assert intlinalg._local_elimination(a, 3, 3) == runs[8]
         assert {start: e for start, (e, _) in runs.items()} == {1: 16, 8: 16, 16: 16, 32: 32}
         assert all(found[0] == (0, 9, 10) for _, found in runs.values())

@@ -443,10 +443,14 @@ def test_monomials_of_degree_match_the_lead_filter_oracle(algebra):
 
 @pytest.mark.parametrize(
     "algebra",
-    [w_algebra(), toda_ring(), bso6_ring(), bso3_truncated(4)],
+    [w_algebra(), toda_ring(), bso6_ring(), bso3_truncated(4)]
+    + [a for a in _oracle_corpus() if a.name not in ("W", "toda", "bso6")]
+    + [_random_presentation(seed) for seed in range(12)],
     ids=lambda a: a.name,
 )
 def test_bucketed_fill_matches_the_full_scan_oracle_through_degree_60(algebra):
+    # the oracle tests each candidate against every lead involving x_j, the
+    # fill only against those whose x_j-exponent the candidate just reached
     expected = full_scan_monomials(algebra, 60)
     assert [algebra.monomials_of_degree(d) for d in range(61)] == expected
     for d, monos in enumerate(expected):

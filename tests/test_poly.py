@@ -10,6 +10,8 @@ from bpuverify.poly import (
     parse_polynomial,
 )
 
+from oracles import recursive_monomial_basis
+
 V2 = Ring(("v1", "v2"), (1, 1))
 V4 = Ring(("v1", "v2", "v3", "v4"), (1, 1, 1, 1))
 SIGMA4 = Ring(("s1", "s2", "s3", "s4"), (1, 2, 3, 4))
@@ -99,6 +101,31 @@ def test_monomial_basis_partition_example():
 def test_monomial_basis_degree_zero_and_parity():
     assert monomial_basis(0, (1, 1, 1)) == ((0, 0, 0),)
     assert monomial_basis(1, (2, 2, 2)) == ()
+
+
+@pytest.mark.parametrize("weights", [
+    (1, 2, 3, 4), (2, 3, 4, 6), (2, 3, 4), (4, 6), (1, 1, 1), (2, 2, 2), "W",
+])
+def test_monomial_basis_matches_the_recursive_oracle_through_degree_60(weights):
+    if weights == "W":
+        from bpuverify import dga
+        weights = dga.w_algebra().gen_degrees
+    for d in range(61):
+        assert monomial_basis(d, weights) == recursive_monomial_basis(d, weights), d
+    # a list of weights reads as its tuple
+    assert monomial_basis(12, list(weights)) == monomial_basis(12, weights)
+
+
+def test_monomial_basis_edge_cases_match_the_recursive_oracle():
+    for d in range(4):
+        assert monomial_basis(d, ()) == recursive_monomial_basis(d, ()) == (((),) if d == 0 else ())
+    assert monomial_basis(0, (5,)) == recursive_monomial_basis(0, (5,)) == ((0,),)
+    assert monomial_basis(7, (5,)) == recursive_monomial_basis(7, (5,)) == ()
+    for enumerate_ in (monomial_basis, recursive_monomial_basis):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            enumerate_(-1, (1, 2))
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            enumerate_(-1, ())
 
 
 def _partition_count(degree, weights):

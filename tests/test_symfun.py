@@ -44,6 +44,7 @@ from oracles import (
     generator_monomial_stack,
     is_symmetric,
     k3_generators,
+    k4_three_adic_factors_by_elimination,
     nonzero_invariant_factors,
     to_sigma,
 )
@@ -485,18 +486,36 @@ def test_k4_lattice_lines_match_the_sigma_stack_route():
                 "fail", f"coordinate stack invariant factors {facs}"), d
 
 
-def test_k4_builds_only_square_matrices(monkeypatch):
-    # no |B_d| x (ambient dim) sigma-coordinate stack: M_d is |B_d| x |B_d|
+def test_k4_builds_no_integer_matrix(monkeypatch):
+    # no sigma-coordinate stack, no divergence matrix and no square M_d: the
+    # factors are read off the exponents of the monomials in a2, a3 and u
     shapes = []
+    real = IntMatrix.__init__
 
-    def recording(entries, cols=None):
-        m = IntMatrix(entries, cols)
-        shapes.append((m.rows, m.cols))
-        return m
+    def recording(self, entries, cols=None):
+        real(self, entries, cols)
+        shapes.append((self.rows, self.cols))
 
-    monkeypatch.setattr(symfun, "IntMatrix", recording)
-    certify_k4_presentation(24)
-    assert len(shapes) == 25 and all(rows == cols for rows, cols in shapes)
+    monkeypatch.setattr(IntMatrix, "__init__", recording)
+    IntMatrix([[1]])
+    assert shapes == [(1, 1)]
+    report = certify_k4_presentation(24)
+    assert shapes == [(1, 1)]
+    assert "three-primary-defect" in {c.name for c in report.checks}
+
+
+def test_k4_three_adic_factors_match_the_elimination_oracle():
+    # the closed form 3^k against the square M_d eliminated over Z/3^E, d <= 52
+    expected = k4_three_adic_factors_by_elimination(52)
+    for d in range(53):
+        assert symfun._three_adic_factors(monomial_basis(d, (2, 3, 4))) == expected[d], d
+    by_name = {c.name: c for c in certify_k4_presentation(52).checks}
+    for d, facs in enumerate(expected):
+        line = by_name[f"lattice/d{d:02d}"]
+        if all(f == 1 for f in facs):
+            assert line.status == "pass", d
+        else:
+            assert line.detail == f"coordinate stack invariant factors {facs}", d
 
 
 def _widen_the_window(monkeypatch):
@@ -573,11 +592,11 @@ def test_three_primary_defect_names_only_three_power_factors(monkeypatch):
     # a factor 2 at degree 8 takes that degree, and only it, off the finding
     real = symfun._three_adic_factors
 
-    def doubled_at_degree_eight(m, exponent):
-        exponent, facs = real(m, exponent)
-        if m.rows == len(standard_exponents(8)):
+    def doubled_at_degree_eight(local_basis):
+        facs = real(local_basis)
+        if local_basis == monomial_basis(8, (2, 3, 4)):
             facs = facs[:-1] + (2 * facs[-1],)
-        return exponent, facs
+        return facs
 
     monkeypatch.setattr(symfun, "_three_adic_factors", doubled_at_degree_eight)
     report = certify_k4_presentation(8)
