@@ -4,8 +4,7 @@ the integral classes under mod-2 reduction."""
 
 from __future__ import annotations
 
-from ..intlinalg import IntMatrix, has_full_row_rank
-from ..poly import Polynomial, Ring, _distinct_leads, monomial_basis
+from ..poly import Polynomial, Ring, _first_lead_clash, monomial_basis
 from ..report import VerificationReport
 from .algebra import Poly, PresentedAlgebra, poly_mul
 from .rings import (
@@ -252,27 +251,19 @@ def _lead_independence_failure(algebra, gens, max_degree: int, order) -> str:
     nonzero homogeneous ``gens`` are linearly independent by the lead-term
     certificate; otherwise the fact that failed.
 
-    The certificate needs a free algebra (an empty Groebner basis), which is
-    a domain, so under the lex order with variables compared in ``order`` the
-    lead of a product is the product of the leads; distinct leads of the
-    degree-d monomials then make them linearly independent.  No product is
-    expanded.  When the lead exponent vectors are linearly independent over
-    Q, shown by full row rank modulo a prime, exponents -> lead is injective
-    and the leads are distinct in every degree at once; only otherwise are
-    the degrees swept, to name the first one where two leads meet.
+    The certificate needs a free algebra (an empty Groebner basis), a domain,
+    so under lex with variables compared in ``order`` distinct leads of the
+    degree-d monomials make them independent; no product is expanded, and the
+    degrees are swept only for dependent leads (``poly._first_lead_clash``).
     """
     if algebra.groebner:
         return f"{algebra.name} has relations, so it is not known to be a domain"
     positions = [algebra.gen_names.index(v) for v in order]
     leads = [max(h, key=lambda m: [m[i] for i in positions]) for h in gens]
-    if has_full_row_rank(IntMatrix(leads)):
-        return ""
     weights = [algebra.poly_degree(h) for h in gens]
-    clash = next((d for d in range(max_degree + 1)
-                  if not _distinct_leads(monomial_basis(d, weights), leads)), None)
-    if clash is None:
-        return ""
-    return f"two monomials of degree {clash} share a lead under lex {' > '.join(order)}"
+    clash = _first_lead_clash((monomial_basis(d, weights) for d in range(max_degree + 1)), leads)
+    return "" if clash is None else (
+        f"two monomials of degree {clash} share a lead under lex {' > '.join(order)}")
 
 
 def _equal_subalgebras_failure(algebra, image, stated) -> str:

@@ -17,6 +17,7 @@ Example: ``8*s2 - 3*s1^2``.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 
@@ -298,6 +299,29 @@ def _distinct_leads(expos, leads) -> bool:
     columns = tuple(zip(*leads))  # each variable's exponent in every lead
     return len(expos) == len({
         tuple([sum(map(operator.mul, e, col)) for col in columns]) for e in expos})
+
+
+def _first_lead_clash(bases, leads, kernel=None):
+    """The index of the first exponent list in ``bases`` with two products
+    sharing a lead (see ``_distinct_leads``), or None.  No list is swept if
+    exponents -> lead is injective on them: the leads are independent over Q,
+    or ``kernel`` is a primitive relation spanning all of theirs and every
+    first exponent is below its first entry."""
+    if (rank := _rank(leads)) == len(leads) or kernel and rank == len(leads) - 1 \
+            and math.gcd(*kernel) == 1 and all(e[0] < kernel[0] for b in bases for e in b) \
+            and not any(sum(map(operator.mul, kernel, col)) for col in zip(*leads)):
+        return None
+    return next((i for i, expos in enumerate(bases) if not _distinct_leads(expos, leads)), None)
+
+
+def _rank(vectors) -> int:
+    """The rank over Q of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return 0
+    pivot = rows.pop()
+    j = next(j for j, x in enumerate(pivot) if x)
+    return 1 + _rank([pivot[j] * x - r[j] * y for x, y in zip(r, pivot)] for r in rows)
 
 
 @functools.lru_cache(maxsize=None)

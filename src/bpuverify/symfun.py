@@ -7,10 +7,10 @@ are twice these and appear only in report labels.)
 
 The divergence operator is the sum of all partial d/dv_i.  On symmetric
 polynomials, written in elementary-symmetric coordinates, it acts as the
-derivation sending s_k to (n - k + 1) * s_{k-1}: one rule gives the operator,
-its matrix and the certificate that it is onto.  Symmetric polynomials are
-never expanded into the v's here; that route, and the rewrite back into sigma
-coordinates, live in tests/oracles.py as the reference for cross-checks.
+derivation sending s1 to n and s_k to (n - k + 1) * s_{k-1}: one rule, held
+as data, gives the operator, its matrix and the certificate that it is onto.
+Nothing is expanded into the v's here; that route, the sigma rewrite and the
+column-by-column onto check live in tests/oracles.py for cross-checks.
 
 The suites never build a kernel basis: they decide membership by the
 divergence and lattice equality by lead-term certificates and invariant
@@ -22,16 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
-from .intlinalg import (
-    IntMatrix,
-    check_cokernel_witness,
-    element_order_in_cokernel,
-    integer_kernel,
-    local_row_form,
-    _is_prime,
-)
-from .poly import Polynomial, Ring, _distinct_leads, monomial_basis
+from .poly import Polynomial, Ring, _first_lead_clash, monomial_basis
 from .report import VerificationReport
 from .series import geometric_product
 
@@ -48,6 +41,8 @@ class SymmetricContext:
             tuple(f"s{i+1}" for i in range(n)), tuple(range(1, n + 1))
         )
         self._local_forms = {}  # prime -> (degree, divergence matrix, LocalRowForm)
+        self.divergence_rule = (self.sigma_ring.const(n), *(  # the image of each s_k
+            (n - k + 1) * self.sigma(k - 1) for k in range(2, n + 1)))
 
     # -- basic generators -------------------------------------------------
     def sigma(self, k: int) -> Polynomial:
@@ -78,12 +73,10 @@ class SymmetricContext:
 
     def monomial_divergence(self, e: tuple):
         """Yield the divergence of the sigma-monomial with exponents e as
-        (exponents, coefficient) pairs with distinct exponents: the derivation
-        s_k |-> (n - k + 1) s_{k-1}, s_1 |-> n, on each variable present."""
+        (exponents, coefficient) pairs: ``divergence_rule`` by the Leibniz rule."""
         for i, power in enumerate(e):
-            if power:
-                head = e[:i - 1] + (e[i - 1] + 1,) if i else ()
-                yield head + (power - 1,) + e[i + 1:], power * (self.n - i)
+            for t, c in self.divergence_rule[i].terms.items() if power else ():
+                yield tuple(map(operator.add, e[:i] + (power - 1,) + e[i + 1:], t)), power * c
 
 
 def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
@@ -95,8 +88,9 @@ def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
     return tuple(f.coefficient(m) for m in basis)
 
 
-def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
-    """Matrix of the divergence from degree d to degree d-1 sigma-bases."""
+def nabla_matrix(ctx: SymmetricContext, degree: int):
+    """The IntMatrix of the divergence from degree d to degree d-1 sigma-bases."""
+    from .intlinalg import IntMatrix
     if degree < 1:
         raise ValueError("matrix defined for degree >= 1")
     src = ctx.sigma_basis(degree)
@@ -109,30 +103,28 @@ def nabla_matrix(ctx: SymmetricContext, degree: int) -> IntMatrix:
 
 
 def divergence_onto_shape(ctx: SymmetricContext, degree: int):
-    """(rows, cols) of the divergence from degree d to d - 1 (no rows at
-    d = 0), or None when it is not shown onto over Q; no matrix is built.
+    """(rows, cols) of the divergence from d to d - 1 (no rows at d = 0) or None: not shown onto.
 
     For mu of degree d - 1 with s1-exponent a, the divergence of s1*mu is
-    n(a+1)*mu plus terms s1*nu, nu being mu with one s_k (k >= 2) turned into
-    s_{k-1}, so below mu when exponents are compared from s_n down: the block
-    on the columns s1*mu is triangular with nonzero diagonal.  Each column is
-    checked as ``monomial_divergence`` gives it: its one term at or above mu,
-    or outside the rows, is mu, with a nonzero coefficient.
+    (a+1)*c*mu, c the image of s1, plus terms s1*(mu/s_k)*image(s_k), k >= 2,
+    below mu (exponents compared from s_n down) if image(s_k) has degree k - 1;
+    with c a nonzero constant, the block on the columns s1*mu is triangular
+    with nonzero diagonal.  So only the n images in ``ctx.divergence_rule`` are
+    checked: a faulty image(s_k) gives None from degree k + 1 (1 for s1) on.
     """
-    rows = ctx.sigma_basis(degree - 1) if degree else ()
-    in_rows = set(rows)
-    for mu in rows:
-        key = mu[::-1]
-        high = [(t, c) for t, c in ctx.monomial_divergence((mu[0] + 1,) + mu[1:])
-                if t[::-1] >= key or t not in in_rows]
-        if len(high) != 1 or high[0][0] != mu or not high[0][1]:
-            return None
-    return len(rows), len(ctx.sigma_basis(degree))
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    faulty = [k + 1 if k > 1 else 1 for k, image in enumerate(ctx.divergence_rule, 1)
+              if (k == 1 and image.is_zero())
+              or any(ctx.sigma_ring.degree_of(t) != k - 1 for t in image.terms)]
+    return None if faulty and degree >= min(faulty) else tuple(
+        ([0] + geometric_product(ctx.sigma_ring.weights, degree))[-2:])
 
 
 def kernel_basis(ctx: SymmetricContext, degree: int) -> list:
     """Lattice basis of the full (saturated) degree-d kernel of the divergence,
     in sigma-coordinates."""
+    from .intlinalg import integer_kernel
     if degree == 0:
         return [ctx.sigma_ring.one()]
     basis = ctx.sigma_basis(degree)
@@ -175,8 +167,9 @@ _K4_WEIGHTS = (2, 3, 4, 6)
 
 def standard_exponents(degree: int) -> list:
     """Exponents (of a2, a3, a4, a6) of the degree-d standard monomials B_d,
-    those with a2-exponent at most 2."""
-    return [e for e in monomial_basis(degree, _K4_WEIGHTS) if e[0] <= 2]
+    those with a2-exponent at most 2, in ``monomial_basis`` order."""
+    return [(i,) + e for i in (2, 1, 0) if degree >= 2 * i
+            for e in monomial_basis(degree - 2 * i, _K4_WEIGHTS[1:])]
 
 
 def certify_k4_presentation(max_degree: int) -> VerificationReport:
@@ -190,17 +183,18 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     has invariant factors 1; (c) the degree-6 relation holds exactly, so B_d
     spans every generator monomial of degree d; (d) |B_d| is that rank.  The
     stack is never built.  Away from 3: compared s1 first, each generator leads
-    with +-3^k and B_d's leads are distinct (the lead map's kernel is spanned
-    by (3, -2, 0, 0)), so the stack has a triangular minor of 3-power
-    determinant.  At 3: u = (a2^2 - 64*a4)/3 is integral and divergence-free,
-    and compared s4 first a2, a3, u lead with units at 3, so their degree-d
-    monomials are a kernel basis at 3.  As 64 is a unit at 3, 64*a4 = a2^2 -
-    3u and 4096*a6 = 16*a2^3 + 48*a2*(3u) + 1728*a3^2 give Z_(3)[a2, a3, a4,
-    a6] = Z_(3)[a2, a3, 3u], so at 3 the stack spans the lattice of the
-    a2^i*a3^j*(3u)^k, diagonal in that basis with entry 3^k: the invariant
-    factors are those 3^k, sorted, and no matrix is built.  When a fact used
-    here fails, every lattice line fails and names it; a generator, or u,
-    with terms off its degree raises ArithmeticError.
+    with +-3^k, and the leads have rank 3 with the primitive (3, -2, 0, 0) in
+    their kernel, whose a2-entry exceeds B_d's, so in every degree B_d's leads
+    are distinct: the stack has a triangular minor of 3-power determinant.
+    At 3: u = (a2^2 - 64*a4)/3 is integral and divergence-free, and compared
+    s4 first a2, a3, u lead with units at 3 and independent exponents, so
+    their degree-d monomials are a kernel basis at 3.  As 64 is a unit at 3,
+    64*a4 = a2^2 - 3u and 4096*a6 = 16*a2^3 + 48*a2*(3u) + 1728*a3^2 give
+    Z_(3)[a2, a3, a4, a6] = Z_(3)[a2, a3, 3u], so at 3 the stack spans the
+    lattice of the a2^i*a3^j*(3u)^k, diagonal in that basis with entry 3^k:
+    the invariant factors are those 3^k, sorted.  A lead fact is swept for its
+    first failing degree only when it fails; when a fact fails, every lattice
+    line names it.  A generator, or u, off its degree raises ArithmeticError.
     """
     if max_degree < 2:
         raise ValueError("max degree must be at least 2")
@@ -233,6 +227,8 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
     lead1 = [max(f.terms.items(), default=((0,) * 4, 0)) for f in gens.values()]
     lead4 = [max(f.terms.items(), key=lambda t: t[0][::-1], default=((0,) * 4, 0))
              for f in (a2, a3, u)]
+    clash1 = _first_lead_clash(bases, [e for e, _ in lead1], kernel=(3, -2, 0, 0))
+    clash4 = _first_lead_clash(local_bases, [e for e, _ in lead4])
     blocker = next((detail for ok, detail in [
         (relation.is_zero(),
          "the relation fails, so the standard monomials need not span the lattice"),
@@ -243,12 +239,12 @@ def certify_k4_presentation(max_degree: int) -> VerificationReport:
          "4096*a6 differs from 16*a2^3 + 144*a2*u + 1728*a3^2"),
         *((_is_three_power(c), f"the s1-first lead coefficient of {name} is {c}, not +-3^k")
           for name, (_, c) in zip(gens, lead1)),
-        *((len(b) == r and _distinct_leads(b, [e for e, _ in lead1]),
+        *((len(b) == r and d != clash1,
            f"the standard monomials at degree {d} are not {r} with distinct s1-first leads")
           for d, (b, r) in enumerate(zip(bases, ranks))),
         *((c % 3, f"the s4-first lead coefficient of {name} is {c}, divisible by 3")
           for name, (_, c) in zip(("a2", "a3", "u"), lead4)),
-        *((len(b) == r and _distinct_leads(b, [e for e, _ in lead4]),
+        *((len(b) == r and d != clash4,
            f"the monomials in a2, a3 and u at degree {d} are not {r} with distinct s4-first leads")
           for d, (b, r) in enumerate(zip(local_bases, ranks))),
     ] if not ok), None)
@@ -316,6 +312,7 @@ def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):
     The context keeps the latest degree's pair for each prime, so every
     monomial of one degree shares one elimination.
     """
+    from .intlinalg import local_row_form
     cached = ctx._local_forms.get(p)
     if cached is None or cached[0] != degree:
         a = nabla_matrix(ctx, degree)
@@ -336,6 +333,7 @@ def coker_order(ctx: SymmetricContext, f: Polynomial):
     divergence, and kernel elements whose order is below n, take the Smith
     normal form route.
     """
+    from .intlinalg import _is_prime, check_cokernel_witness, element_order_in_cokernel
     d = f.homogeneous_degree()
     if d is None:
         return 1
@@ -404,20 +402,23 @@ def delta_sigma(ctx: SymmetricContext) -> Polynomial:
     It is (-1)^(n(n-1)/2) V^2 for the Vandermonde V, and V^2 is the Hankel
     determinant det[p_(i+j)] (0 <= i, j < n) of the power sums.  The
     determinant is expanded by cofactors along its rows, top row first, so the
-    minor on the first r rows and each r-element column set is computed once.
+    minor on the first r rows and each column set is computed once, as a dict.
     """
     n = ctx.n
-    sums = power_sums(ctx, 2 * n - 1)
-    minors = {(): ctx.sigma_ring.one()}
+    sums = [p.terms for p in power_sums(ctx, 2 * n - 1)]
+    minors = {(): {(0,) * n: 1}}
     for r in range(n):
         below, minors = minors, {}
         for cols in itertools.combinations(range(n), r + 1):
-            total = ctx.sigma_ring.zero()
+            total = {}
             for pos, j in enumerate(cols):
-                term = sums[r + j] * below[cols[:pos] + cols[pos + 1:]]
-                total = total - term if (r + pos) % 2 else total + term
-            minors[cols] = total
-    return (-1) ** (n * (n - 1) // 2) * minors[tuple(range(n))]
+                sign = -1 if (r + pos) % 2 else 1
+                for (e1, c1), (e2, c2) in itertools.product(
+                        sums[r + j].items(), below[cols[:pos] + cols[pos + 1:]].items()):
+                    e = tuple(map(operator.add, e1, e2))
+                    total[e] = total.get(e, 0) + sign * c1 * c2
+            minors[cols] = {e: c for e, c in total.items() if c}
+    return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, minors[tuple(range(n))])
 
 
 def vandermonde(ctx: SymmetricContext) -> Polynomial:
@@ -450,6 +451,7 @@ def vistoli_delta_check(p: int) -> VerificationReport:
     both memberships are decided by evaluating the divergence and theta on
     the sigma form.
     """
+    from .intlinalg import _is_prime
     if p % 2 == 0 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     report = VerificationReport("vistoli")

@@ -18,6 +18,10 @@ By fixed decompositions, for bpuverify.mod2alg.steenrod: Sq^3, Sq^5, Sq^6 and
 Sq^7 on generators as composites of Sq^1, Sq^2 and Sq^4, in place of the Adem
 derivation.
 
+Column by column, for bpuverify.symfun.divergence_onto_shape: the triangular
+block of the divergence on the columns s1*mu, read off each column's
+``monomial_divergence``, in place of the n images of the divergence rule.
+
 Per monomial, for bpuverify.symfun.certify_k4_presentation: kernel membership
 of each generator monomial by its own divergence, and the coordinate stack of
 every generator monomial of a degree, in place of the standard monomials
@@ -256,6 +260,23 @@ def first_outside_by_divergence(ctx: SymmetricContext, alphas: AlphaGenerators, 
     divergence, or None: one ``nabla_sigma`` per monomial."""
     return next((e for e in expos
                  if not ctx.nabla_sigma(alpha_monomial(alphas, e)).is_zero()), None)
+
+
+def divergence_onto_shape_by_columns(ctx: SymmetricContext, degree: int):
+    """(rows, cols) of the divergence from degree d to d - 1, or None, with
+    every column s1*mu checked as ``monomial_divergence`` gives it: its one
+    term at or above mu (exponents compared from s_n down), or outside the
+    rows, is mu, with a nonzero coefficient.  The block on those columns is
+    then triangular with nonzero diagonal, so the divergence is onto."""
+    rows = ctx.sigma_basis(degree - 1) if degree else ()
+    in_rows = set(rows)
+    for mu in rows:
+        key = mu[::-1]
+        high = [(t, c) for t, c in ctx.monomial_divergence((mu[0] + 1,) + mu[1:])
+                if t[::-1] >= key or t not in in_rows]
+        if len(high) != 1 or high[0][0] != mu or not high[0][1]:
+            return None
+    return len(rows), len(ctx.sigma_basis(degree))
 
 
 def list_scan_reduce(v: int, basis) -> int:

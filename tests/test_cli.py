@@ -348,6 +348,9 @@ def test_a_cli_call_loads_only_its_suites_modules():
     k4 = loaded("k4", "--max-degree", "4")
     assert "bpuverify.symfun" in k4
     assert not [m for m in k4 if m.startswith(("bpuverify.mod2alg", "bpuverify.dga", "bpuverify.gf2"))]
+    # both certify their lead facts by a rank over Q on plain lists: no integer matrices
+    assert "bpuverify.intlinalg" not in k4 | section10
+    assert "bpuverify.intlinalg" in loaded("coker", "--max-degree", "4")
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from bpuverify import poly
 from bpuverify.poly import (
     Polynomial,
     Ring,
     RingMismatchError,
+    _first_lead_clash,
+    _rank,
     monomial_basis,
     parse_polynomial,
 )
@@ -293,3 +296,48 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_dangling_operators(text):
     with pytest.raises(ValueError):
         parse_polynomial(text, SIGMA4)
+
+
+def test_rank_over_the_rationals():
+    assert _rank([]) == 0
+    assert _rank([(0, 0), (0, 0)]) == 0
+    assert _rank([(2, 0, 0, 0), (3, 0, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1)]) == 3
+    assert _rank([(1, 2, 3), (2, 4, 6), (1, 0, 0)]) == 2
+    # independent over Q though dependent modulo 2
+    assert _rank([(2, 0), (0, 2)]) == 2
+    rng = random.Random(7)
+    for _ in range(30):
+        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        combo = [a * x + b * y for x, y in zip(*rows[:2])]
+        assert _rank(rows + [combo]) == _rank(rows)
+
+
+def _sweep(bases, leads):
+    return next((i for i, expos in enumerate(bases) if not poly._distinct_leads(expos, leads)), None)
+
+
+def test_first_lead_clash_sweeps_only_when_no_certificate_holds(monkeypatch):
+    swept = []
+    real = poly._distinct_leads
+    monkeypatch.setattr(poly, "_distinct_leads",
+                        lambda expos, leads: swept.append(expos) or real(expos, leads))
+    weights = (2, 3, 4, 6)
+    full = [monomial_basis(d, weights) for d in range(25)]
+    window = [[e for e in b if e[0] <= 2] for b in full]
+    independent = [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 1)]
+    kernel_leads = [(2, 0, 0, 0), (3, 0, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1)]
+    assert _first_lead_clash(full, independent) is None
+    assert _first_lead_clash(window, kernel_leads, kernel=(3, -2, 0, 0)) is None
+    assert swept == []
+    # without the kernel, or with a non-primitive one, or past its window, the
+    # lists are swept, and the sweep's answer is returned
+    for bases, kernel in ((window, None), (window, (6, -4, 0, 0)), (full, (3, -2, 0, 0))):
+        clash = _first_lead_clash(bases, kernel_leads, kernel=kernel)
+        assert swept and clash == _sweep(bases, kernel_leads)
+        swept.clear()
+    assert _first_lead_clash(window, kernel_leads) is None
+    assert _first_lead_clash(full, kernel_leads) == 6
+    # a second relation, (2, 0, -1, 0), leaves rank 2: the kernel is no certificate
+    leads = [(2, 0, 0, 0), (3, 0, 0, 0), (4, 0, 0, 0), (2, 0, 0, 1)]
+    assert _first_lead_clash(window, leads, kernel=(3, -2, 0, 0)) == 4

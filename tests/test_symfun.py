@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bpuverify import cli, intlinalg, symfun
+from bpuverify import cli, intlinalg, poly, symfun
 from bpuverify.intlinalg import (
     IntMatrix,
     element_order_in_cokernel,
@@ -38,6 +38,7 @@ from bpuverify.symfun import (
 from oracles import (
     alpha_monomial,
     delta_polynomial,
+    divergence_onto_shape_by_columns,
     elementary,
     expand,
     first_outside_by_divergence,
@@ -147,64 +148,81 @@ def test_divergence_onto_shape_agrees_with_the_matrix_rank():
         a = nabla_matrix(contexts[n], d)
         assert has_full_row_rank(a), (n, d)
         assert divergence_onto_shape(contexts[n], d) == (a.rows, a.cols), (n, d)
+        # the rule-level certificate against the column-by-column one it replaced
+        assert divergence_onto_shape_by_columns(contexts[n], d) == (a.rows, a.cols), (n, d)
     assert divergence_onto_shape(CTX4, 0) == (0, 1)
     with pytest.raises(ValueError):
         divergence_onto_shape(CTX4, -1)
 
 
-def _s1_term(e):
-    """The exponents of the term that s1 |-> n contributes to the
-    divergence of the monomial e: the diagonal entry of the s1*mu block."""
-    return (e[0] - 1,) + e[1:]
+def _with_image(k, text):
+    """The real divergence rule with the image of s_k replaced by ``text``."""
+    return lambda ctx: tuple(sp(text, ctx) if i == k else image
+                             for i, image in enumerate(ctx.divergence_rule, 1))
 
 
-# corruptions of the exponent-level rule, each breaking the triangular block
+# corruptions of the rule data, each breaking the triangular block on the
+# columns s1*mu, with the least degree whose columns use the faulty image
 CORRUPTED_RULES = {
-    "diagonal-dropped": lambda e, terms: [(t, c) for t, c in terms if t != _s1_term(e)],
-    "diagonal-zeroed": lambda e, terms: [
-        (t, 0 if t == _s1_term(e) else c) for t, c in terms
-    ],
-    "second-term-at-mu": lambda e, terms: terms + [
-        (t, c) for t, c in terms if t == _s1_term(e)
-    ],
-    # s1^3 |-> s2 lowers the degree by one and raises the s2-exponent
-    "term-above-mu": lambda e, terms: terms + (
-        [((e[0] - 3, e[1] + 1) + e[2:], 1)] if e[0] >= 3 else []
-    ),
-    # s1^2 |-> 1 lowers the degree by two, so below mu but outside the rows
-    "term-outside-rows": lambda e, terms: terms + (
-        [((e[0] - 2,) + e[1:], 1)] if e[0] >= 2 else []
-    ),
+    # s1 |-> 0: no column has a term at mu
+    "diagonal-dropped": (_with_image(1, "0"), 1),
+    # s1 |-> 4*s1: the term at mu moves to s1*mu, outside the rows
+    "diagonal-off-degree": (_with_image(1, "4*s1"), 1),
+    # s2 |-> s3 raises the degree and the s3-exponent, so above mu
+    "term-above-mu": (_with_image(2, "s3"), 3),
+    # s3 |-> s1 lowers the degree by two, so below mu but outside the rows
+    "term-outside-rows": (_with_image(3, "s1"), 4),
+    # s4 |-> s3 + 1: its second term lies outside the rows
+    "inhomogeneous-image": (_with_image(4, "s3 + 1"), 5),
 }
 
 
 def _corrupt_rule(monkeypatch, name):
-    real = SymmetricContext.monomial_divergence
-    corrupt = CORRUPTED_RULES[name]
-    monkeypatch.setattr(
-        SymmetricContext, "monomial_divergence", lambda self, e: corrupt(e, list(real(self, e)))
-    )
+    """Give every context built from now on the corrupted rule ``name``, and
+    return the least degree at which it shows."""
+    real = SymmetricContext.__init__
+    corrupt, first = CORRUPTED_RULES[name]
+
+    def corrupted(self, n):
+        real(self, n)
+        self.divergence_rule = corrupt(self)
+
+    monkeypatch.setattr(SymmetricContext, "__init__", corrupted)
+    return first
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTED_RULES))
 def test_divergence_onto_shape_refuses_a_corrupted_derivation(monkeypatch, name):
     ctx = SymmetricContext(4)
     assert divergence_onto_shape(ctx, 6) == (len(ctx.sigma_basis(5)), len(ctx.sigma_basis(6)))
-    _corrupt_rule(monkeypatch, name)
-    assert divergence_onto_shape(ctx, 6) is None
+    first = _corrupt_rule(monkeypatch, name)
+    ctx = SymmetricContext(4)
+    for d in range(7):
+        # the column-by-column oracle, reading the corrupted rule through
+        # monomial_divergence, refuses it from the same degree
+        refused = divergence_onto_shape_by_columns(ctx, d) is None
+        assert (divergence_onto_shape(ctx, d) is None) == (d >= first) == refused, (name, d)
 
 
 def test_divergence_operator_matrix_and_certificate_share_one_rule(monkeypatch):
     s1 = CTX4.sigma(1)
     assert CTX4.nabla_sigma(s1) == CTX4.sigma_ring.const(4)
-    _corrupt_rule(monkeypatch, "diagonal-zeroed")
-    assert CTX4.nabla_sigma(s1).is_zero()
-    assert nabla_matrix(CTX4, 1).entries == ((0,),)
-    assert divergence_onto_shape(CTX4, 1) is None
+    _corrupt_rule(monkeypatch, "diagonal-dropped")
+    ctx = SymmetricContext(4)
+    assert ctx.nabla_sigma(ctx.sigma(1)).is_zero()
+    assert nabla_matrix(ctx, 1).entries == ((0,),)
+    assert divergence_onto_shape(ctx, 1) is None
+    # s2 |-> s3 reaches the operator as well, and the certificate from degree 3
+    monkeypatch.undo()
+    _corrupt_rule(monkeypatch, "term-above-mu")
+    ctx = SymmetricContext(4)
+    assert ctx.nabla_sigma(ctx.sigma(2)) == ctx.sigma(3)
+    assert divergence_onto_shape(ctx, 2) is not None
+    assert divergence_onto_shape(ctx, 3) is None
 
 
 def test_k4_stops_where_the_divergence_is_not_shown_onto(monkeypatch, capsys):
-    # the term above mu first appears for mu = s1^2, at degree 3
+    # the image s3 of s2 is first used by the column s1*s2, at degree 3
     _corrupt_rule(monkeypatch, "term-above-mu")
     with pytest.raises(ArithmeticError, match="divergence is not onto at degree 3$"):
         certify_k4_presentation(8)
@@ -458,6 +476,8 @@ def test_standard_monomials_span_the_generator_monomial_lattice():
     for d in range(41):
         below = counts[d - 6] if d >= 6 else 0
         assert len(standard_exponents(d)) == counts[d] - below, d
+        # built a2-power first, against the filter of all generator monomials
+        assert standard_exponents(d) == [e for e in monomial_basis(d, (2, 3, 4, 6)) if e[0] <= 2]
     ranks = geometric_product((2, 3, 4), 24)
     for d in range(1, 25):
         full = generator_monomial_stack(CTX4, ALPHA, d)
@@ -552,6 +572,39 @@ def test_k4_lattice_lines_name_the_failed_certificate_fact(monkeypatch, corrupt,
         line = by_name[f"lattice/d{d:02d}"]
         assert line.status == "fail" and named in line.detail, (d, line.detail)
     assert "three-primary-defect" not in by_name
+
+
+def _spy_on_the_lead_sweep(monkeypatch):
+    """Record the exponent lists that ``poly._distinct_leads`` sweeps."""
+    swept = []
+    real = poly._distinct_leads
+    monkeypatch.setattr(poly, "_distinct_leads",
+                        lambda expos, leads: swept.append(expos) or real(expos, leads))
+    return swept
+
+
+def test_k4_sweeps_no_lead_table_when_the_lead_certificates_hold(monkeypatch):
+    swept = _spy_on_the_lead_sweep(monkeypatch)
+    by_name = {c.name: c for c in certify_k4_presentation(40).checks}
+    assert swept == []
+    assert by_name["lattice/d05"].status == "pass"
+    assert by_name["lattice/d40"].detail.startswith("coordinate stack invariant factors")
+
+
+def test_k4_sweeps_the_s1_first_leads_when_a_generator_lead_collides(monkeypatch):
+    # a4 + 12*a2^2 (and a6 - 9*a2^3, keeping the relation) leads with 108*s1^4,
+    # the lead of a2^2, so the s1-first leads have rank 1, not 3.  With the
+    # coefficient 108 let through, the sweep names the first degree where two
+    # leads of B_d meet, with the text the per-degree route gave.
+    swept = _spy_on_the_lead_sweep(monkeypatch)
+    _swap_with_relation(monkeypatch, 12)
+    real = symfun._is_three_power
+    monkeypatch.setattr(symfun, "_is_three_power", lambda c: c == 108 or real(c))
+    by_name = {c.name: c for c in certify_k4_presentation(12).checks}
+    assert by_name["relation"].status == "pass"
+    named = "the standard monomials at degree 4 are not 2 with distinct s1-first leads"
+    assert all(by_name[f"lattice/d{d:02d}"].detail == named for d in range(13))
+    assert swept == [standard_exponents(d) for d in range(5)]
 
 
 def _swap_generators(monkeypatch, swap):
