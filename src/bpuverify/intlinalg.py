@@ -1,12 +1,12 @@
 """Exact linear algebra over Z, Z/p and Z/p^E: Smith normal form, kernels,
 cokernels, local row forms, and the p-parts of invariant factors.
 
-Everything is dense and uses arbitrary-precision Python ints; the matrices
-here (graded pieces of symmetric-function operators) stay small.  Every Smith
-decomposition is re-verified, U*A*V == D, before it is returned.  One row
-elimination over Z/p^E serves every rank, invariant factor and cokernel
-witness: at E = 1 it gives the rank modulo p, and at larger E the p-parts of
-the invariant factors and the steps of a local row form.
+Everything uses arbitrary-precision Python ints.  The Smith and Hermite forms
+are dense, on small matrices, and every Smith decomposition is re-verified,
+U*A*V == D, before it is returned.  One sparse row elimination over Z/p^E,
+on rows held as {column: entry} dicts, serves every rank, invariant factor
+and cokernel witness: at E = 1 it gives the rank modulo p, and at larger E
+the p-parts of the invariant factors and the steps of a local row form.
 """
 
 from __future__ import annotations
@@ -66,6 +66,10 @@ class IntMatrix:
             ],
             other.cols,
         )
+
+    def sparse_rows(self) -> list:
+        """Each row as a {column: entry} dict of its nonzero entries."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.entries]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.entries) if self.rows else [()] * self.cols, self.rows)
@@ -256,7 +260,7 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
     """Rank of A over the field with p elements (Gaussian elimination)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return len(_eliminate_mod_prime_power(a, p, 1, a.rows)[0])
+    return len(_eliminate_mod_prime_power(a.sparse_rows(), p, 1, a.rows)[0])
 
 
 _RANK_PRIME = 2 ** 31 - 1
@@ -265,7 +269,7 @@ _RANK_PRIME = 2 ** 31 - 1
 def has_full_row_rank(a: IntMatrix) -> bool:
     """Whether A is shown to have full row rank: its rank modulo the prime
     2^31 - 1, which never exceeds its rank over Q, equals its row count."""
-    return len(_eliminate_mod_prime_power(a, _RANK_PRIME, 1, a.rows)[0]) == a.rows
+    return len(_eliminate_mod_prime_power(a.sparse_rows(), _RANK_PRIME, 1, a.rows)[0]) == a.rows
 
 
 class LocalRowForm:
@@ -324,88 +328,123 @@ def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
         raise ValueError(f"{p} is not prime")
     if not has_full_row_rank(a):
         raise ArithmeticError("matrix is not of full row rank")
-    exponent, (valuations, _, _, steps) = _local_elimination(a, p, a.rows)
+    return full_rank_local_row_form(a.sparse_rows(), p)
+
+
+def full_rank_local_row_form(rows: list, p: int) -> LocalRowForm:
+    """``local_row_form`` of the matrix with the given sparse rows, each a
+    {column: entry} dict, with no rank check: the caller has shown that the
+    matrix has full row rank over Q, else the doubling of E never ends."""
+    exponent, (valuations, _, _, steps) = _local_elimination(rows, p, len(rows))
     return LocalRowForm(p, exponent, valuations, steps)
 
 
-def _local_elimination(a: IntMatrix, p: int, rank: int):
-    """E and A's elimination modulo p^E, E = 8 doubled until ``rank`` pivots
-    are found, which ends when A has rank ``rank`` over Q.  The pivot
-    valuations are all below E, so they do not depend on the start."""
+def _local_elimination(rows: list, p: int, rank: int):
+    """E and the elimination modulo p^E of the sparse ``rows``, E = 8 doubled
+    until ``rank`` pivots are found, which ends when they have rank ``rank``
+    over Q.  The pivot valuations are all below E, so they do not depend on
+    the start."""
     exponent = 8
-    while len((found := _eliminate_mod_prime_power(a, p, exponent, rank))[0]) < rank:
+    while len((found := _eliminate_mod_prime_power(rows, p, exponent, rank))[0]) < rank:
         exponent *= 2
     return exponent, found
 
 
-def _eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int):
-    """Row elimination of A modulo p^exponent, each pivot an entry of least
-    p-valuation in the block not yet pivoted, for at most ``rank`` pivots.
+def _eliminate_mod_prime_power(rows: list, p: int, exponent: int, rank: int):
+    """Row elimination modulo p^exponent of the matrix whose rows are the
+    {column: entry} dicts ``rows``, each pivot an entry of least p-valuation
+    in the block not yet pivoted, for at most ``rank`` pivots.
 
     Returns (valuations, rows, cols, steps): the pivots' valuations and their
     row and column indices in A, and the steps of ``LocalRowForm``.  It stops
     early when the rest of the block is zero, so at exponent 1 it finds the
-    rank modulo p, and the minor of A on its pivots is a unit modulo p.
+    rank modulo p, and the minor of A on its pivots is a unit modulo p.  The
+    pivot is the first column of the first row, in the order of the rows
+    after the swaps so far, whose entry has the least valuation.  A column
+    index keyed by row id, not position, finds the rows a pivot updates, so
+    only those are touched.
     """
     q = p ** exponent
-    m = a.rows
-    h = [[x % q for x in row] for row in a.entries]
-    order = list(range(m))
-    columns = list(range(a.cols))
+    h = [{j: x % q for j, x in row.items() if x % q} for row in rows]
+    m = len(h)
+    holders = {}  # column -> ids of the unpivoted rows with an entry there
+    for k, row in enumerate(h):
+        for j in row:
+            holders.setdefault(j, set()).add(k)
+    order = list(range(m))  # position -> row id
+    position = list(range(m))  # row id -> position
     valuations, pivot_cols, steps = [], [], []
-    # the rows of h keep only the columns not yet pivoted; low[i] bounds row
-    # i's least valuation from below, since a row operation with a pivot of
-    # least valuation never lowers it
+    # low[k] bounds row k's least valuation from below, since a row operation
+    # with a pivot of least valuation never lowers it
     low = [0] * m
     level = 0  # the least valuation in the block, which never decreases
-    r = 0
+    r = start = 0
     while r < rank and level < exponent:
         # every block entry has valuation at least level, so the first one
-        # not divisible by p^(level + 1) has valuation exactly level
+        # not divisible by p^(level + 1) has valuation exactly level; the
+        # rows at positions r..start - 1 have none at this level
         above = p ** (level + 1)
-        for i in range(r, m):
-            if low[i] > level:
+        for i in range(start, m):
+            k = order[i]
+            if low[k] > level:
                 continue
-            j = next((t for t, x in enumerate(h[i]) if x % above), None)
+            j = None  # the least such column; an explicit loop beats min() on short rows
+            for t, x in h[k].items():
+                if x % above and (j is None or t < j):
+                    j = t
             if j is not None:
                 break
-            low[i] = level + 1
+            low[k] = level + 1
         else:
             level += 1
+            start = r
             continue
-        low[r], low[i] = low[i], low[r]
-        h[r], h[i] = h[i], h[r]
-        order[r], order[i] = order[i], order[r]
-        pivot_row = h[r]
+        # the rows passed over, and the row swapped to i, stay above level
+        start = i + 1
+        pivot, moved = order[i], order[r]
+        order[r], order[i] = pivot, moved
+        position[pivot], position[moved] = r, i
+        pivot_row = h[pivot]
+        for t in pivot_row:
+            holders[t].discard(pivot)
         scale = p ** level
         inverse = pow(pivot_row[j] // scale, -1, q)
-        rows, factors = [], []
-        for k in range(r + 1, m):
+        rest = [(t, y) for t, y in pivot_row.items() if t != j]
+        targets = sorted(holders.pop(j), key=position.__getitem__)
+        factors = []
+        for k in targets:
             row = h[k]
-            if row[j]:
-                c = row[j] // scale * inverse % q
-                h[k] = row = [(x - c * y) % q for x, y in zip(row, pivot_row)]
-                rows.append(k)
-                factors.append(c)
-            del row[j]
+            c = row.pop(j) // scale * inverse % q
+            for t, y in rest:
+                x = (row.get(t, 0) - c * y) % q
+                if x:
+                    if t not in row:
+                        holders[t].add(k)
+                    row[t] = x
+                elif t in row:
+                    del row[t]
+                    holders[t].discard(k)
+            factors.append(c)
         valuations.append(level)
-        pivot_cols.append(columns.pop(j))
-        steps.append((i, rows, factors))
+        pivot_cols.append(j)
+        steps.append((i, [position[k] for k in targets], factors))
         r += 1
     return tuple(valuations), order[:r], pivot_cols, tuple(steps)
 
 
-def check_cokernel_witness(a: IntMatrix, y, x, modulus: int) -> None:
+def check_cokernel_witness(rows: list, y, x, modulus: int) -> None:
     """Raise ArithmeticError unless y*A == 0 and y*x != 0 modulo ``modulus``,
+    with A the matrix whose rows are the {column: entry} dicts ``rows``,
     which together prove that x is not in the column span of A over Z; a
     ValueError unless y and x both have one entry per row of A."""
-    if not len(y) == a.rows == len(x):
+    if not len(y) == len(rows) == len(x):
         raise ValueError("witness and vector lengths must equal the row count")
-    image = [0] * a.cols
-    for c, row in zip(y, a.entries):
+    image = {}
+    for c, row in zip(y, rows):
         if c:
-            image = [s + c * t for s, t in zip(image, row)]
-    if any(s % modulus for s in image):
+            for j, t in row.items():
+                image[j] = image.get(j, 0) + c * t
+    if any(s % modulus for s in image.values()):
         raise ArithmeticError("cokernel witness does not vanish on the matrix")
     if sum(c * t for c, t in zip(y, x)) % modulus == 0:
         raise ArithmeticError("cokernel witness vanishes on the vector")

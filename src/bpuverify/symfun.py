@@ -40,9 +40,23 @@ class SymmetricContext:
         self.sigma_ring = Ring(
             tuple(f"s{i+1}" for i in range(n)), tuple(range(1, n + 1))
         )
-        self._local_forms = {}  # prime -> (degree, divergence matrix, LocalRowForm)
+        self._local_forms = {}  # prime -> (degree, divergence rows, LocalRowForm)
         self.divergence_rule = (self.sigma_ring.const(n), *(  # the image of each s_k
             (n - k + 1) * self.sigma(k - 1) for k in range(2, n + 1)))
+
+    @property
+    def divergence_rule(self) -> tuple:
+        """The image of each s_k, one sigma-polynomial per k."""
+        return self._rule
+
+    @divergence_rule.setter
+    def divergence_rule(self, rule):
+        # monomial_divergence reads each image term t of s_k as the shift
+        # t - (s_k's exponent vector), kept in step with the rule
+        self._rule = tuple(rule)
+        self._shifts = tuple(
+            tuple((tuple(a - (j == k) for j, a in enumerate(t)), c) for t, c in image.terms.items())
+            for k, image in enumerate(self._rule))
 
     # -- basic generators -------------------------------------------------
     def sigma(self, k: int) -> Polynomial:
@@ -75,8 +89,8 @@ class SymmetricContext:
         """Yield the divergence of the sigma-monomial with exponents e as
         (exponents, coefficient) pairs: ``divergence_rule`` by the Leibniz rule."""
         for i, power in enumerate(e):
-            for t, c in self.divergence_rule[i].terms.items() if power else ():
-                yield tuple(map(operator.add, e[:i] + (power - 1,) + e[i + 1:], t)), power * c
+            for shift, c in self._shifts[i] if power else ():
+                yield tuple(map(operator.add, e, shift)), power * c
 
 
 def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
@@ -88,18 +102,29 @@ def coordinates(ctx: SymmetricContext, f: Polynomial, degree: int) -> tuple:
     return tuple(f.coefficient(m) for m in basis)
 
 
+def divergence_rows(ctx: SymmetricContext, degree: int) -> list:
+    """The divergence from the degree-d to the degree-(d-1) sigma-basis as
+    sparse rows, each a {column: entry} dict, read off ``monomial_divergence``
+    column by column.  An image term off degree d - 1 raises ArithmeticError."""
+    if degree < 1:
+        raise ValueError("matrix defined for degree >= 1")
+    row_of = {t: i for i, t in enumerate(ctx.sigma_basis(degree - 1))}
+    rows = [{} for _ in row_of]
+    for j, mono in enumerate(ctx.sigma_basis(degree)):
+        for t, c in ctx.monomial_divergence(mono):
+            i = row_of.get(t)
+            if i is None:
+                raise ArithmeticError(f"the divergence of s^{mono} leaves degree {degree - 1}")
+            rows[i][j] = rows[i].get(j, 0) + c
+    return rows
+
+
 def nabla_matrix(ctx: SymmetricContext, degree: int):
     """The IntMatrix of the divergence from degree d to degree d-1 sigma-bases."""
     from .intlinalg import IntMatrix
-    if degree < 1:
-        raise ValueError("matrix defined for degree >= 1")
-    src = ctx.sigma_basis(degree)
-    row_of = {t: i for i, t in enumerate(ctx.sigma_basis(degree - 1))}
-    rows = [[0] * len(src) for _ in row_of]
-    for j, mono in enumerate(src):
-        for t, c in ctx.monomial_divergence(mono):
-            rows[row_of[t]][j] += c
-    return IntMatrix(rows)
+    cols = len(ctx.sigma_basis(degree))
+    return IntMatrix([[row.get(j, 0) for j in range(cols)] for row in divergence_rows(ctx, degree)],
+                     cols)
 
 
 def divergence_onto_shape(ctx: SymmetricContext, degree: int):
@@ -307,16 +332,21 @@ def _first_outside(expos, divergent, zero) -> tuple:
 
 
 def _divergence_local_form(ctx: SymmetricContext, degree: int, p: int):
-    """The divergence matrix into degree - 1 and its local row form at p.
+    """The divergence into degree - 1 as sparse rows, and its local row form
+    at p.  Full row rank is ``divergence_onto_shape``, which must equal the
+    shape built, else ArithmeticError; no rank is computed.
 
     The context keeps the latest degree's pair for each prime, so every
     monomial of one degree shares one elimination.
     """
-    from .intlinalg import local_row_form
+    from .intlinalg import full_rank_local_row_form
     cached = ctx._local_forms.get(p)
     if cached is None or cached[0] != degree:
-        a = nabla_matrix(ctx, degree)
-        cached = ctx._local_forms[p] = (degree, a, local_row_form(a, p))
+        shape = (len(ctx.sigma_basis(degree - 1)), len(ctx.sigma_basis(degree)))
+        if divergence_onto_shape(ctx, degree) != shape:
+            raise ArithmeticError(f"the divergence into degree {degree - 1} is not shown onto")
+        rows = divergence_rows(ctx, degree)
+        cached = ctx._local_forms[p] = (degree, rows, full_rank_local_row_form(rows, p))
     return cached[1:]
 
 
@@ -328,10 +358,11 @@ def coker_order(ctx: SymmetricContext, f: Polynomial):
     A divergence-free f is settled by two certificates.  The upper bound:
     divergence(s1*f) == n*f, since s1/n is a slice, so the order divides n.
     The lower bound: for each prime p dividing n, a functional y from the
-    local row form at p with y*A == 0 and y*(n/p)*f != 0 modulo p^E, checked
-    against A, so (n/p)*f is not in the image.  Inputs with nonzero
-    divergence, and kernel elements whose order is below n, take the Smith
-    normal form route.
+    local row form at p of A, the divergence into degree d on sparse rows and
+    shown onto by ``divergence_onto_shape``, with y*A == 0 and
+    y*(n/p)*f != 0 modulo p^E, checked against A, so (n/p)*f is not in the
+    image.  Inputs with nonzero divergence, and kernel elements whose order
+    is below n, take the Smith normal form route.
     """
     from .intlinalg import _is_prime, check_cokernel_witness, element_order_in_cokernel
     d = f.homogeneous_degree()
@@ -343,12 +374,12 @@ def coker_order(ctx: SymmetricContext, f: Polynomial):
         if ctx.nabla_sigma(ctx.sigma(1) * f) != n * f:
             raise ArithmeticError("divergence(s1*f) differs from n*f")
         for p in (q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)):
-            a, form = _divergence_local_form(ctx, d + 1, p)
+            rows, form = _divergence_local_form(ctx, d + 1, p)
             target = [n // p * t for t in x]
             y = form.witness(target)
             if y is None:
                 break
-            check_cokernel_witness(a, y, target, p ** form.exponent)
+            check_cokernel_witness(rows, y, target, p ** form.exponent)
         else:
             return n
     return element_order_in_cokernel(nabla_matrix(ctx, d + 1), x)

@@ -52,7 +52,10 @@ degree tried in turn, in place of one affine solve.
 
 Column by column over GF(p), for bpuverify.intlinalg: the rank modulo p and
 its pivots by forward elimination with normalized pivot rows, in place of
-the elimination over Z/p^E at exponent 1.
+the elimination over Z/p^E at exponent 1.  On dense rows, for the same
+module: the elimination over Z/p^E with every lower row scanned, and cut
+down by a column, at every pivot, in place of the sparse rows and their
+column index; the two return the same valuations, pivots and steps.
 
 Test-only constructions with no caller in the library: the n = 3 kernel
 generators, generator monomials in the n = 4 generators, and an independent
@@ -475,14 +478,15 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> tuple | None:
     valuation 0 must equal the rank of A modulo p.
     """
     prime = intlinalg._RANK_PRIME
-    _, rows, cols, _ = intlinalg._eliminate_mod_prime_power(a, prime, 1, a.rows)
+    _, rows, cols, _ = intlinalg._eliminate_mod_prime_power(a.sparse_rows(), prime, 1, a.rows)
     if len(cols) > rank:
         raise ArithmeticError(f"rank modulo {prime} is {len(cols)}, above the rank bound {rank}")
     if len(cols) < rank:
         return None
     m, n = a.rows, a.cols
     flipped = IntMatrix([row[::-1] for row in reversed(a.entries)], n)
-    _, back_rows, back_cols, _ = intlinalg._eliminate_mod_prime_power(flipped, prime, 1, rank)
+    _, back_rows, back_cols, _ = intlinalg._eliminate_mod_prime_power(
+        flipped.sparse_rows(), prime, 1, rank)
     g = 0
     for rows, cols in (
         (rows, cols),
@@ -492,7 +496,7 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> tuple | None:
         g = math.gcd(g, determinant(minor))
     factors = [1] * rank
     for p in _trial_primes(g):
-        valuations = intlinalg._local_elimination(a, p, rank)[1][0]
+        valuations = intlinalg._local_elimination(a.sparse_rows(), p, rank)[1][0]
         if valuations.count(0) != rank_mod_p(a, p):
             raise ArithmeticError(f"valuations at {p} disagree with the rank modulo {p}")
         factors = [f * p ** v for f, v in zip(factors, valuations)]
@@ -546,9 +550,59 @@ def _append_completions(found, weights, i, remaining, prefix):
 def local_elimination_from(a: IntMatrix, p: int, rank: int, exponent: int):
     """E and A's elimination modulo p^E, E = ``exponent`` doubled until
     ``rank`` pivots are found: ``intlinalg._local_elimination`` from any start."""
-    while len((found := intlinalg._eliminate_mod_prime_power(a, p, exponent, rank))[0]) < rank:
+    rows = a.sparse_rows()
+    while len((found := intlinalg._eliminate_mod_prime_power(rows, p, exponent, rank))[0]) < rank:
         exponent *= 2
     return exponent, found
+
+
+def dense_eliminate_mod_prime_power(a: IntMatrix, p: int, exponent: int, rank: int):
+    """``intlinalg._eliminate_mod_prime_power`` on the dense rows of A: each
+    pivot scans every lower row, and deletes its column from each of them.
+    Returns the same (valuations, rows, cols, steps)."""
+    q = p ** exponent
+    m = a.rows
+    h = [[x % q for x in row] for row in a.entries]
+    order = list(range(m))
+    columns = list(range(a.cols))
+    valuations, pivot_cols, steps = [], [], []
+    # the rows of h keep only the columns not yet pivoted; low[i] bounds row
+    # i's least valuation from below
+    low = [0] * m
+    level = 0
+    r = 0
+    while r < rank and level < exponent:
+        above = p ** (level + 1)
+        for i in range(r, m):
+            if low[i] > level:
+                continue
+            j = next((t for t, x in enumerate(h[i]) if x % above), None)
+            if j is not None:
+                break
+            low[i] = level + 1
+        else:
+            level += 1
+            continue
+        low[r], low[i] = low[i], low[r]
+        h[r], h[i] = h[i], h[r]
+        order[r], order[i] = order[i], order[r]
+        pivot_row = h[r]
+        scale = p ** level
+        inverse = pow(pivot_row[j] // scale, -1, q)
+        rows, factors = [], []
+        for k in range(r + 1, m):
+            row = h[k]
+            if row[j]:
+                c = row[j] // scale * inverse % q
+                h[k] = row = [(x - c * y) % q for x, y in zip(row, pivot_row)]
+                rows.append(k)
+                factors.append(c)
+            del row[j]
+        valuations.append(level)
+        pivot_cols.append(columns.pop(j))
+        steps.append((i, rows, factors))
+        r += 1
+    return tuple(valuations), order[:r], pivot_cols, tuple(steps)
 
 
 def k4_three_adic_factors_by_elimination(max_degree: int) -> list:

@@ -26,6 +26,7 @@ from bpuverify.symfun import (
 )
 
 from oracles import (
+    dense_eliminate_mod_prime_power,
     determinant,
     generator_monomial_stack,
     local_elimination_from,
@@ -200,15 +201,42 @@ def test_exponent_one_elimination_matches_the_gf_p_oracle():
         for p in (2, 3, 5, 2**31 - 1):
             cols, _ = row_reduce_mod_p(a, p)
             valuations, rows, pivot_cols, _ = intlinalg._eliminate_mod_prime_power(
-                a, p, 1, a.rows)
+                a.sparse_rows(), p, 1, a.rows)
             assert len(valuations) == len(rows) == len(pivot_cols) == len(cols)
             assert valuations == (0,) * len(cols)
             minor = IntMatrix([[a[i, j] for j in pivot_cols] for i in rows], len(cols))
             assert determinant(minor) % p != 0, (a, p)
 
 
+# in each, the first pivot at p = 2 and 3 lies in row 1, which shares a column
+# with row 0, so the swap moves a row that the pivot then updates; in the
+# first, that update also clears row 0's column 1
+SWAPPED_PIVOT_ROWS = (
+    IntMatrix([[6, 12, 0], [1, 2, 5], [3, 0, 1]]),
+    IntMatrix([[6, 6, 12, 0], [0, 1, 0, 3], [1, 5, 2, 0], [0, 1, 6, 3]]),
+)
+
+
+def test_sparse_elimination_matches_the_dense_oracle():
+    rng = random.Random(112)
+    cases = [nabla_matrix(SymmetricContext(n), d) for n in (3, 4, 5) for d in range(1, 13)]
+    cases.append(nabla_matrix(SymmetricContext(4), 24))
+    cases += _full_row_rank_matrices(rng, 40)
+    cases += _rank_deficient_matrices(rng, 20)
+    cases += SWAPPED_PIVOT_ROWS
+    settings = [(p, e) for p in (2, 3, 5) for e in (1, 8)] + [(2 ** 31 - 1, 1)]
+    for a in cases:
+        for p, exponent in settings:
+            sparse = intlinalg._eliminate_mod_prime_power(a.sparse_rows(), p, exponent, a.rows)
+            assert sparse == dense_eliminate_mod_prime_power(a, p, exponent, a.rows), (a, p)
+    for a in SWAPPED_PIVOT_ROWS:
+        for p in (2, 3):
+            (i, rows, _), *_ = intlinalg._eliminate_mod_prime_power(a.sparse_rows(), p, 8, a.rows)[3]
+            assert i == 1 and 1 in rows, (a, p)
+
+
 def test_rank_prime_is_prime():
-    # the report path takes it as prime without a check
+    # has_full_row_rank takes it as prime without a check
     assert intlinalg._is_prime(intlinalg._RANK_PRIME)
 
 
@@ -372,6 +400,7 @@ def test_local_row_form_matches_the_smith_oracle():
     cases.append(IntMatrix([[2 ** 40, 3]]))
     for a in cases:
         snf = smith_normal_form(a)
+        rows = a.sparse_rows()
         for p in (2, 3, 5):
             form = local_row_form(a, p)
             q = p ** form.exponent
@@ -388,7 +417,7 @@ def test_local_row_form_matches_the_smith_oracle():
                 y = form.witness(x)
                 assert (y is None) == (element_order_in_cokernel(a, x) % p != 0)
                 if y is not None:
-                    check_cokernel_witness(a, y, x, q)
+                    check_cokernel_witness(rows, y, x, q)
                 # the first entry of U*x that p^(v_r) does not divide picks y
                 first = next((r for r, (v, u) in enumerate(zip(form.valuations, transform))
                               if v and sum(s * t for s, t in zip(u, x)) % p ** v), None)
@@ -404,7 +433,7 @@ def test_local_elimination_valuations_do_not_depend_on_the_start():
     for _ in range(5):
         a = (_random_unimodular(rng, 3) @ d) @ _random_unimodular(rng, 4)
         runs = {start: local_elimination_from(a, 3, 3, start) for start in (1, 8, 16, 32)}
-        assert intlinalg._local_elimination(a, 3, 3) == runs[8]
+        assert intlinalg._local_elimination(a.sparse_rows(), 3, 3) == runs[8]
         assert {start: e for start, (e, _) in runs.items()} == {1: 16, 8: 16, 16: 16, 32: 32}
         assert all(found[0] == (0, 9, 10) for _, found in runs.values())
 
@@ -420,7 +449,8 @@ def test_pivot_search_skips_empty_valuation_levels():
         a = (u @ d) @ v
         expected = sorted(_valuation(f, 3) for f in smith_normal_form(a).invariant_factors)
         assert expected == [0, 3, 4]
-        assert intlinalg._eliminate_mod_prime_power(a, 3, 8, 3)[0] == (0, 3, 4)
+        rows = a.sparse_rows()
+        assert intlinalg._eliminate_mod_prime_power(rows, 3, 8, 3)[0] == (0, 3, 4)
         form = local_row_form(a, 3)
         q = 3 ** form.exponent
         assert (form.valuations, form.exponent) == ((0, 3, 4), 8)
@@ -434,7 +464,7 @@ def test_pivot_search_skips_empty_valuation_levels():
             y = form.witness(x)
             assert (y is None) == (element_order_in_cokernel(a, x) % 3 != 0)
             if y is not None:
-                check_cokernel_witness(a, y, x, q)
+                check_cokernel_witness(rows, y, x, q)
 
 
 def _random_unimodular(rng, n):
@@ -491,27 +521,29 @@ def test_local_row_form_rejects_rank_deficient_matrices(a):
 def test_flipped_cokernel_witness_is_rejected():
     ctx = SymmetricContext(4)
     a = nabla_matrix(ctx, 5)
+    rows = a.sparse_rows()
     form = local_row_form(a, 2)
     q = 2 ** form.exponent
     x = [2 * t for t in coordinates(ctx, alpha_generators(ctx).a4, 4)]
     y = form.witness(x)
     assert y is not None
-    check_cokernel_witness(a, y, x, q)
+    check_cokernel_witness(rows, y, x, q)
     for i in range(len(y)):
         flipped = list(y)
         flipped[i] += 1
         with pytest.raises(ArithmeticError):
-            check_cokernel_witness(a, flipped, x, q)
+            check_cokernel_witness(rows, flipped, x, q)
     with pytest.raises(ArithmeticError):
-        check_cokernel_witness(a, y, [4 * t for t in x], q)
+        check_cokernel_witness(rows, y, [4 * t for t in x], q)
 
 
 def test_cokernel_witness_lengths_must_equal_the_row_count():
     a = IntMatrix([[1, 0], [0, 2]])
-    check_cokernel_witness(a, (0, 1), (0, 1), 2)
+    rows = a.sparse_rows()
+    check_cokernel_witness(rows, (0, 1), (0, 1), 2)
     for y, x in (((0, 1), (0, 1, 5)), ((0, 1, 0), (0, 1)), ((0,), (1,))):
         with pytest.raises(ValueError):
-            check_cokernel_witness(a, y, x, 2)
+            check_cokernel_witness(rows, y, x, 2)
     form = local_row_form(a, 2)
     assert form.witness((0, 1)) is not None
     for x in ((0, 1, 5), (1,)):

@@ -24,6 +24,30 @@ def P(text, ring):
     return parse_polynomial(text, ring)
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    # a^k is the product of the squarings a, a^2, a^4, ... its bits pick, and
+    # no square beyond the last of them: no product has degree above k*deg(a)
+    a = P("8*s2 - 3*s1^2 + s1*s1", SIGMA4)
+    degrees = []
+    real = Polynomial.__mul__
+
+    def spy(self, other):
+        out = real(self, other)
+        degrees.append(max(map(SIGMA4.degree_of, out.terms), default=0))
+        return out
+
+    for k in range(10):
+        expected = a.ring.one()
+        for _ in range(k):
+            expected = expected * a
+        monkeypatch.setattr(Polynomial, "__mul__", spy)
+        degrees.clear()
+        power = a ** k
+        monkeypatch.undo()
+        assert power == expected, k
+        assert max(degrees, default=0) <= 2 * k, (k, degrees)
+
+
 def test_add_cancellation():
     assert P("v1 + v2", V2) + P("v1 - v2", V2) == P("2*v1", V2)
 

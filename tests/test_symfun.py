@@ -35,6 +35,8 @@ from bpuverify.symfun import (
     vistoli_delta_check,
 )
 
+from test_intlinalg import _time_limit
+
 from oracles import (
     alpha_monomial,
     delta_polynomial,
@@ -725,7 +727,9 @@ def test_coker_order_checks_the_slice(monkeypatch):
 
 
 def test_coker_order_rejects_a_flipped_witness(monkeypatch):
-    a, form = symfun._divergence_local_form(CTX4, 5, 2)
+    rows, form = symfun._divergence_local_form(CTX4, 5, 2)
+    # the local form is on the divergence's sparse rows, not on a dense matrix
+    assert rows == nabla_matrix(CTX4, 5).sparse_rows()
 
     class Flipped:
         exponent = form.exponent
@@ -735,9 +739,45 @@ def test_coker_order_rejects_a_flipped_witness(monkeypatch):
             y[0] += 1
             return tuple(y)
 
-    monkeypatch.setattr(symfun, "_divergence_local_form", lambda ctx, d, p: (a, Flipped()))
+    monkeypatch.setattr(symfun, "_divergence_local_form", lambda ctx, d, p: (rows, Flipped()))
     with pytest.raises(ArithmeticError):
         coker_order(CTX4, ALPHA.a4)
+
+
+def test_coker_order_builds_no_dense_matrix_and_no_rank_on_the_kernel_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on the kernel path")
+
+    ctx = SymmetricContext(4)
+    alpha = alpha_generators(ctx)
+    monkeypatch.setattr(symfun, "nabla_matrix", refuse)
+    monkeypatch.setattr(intlinalg, "has_full_row_rank", refuse)
+    assert coker_order(ctx, alpha.a4 * alpha.a6) == 4
+
+
+def test_coker_order_needs_the_onto_certificate(monkeypatch):
+    real = symfun.divergence_onto_shape
+    monkeypatch.setattr(symfun, "divergence_onto_shape",
+                        lambda ctx, d: (real(ctx, d)[0] - 1, real(ctx, d)[1]))
+    with pytest.raises(ArithmeticError, match="not shown onto"):
+        coker_order(SymmetricContext(4), ALPHA.a4)
+
+
+def test_coker_order_refuses_an_image_of_the_wrong_degree(monkeypatch):
+    # s3 |-> s1: a2 stays divergence-free with the slice s1/4, so its powers
+    # reach the local row form; a local form of a matrix that is not onto
+    # would double E forever, so a time limit turns that into a failure
+    _corrupt_rule(monkeypatch, "term-outside-rows")
+    ctx = SymmetricContext(4)
+    a2 = alpha_generators(ctx).a2
+    assert ctx.nabla_sigma(a2).is_zero()
+    with _time_limit(20):
+        # degree 5 uses the faulty image in the triangular block: not onto
+        with pytest.raises(ArithmeticError, match="not shown onto"):
+            coker_order(ctx, a2 ** 2)
+        # degree 3 does not, but its column s3 leaves the rows
+        with pytest.raises(ArithmeticError, match="leaves degree 2"):
+            coker_order(ctx, a2)
 
 
 def theta_by_expansion(ctx, f):
