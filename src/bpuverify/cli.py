@@ -134,13 +134,19 @@ def _odd_prime(text: str) -> int:
     return value
 
 
+def _file_name(text: str) -> str:
+    if not text:
+        raise ValueError("expected a file name, got ''")
+    return text
+
+
 # option -> (converter, metavar, help); each sets the attribute named after it
 _OPTIONS = {
     "--max-degree": (_positive_int, "N", "degree bound for the graded sweeps of k4 (at least "
                      "2), coker, section10 and dga (defaults: k4/coker 16, section10 24, dga 40)"),
     "--prime": (_odd_prime, "P", "odd prime for the vistoli suite (default 3)"),
     "--format": (str, "{text,json}", "report format (default text)"),
-    "--out": (str, "FILE", "also write the report to FILE"),
+    "--out": (_file_name, "FILE", "also write the report to FILE"),
 }
 
 
@@ -208,7 +214,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(rendered)
-    if opts.out:
+    if opts.out is not None:
         try:
             with open(opts.out, "w") as fh:
                 fh.write(rendered)
@@ -218,5 +224,20 @@ def main(argv=None) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def run() -> int:
+    """The process entry (``python -m bpuverify.cli`` and the ``bpuverify``
+    console script): ``main()``'s exit code, with the heap frozen once the
+    report is written.
+
+    The interpreter's exit runs full collections over every object still
+    alive; frozen objects are skipped, while atexit handlers, stdio flushing
+    and module teardown still run.  In-process callers use ``main()``, which
+    never freezes."""
+    import gc
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

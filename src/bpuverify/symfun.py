@@ -434,22 +434,33 @@ def delta_sigma(ctx: SymmetricContext) -> Polynomial:
     determinant det[p_(i+j)] (0 <= i, j < n) of the power sums.  The
     determinant is expanded by cofactors along its rows, top row first, so the
     minor on the first r rows and each column set is computed once, as a dict.
+    Each exponent vector is packed into one int, a slot of ``width`` bits per
+    s_k.  No minor has degree above n(n-1), so no exponent exceeds it and no
+    slot carries into the next: the packed exponents of a product are the sum
+    of its factors'.
     """
     n = ctx.n
-    sums = [p.terms for p in power_sums(ctx, 2 * n - 1)]
-    minors = {(): {(0,) * n: 1}}
+    width = (n * (n - 1)).bit_length()
+    sums = [{sum(a << (width * k) for k, a in enumerate(e)): c for e, c in p.terms.items()}
+            for p in power_sums(ctx, 2 * n - 1)]
+    minors = {(): {0: 1}}
     for r in range(n):
         below, minors = minors, {}
         for cols in itertools.combinations(range(n), r + 1):
             total = {}
             for pos, j in enumerate(cols):
                 sign = -1 if (r + pos) % 2 else 1
-                for (e1, c1), (e2, c2) in itertools.product(
-                        sums[r + j].items(), below[cols[:pos] + cols[pos + 1:]].items()):
-                    e = tuple(map(operator.add, e1, e2))
-                    total[e] = total.get(e, 0) + sign * c1 * c2
+                rest = below[cols[:pos] + cols[pos + 1:]].items()
+                for e1, c1 in sums[r + j].items():
+                    c1 *= sign
+                    for e2, c2 in rest:
+                        e = e1 + e2
+                        total[e] = total.get(e, 0) + c1 * c2
             minors[cols] = {e: c for e, c in total.items() if c}
-    return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, minors[tuple(range(n))])
+    mask = (1 << width) - 1
+    terms = {tuple(e >> (width * k) & mask for k in range(n)): c
+             for e, c in minors[tuple(range(n))].items()}
+    return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, terms)
 
 
 def vandermonde(ctx: SymmetricContext) -> Polynomial:

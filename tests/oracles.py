@@ -57,6 +57,10 @@ module: the elimination over Z/p^E with every lower row scanned, and cut
 down by a column, at every pivot, in place of the sparse rows and their
 column index; the two return the same valuations, pivots and steps.
 
+With exponent tuples, for bpuverify.symfun.delta_sigma: the same cofactor
+expansion of the Hankel determinant, each term product a tuple sum, in place
+of exponents packed into one int.
+
 Test-only constructions with no caller in the library: the n = 3 kernel
 generators, generator monomials in the n = 4 generators, and an independent
 count of the six-generator ring's graded dimensions.
@@ -66,13 +70,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from bpuverify import dga, gf2, intlinalg
 from bpuverify.intlinalg import IntMatrix, rank_mod_p
 from bpuverify.mod2alg.algebra import mono_divides
 from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, Ring, monomial_basis
-from bpuverify.symfun import AlphaGenerators, SymmetricContext, coordinates, standard_exponents
+from bpuverify.symfun import (
+    AlphaGenerators,
+    SymmetricContext,
+    coordinates,
+    power_sums,
+    standard_exponents,
+)
 
 _elementary_cache = {}  # (n, k) -> e_k in the v's
 _expand_cache = {}  # (n, sigma exponents) -> expanded monomial
@@ -170,6 +181,25 @@ def delta_polynomial(ctx: SymmetricContext) -> Polynomial:
     v = Polynomial(ctx.v_ring, vand)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * (v * v)
+
+
+def tuple_delta_sigma(ctx: SymmetricContext) -> Polynomial:
+    """delta_sigma's cofactor expansion of det[p_(i+j)], on exponent tuples."""
+    n = ctx.n
+    sums = [p.terms for p in power_sums(ctx, 2 * n - 1)]
+    minors = {(): {(0,) * n: 1}}
+    for r in range(n):
+        below, minors = minors, {}
+        for cols in itertools.combinations(range(n), r + 1):
+            total = {}
+            for pos, j in enumerate(cols):
+                sign = -1 if (r + pos) % 2 else 1
+                for (e1, c1), (e2, c2) in itertools.product(
+                        sums[r + j].items(), below[cols[:pos] + cols[pos + 1:]].items()):
+                    e = tuple(map(operator.add, e1, e2))
+                    total[e] = total.get(e, 0) + sign * c1 * c2
+            minors[cols] = {e: c for e, c in total.items() if c}
+    return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, minors[tuple(range(n))])
 
 
 def lead_filter_monomials(algebra, d: int) -> tuple:

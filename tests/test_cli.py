@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -389,9 +390,12 @@ def test_option_spellings_and_positions_give_the_same_report(capsys):
         ["k4", "--max", "5"],
         ["k4", "--max=5"],
         ["--out"],
+        ["vistoli", "--out="],
+        ["vistoli", "--out", ""],
     ],
     ids=["no-suite", "two-suites", "unknown-option", "no-value", "format-yaml",
-         "abbreviation", "abbreviation-equals", "only-an-option"],
+         "abbreviation", "abbreviation-equals", "only-an-option", "empty-out-equals",
+         "empty-out"],
 )
 def test_malformed_command_lines_are_usage_errors(argv, capsys):
     code = cli.main(argv)
@@ -402,7 +406,8 @@ def test_malformed_command_lines_are_usage_errors(argv, capsys):
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
-    """The bpuverify console script calls main() with no arguments."""
+    """run(), the entry of the console script and of ``python -m``, calls
+    main() with no arguments."""
     monkeypatch.setattr(sys, "argv", ["bpuverify", "vistoli", "--format=json"])
     code, out = run_cli(None, capsys)
     assert code == 0
@@ -410,6 +415,71 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["bpuverify", "vistoli", "--prime", "9"])
     assert cli.main() == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["spectral"], 0), (["k4", "--max-degree", "8"], 1), (["vistoli", "--prime", "9"], 2)],
+    ids=["pass", "fail", "usage"],
+)
+def test_run_freezes_once_after_the_report_is_written(argv, code, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.txt"
+    argv = argv + ["--out", str(target)]
+    assert cli.main(argv) == code
+    expected = capsys.readouterr()
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(
+        (capsys.readouterr(), target.read_text() if target.exists() else None)))
+    monkeypatch.setattr(sys, "argv", ["bpuverify"] + argv)
+    target.unlink(missing_ok=True)
+    assert cli.run() == code
+    assert len(freezes) == 1
+    (out, err), written = freezes[0]
+    assert strip_elapsed(out) == strip_elapsed(expected.out)
+    assert err == expected.err
+    assert written == (out if code != 2 else None)
+
+
+def test_main_never_freezes(capsys, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(True))
+    for argv in (["spectral"], ["k4", "--max-degree", "8"], ["vistoli", "--prime", "9"], ["-h"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert freezes == []
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    probe = (
+        "import gc, sys, bpuverify.cli\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "bpuverify.cli.main(['spectral'])\n"
+        "counts.append(gc.get_freeze_count())\n"
+        "sys.argv[1:] = ['spectral']\n"
+        "code = bpuverify.cli.run()\n"
+        "sys.stderr.write(f'{code} {counts[0]} {counts[1]} {gc.get_freeze_count() > 0}')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.stderr == "0 0 0 True"
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'bpuverify = "bpuverify.cli:run"' in pyproject
+    assert (ROOT / "src" / "bpuverify" / "cli.py").read_text().endswith(
+        'if __name__ == "__main__":\n    sys.exit(run())\n')
+
+
+def test_module_entry_writes_the_in_process_report(tmp_path, capsys):
+    target = tmp_path / "dga.txt"
+    argv = ["dga", "--max-degree", "20"]
+    result = subprocess.run(
+        [sys.executable, "-m", "bpuverify.cli", *argv, "--out", str(target)],
+        capture_output=True, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == target.read_bytes()
+    _, out = run_cli(argv, capsys)
+    assert strip_elapsed(result.stdout.decode()) == strip_elapsed(out)
 
 
 def test_every_annotation_in_the_package_resolves():

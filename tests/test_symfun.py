@@ -50,6 +50,7 @@ from oracles import (
     k4_three_adic_factors_by_elimination,
     nonzero_invariant_factors,
     to_sigma,
+    tuple_delta_sigma,
 )
 
 CTX4 = SymmetricContext(4)
@@ -922,6 +923,15 @@ def test_hankel_delta_matches_the_expansion_route():
         reference = delta_polynomial(ctx)
         assert is_symmetric(ctx, reference)
         assert delta_sigma(ctx) == to_sigma(ctx, reference), n
+
+
+def test_packed_delta_matches_the_tuple_route():
+    # a carry out of an exponent's slot would move a term, which the tuple route shows
+    for p in (3, 5, 7):
+        ctx = SymmetricContext(p)
+        delta = delta_sigma(ctx)
+        assert delta == tuple_delta_sigma(ctx), p
+        assert delta.homogeneous_degree() == p * p - p
 
 
 def test_vandermonde_is_the_product_of_differences():
