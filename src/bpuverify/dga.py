@@ -82,11 +82,12 @@ def _p_rule(m: Monomial) -> tuple:
     k <= 1 on normal forms, since x9^2 is a Groebner lead of W.
     """
     i, j, k = m[_X3], m[_X5], m[_X9]
-    new = list(m)
     if i >= 2:
+        new = list(m)
         new[_X3] -= 2
         new[_X5] += 1
     elif j % 2 == 0 and k % 2 == 0 and j != 0:
+        new = list(m)
         new[_X5] -= 2
         new[_X9] += 1
     else:
@@ -128,16 +129,6 @@ def homotopy_p(p: Poly) -> Poly:
     return _linear(_p_rule, p)
 
 
-def _compose(columns: list, mask: int) -> int:
-    """A map applied to a mask: the XOR of columns[k] over its set bits k."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out ^= columns[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 class _Tables:
     """D, P and the projection on W's normal-form bases, filled one degree at
     a time on first use; a sweep drops the degrees it has passed.
@@ -159,17 +150,18 @@ class _Tables:
         key = name, d
         if key not in self._columns:
             alg = self.alg
-            index = alg.basis_index(e) if e >= 0 else {}
+            get = (alg.basis_index(e) if e >= 0 else {}).get
             columns = []
             for m in alg.monomials_of_degree(d) if d >= 0 else ():
                 mask = 0
                 for t in rule(m):
-                    if t not in index:
+                    bit = get(t)
+                    if bit is None:
                         raise ValueError(
                             f"not a degree-{e} normal-form element: "
                             f"{alg.format(_linear(rule, {m}))} = {name}({alg.format({m})})"
                         )
-                    mask ^= 1 << index[t]
+                    mask ^= 1 << bit
                 columns.append(mask)
             self._columns[key] = columns
         return self._columns[key]
@@ -186,7 +178,13 @@ class _Tables:
     def squares_to_zero(self, d: int) -> bool:
         """D^2 = 0 on every degree-d normal-form monomial."""
         above = self.d_cols(d + 1)
-        return not any(_compose(above, c) for c in self.d_cols(d))
+        for c in self.d_cols(d):
+            out = 0
+            while c:
+                out, c = out ^ above[(c & -c).bit_length() - 1], c & c - 1
+            if out:
+                return False
+        return True
 
     def squares_to_zero_through(self, n: int) -> bool:
         """D^2 = 0 on every normal-form monomial of degree at most n; the
@@ -267,10 +265,7 @@ def _homotopy_checks(tables: _Tables, max_degree: int) -> VerificationReport:
     #   D(projection m) against projection(D m), over degree d + 1,
     # each check stopping at its first failure; the columns of degree d - 1
     # are dropped after degree d, so the tables hold a few degrees at a time
-    squares_zero = True
-    bad = None
-    chain_ok = True
-    checked = 0
+    squares_zero, bad, chain_ok, checked = True, None, True, 0
     for d in range(max_degree + 1):
         squares_zero = squares_zero and tables.squares_to_zero_through(d + 1)
         tables.rank(d)
@@ -279,14 +274,22 @@ def _homotopy_checks(tables: _Tables, max_degree: int) -> VerificationReport:
             d_below, p_above = tables.d_cols(d - 1), tables.p_cols(d + 1)
             proj_above = tables.proj_cols(d + 1)
             for i, (dm, pm, lm) in enumerate(zip(d_cols, p_cols, proj)):
+                # P(D m), projection(D m), D(P m), D(projection m): XORs of columns
+                pdm = ldm = dpm = dlm = 0
+                while dm:
+                    k = (dm & -dm).bit_length() - 1
+                    pdm, ldm, dm = pdm ^ p_above[k], ldm ^ proj_above[k], dm & dm - 1
+                while pm:
+                    dpm, pm = dpm ^ d_below[(pm & -pm).bit_length() - 1], pm & pm - 1
+                rhs = lm ^ 1 << i
+                while lm:
+                    dlm, lm = dlm ^ d_cols[(lm & -lm).bit_length() - 1], lm & lm - 1
                 if bad is None:
-                    lhs = _compose(p_above, dm) ^ _compose(d_below, pm)
-                    rhs = lm ^ 1 << i
+                    lhs = pdm ^ dpm
                     checked += 1
                     if lhs != rhs:
                         bad = [alg.from_mask(mask, d) for mask in (1 << i, lhs, rhs)]
-                if chain_ok and _compose(d_cols, lm) != _compose(proj_above, dm):
-                    chain_ok = False
+                chain_ok = chain_ok and dlm == ldm
                 if bad is not None and not chain_ok:
                     break
         tables.drop_below(d)

@@ -263,15 +263,6 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
     return len(_eliminate_mod_prime_power(a.sparse_rows(), p, 1, a.rows)[0])
 
 
-_RANK_PRIME = 2 ** 31 - 1
-
-
-def has_full_row_rank(a: IntMatrix) -> bool:
-    """Whether A is shown to have full row rank: its rank modulo the prime
-    2^31 - 1, which never exceeds its rank over Q, equals its row count."""
-    return len(_eliminate_mod_prime_power(a.sparse_rows(), _RANK_PRIME, 1, a.rows)[0]) == a.rows
-
-
 class LocalRowForm:
     """Row elimination of a full-row-rank A over Z/p^E: U*A == H (mod p^E),
     U kept as steps: step r swaps rows r and i, then subtracts c * row r
@@ -316,25 +307,11 @@ class LocalRowForm:
         return tuple(p ** (e - v) * t % q for t in u)
 
 
-def local_row_form(a: IntMatrix, p: int) -> LocalRowForm:
-    """Row elimination of A over Z/p^E, each pivot the entry of least
-    p-valuation in the block of rows and columns not yet pivoted.
-
-    Full row rank is checked first, by one rank modulo 2^31 - 1, so that some
-    E exceeds every invariant factor's p-valuation (see ``_local_elimination``).
-    Raises ArithmeticError when A is not of full row rank.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not has_full_row_rank(a):
-        raise ArithmeticError("matrix is not of full row rank")
-    return full_rank_local_row_form(a.sparse_rows(), p)
-
-
 def full_rank_local_row_form(rows: list, p: int) -> LocalRowForm:
-    """``local_row_form`` of the matrix with the given sparse rows, each a
-    {column: entry} dict, with no rank check: the caller has shown that the
-    matrix has full row rank over Q, else the doubling of E never ends."""
+    """Row elimination over Z/p^E of the matrix with the given sparse rows,
+    each a {column: entry} dict, each pivot the entry of least p-valuation in
+    the block of rows and columns not yet pivoted.  The caller has shown that
+    the matrix has full row rank over Q, else the doubling of E never ends."""
     exponent, (valuations, _, _, steps) = _local_elimination(rows, p, len(rows))
     return LocalRowForm(p, exponent, valuations, steps)
 

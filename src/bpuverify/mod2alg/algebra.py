@@ -47,13 +47,9 @@ def mono_quotient(m: Monomial, d: Monomial) -> Monomial:
     return tuple(map(operator.sub, m, d))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def s_polynomial(li: Monomial, fi: Poly, lj: Monomial, fj: Poly) -> Poly:
     """S-polynomial of fi and fj, whose leading monomials are li and lj."""
-    lcm = mono_lcm(li, lj)
+    lcm = tuple(map(max, li, lj))
     left = poly_mul(frozenset({mono_quotient(lcm, li)}), fi)
     return left ^ poly_mul(frozenset({mono_quotient(lcm, lj)}), fj)
 
@@ -200,28 +196,47 @@ class PresentedAlgebra:
         return out
 
     # -- graded pieces -------------------------------------------------------
+    @functools.cached_property
+    def _raise_plan(self) -> tuple:
+        """For each generator x_j, the (b, tests) of each bucket b it raises:
+        ``tests`` holds lead/x_j for each lead with last generator x_j that can
+        divide m*x_j for a normal form m in bucket b, as lead divides m*x_j
+        exactly when lead/x_j divides m.  A bucket whose least monomial (1 or
+        x_b) times x_j is a lead multiple is left out."""
+        n = len(self.gen_degrees)
+        least = [(0,) * n] + [tuple(int(k == b) for k in range(n)) for b in range(n)]
+        plan = []
+        for j in range(n):
+            ends = [lead[:j] + (lead[j] - 1,) + lead[j + 1:]
+                    for lead, _ in self.groebner if lead[j] and not any(lead[j + 1:])]
+            tests = [[lead for lead in ends if not any(lead[b:]) and (b <= j or lead[j])]
+                     for b in range(j + 2)]
+            plan.append([(b, t) for b, t in enumerate(tests)
+                         if not any(mono_divides(lead, least[b]) for lead in t)])
+        return tuple(plan)
+
     def monomials_of_degree(self, d: int) -> tuple:
         """Normal-form monomials of weighted degree d, order-descending.
 
-        Normal-form monomials are an order ideal: dividing one by a generator
-        x_j it contains leaves a normal-form monomial.  So those of degree e
-        are the m*x_j, for m of degree e - deg x_j with no generator after
-        x_j, that no Groebner lead involving x_j divides.  As m is itself a
-        normal form, such a lead has x_j-exponent exactly m_j + 1, so the
-        leads are indexed by generator and exponent.  Every degree up to d
-        not yet cached is filled in ascending order, each with its
-        {monomial: index} map and its monomials bucketed by last generator,
-        so that x_j reads only the buckets of generators up to x_j.
+        Normal-form monomials are an order ideal, so those of degree e are the
+        m*x_j, for m of degree e - deg x_j with no generator after x_j, that
+        no Groebner lead divides.  Such a lead has last generator x_j, as m
+        has no later one and is a normal form, so ``_raise_plan`` indexes the
+        leads by last generator, once per algebra.  Each degree keeps its
+        monomials in order-descending buckets by last generator.  A bucket-x_b
+        monomial is tested only against leads with no generator after x_b but
+        x_j, and x_j skips the bucket when x_b*x_j is a lead (its own bucket
+        when x_j^2 is); a generator with no lead raises with no test.  Every
+        degree up to d not yet cached is filled in ascending order, each with
+        its {monomial: index} map; buckets are kept only for the degrees a
+        later fill reads.
         """
         if d < 0:
             raise ValueError("degree must be >= 0")
         cache = self._graded_cache
         if d not in cache:
-            n = len(self.gen_degrees)
-            leads = [{} for _ in range(n)]  # leads[j][t]: the leads with x_j-exponent t
-            for lead, _ in self.groebner:
-                for j, t in enumerate(lead):
-                    leads[j].setdefault(t, []).append(lead)
+            plan = self._raise_plan
+            n, top = len(self.gen_degrees), max(self.gen_degrees, default=0)
             unit = (0,) * n
             units = [] if any(lead == unit for lead, _ in self.groebner) else [unit]
             for e in range(d + 1):
@@ -229,14 +244,18 @@ class PresentedAlgebra:
                     continue
                 # buckets[0] holds the unit, buckets[j + 1] those whose last generator is x_j
                 buckets = [units if e == 0 else []]
-                for j, w in enumerate(self.gen_degrees):
-                    lower = itertools.chain(*cache[e - w][2][: j + 2]) if w <= e else ()
-                    near = leads[j]
-                    raised = (m[:j] + (m[j] + 1,) + m[j + 1:] for m in lower)
-                    buckets.append([m for m in raised if m[j] not in near
-                                    or not any(mono_divides(lead, m) for lead in near[m[j]])])
+                for j, (w, steps) in enumerate(zip(self.gen_degrees, plan)):
+                    zeros = unit[j + 1:]
+                    raised = [m[:j] + (m[j] + 1,) + zeros
+                              for b, tests in (steps if w <= e else ())
+                              for m in cache[e - w][2][b]
+                              if not tests or not any(mono_divides(t, m) for t in tests)]
+                    raised.sort(reverse=True)
+                    buckets.append(raised)
                 monos = tuple(sorted(itertools.chain(*buckets), reverse=True))
                 cache[e] = (monos, {m: i for i, m in enumerate(monos)}, buckets)
+                if e >= top:  # later fills read the buckets above degree e - top only
+                    cache[e - top] = cache[e - top][:2]
         return cache[d][0]
 
     def basis_index(self, d: int) -> dict:

@@ -341,13 +341,14 @@ def _completions(weights: tuple, remaining: int) -> tuple:
 
 # -- text syntax -----------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()]))")
+_TOKEN = r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()]))"
 
 
 def _tokenize(text: str):
+    match = re.compile(_TOKEN).match  # compiled on the first parse, then cached by re
     pos, out = 0, []
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = match(text, pos)
         if not m or m.end() == pos:
             if text[pos:].strip():
                 raise ValueError(f"bad polynomial syntax near {text[pos:pos+12]!r}")

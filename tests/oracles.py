@@ -61,6 +61,10 @@ With exponent tuples, for bpuverify.symfun.delta_sigma: the same cofactor
 expansion of the Hankel determinant, each term product a tuple sum, in place
 of exponents packed into one int.
 
+With a rank check first, for bpuverify.intlinalg.full_rank_local_row_form:
+the local row form of a dense matrix once its rank modulo 2^31 - 1 shows
+full row rank, which the coker suite gets from its onto certificate instead.
+
 Test-only constructions with no caller in the library: the n = 3 kernel
 generators, generator monomials in the n = 4 generators, and an independent
 count of the six-generator ring's graded dimensions.
@@ -489,6 +493,29 @@ def determinant(a: IntMatrix) -> int:
     return sign * rows[n - 1][n - 1] if n else 1
 
 
+_RANK_PRIME = 2 ** 31 - 1
+
+
+def has_full_row_rank(a: IntMatrix) -> bool:
+    """Whether A is shown to have full row rank: its rank modulo the prime
+    2^31 - 1, which never exceeds its rank over Q, equals its row count."""
+    rows = a.sparse_rows()
+    return len(intlinalg._eliminate_mod_prime_power(rows, _RANK_PRIME, 1, a.rows)[0]) == a.rows
+
+
+def local_row_form(a: IntMatrix, p: int) -> intlinalg.LocalRowForm:
+    """``intlinalg.full_rank_local_row_form`` of A with full row rank checked
+    first, by one rank modulo 2^31 - 1, so that some E exceeds every
+    invariant factor's p-valuation.  Raises ValueError when p is not prime
+    and ArithmeticError when A is not of full row rank.
+    """
+    if not intlinalg._is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not has_full_row_rank(a):
+        raise ArithmeticError("matrix is not of full row rank")
+    return intlinalg.full_rank_local_row_form(a.sparse_rows(), p)
+
+
 _TRIAL_BOUND = 2 ** 16
 
 
@@ -507,7 +534,7 @@ def nonzero_invariant_factors(a: IntMatrix, rank: int) -> tuple | None:
     ``_local_elimination`` are those of the factors, and the count of
     valuation 0 must equal the rank of A modulo p.
     """
-    prime = intlinalg._RANK_PRIME
+    prime = _RANK_PRIME
     _, rows, cols, _ = intlinalg._eliminate_mod_prime_power(a.sparse_rows(), prime, 1, a.rows)
     if len(cols) > rank:
         raise ArithmeticError(f"rank modulo {prime} is {len(cols)}, above the rank bound {rank}")

@@ -151,6 +151,27 @@ def test_mod2_functions_take_and_return_normal_forms(monkeypatch):
                 assert T.normal_form(value) == value, (i, T.format(r))
 
 
+def test_each_rule_runs_once_per_normal_form_monomial(monkeypatch):
+    """verify_homotopy(30) reads D through degree 32 (D^2 on degree 31) and
+    P and the projection through degree 31, each rule once per monomial."""
+    calls = {}
+
+    def counting(name, rule):
+        def wrapper(m):
+            calls.setdefault(name, []).append(m)
+            return rule(m)
+        return wrapper
+
+    for name in ("_d_rule", "_p_rule", "_projection_rule"):
+        monkeypatch.setattr(dga, name, counting(name, getattr(dga, name)))
+    assert verify_homotopy(30).passed
+    alg = w_algebra()
+    through = {"_d_rule": 32, "_p_rule": 31, "_projection_rule": 31}
+    for name, top in through.items():
+        expected = [m for d in range(top + 1) for m in alg.monomials_of_degree(d)]
+        assert sorted(calls[name]) == sorted(expected), name
+
+
 def test_suite_and_kernel_generators():
     report = verify_homotopy(24)
     assert report.passed

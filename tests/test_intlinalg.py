@@ -13,7 +13,6 @@ from bpuverify.intlinalg import (
     element_order_in_cokernel,
     hermite_normal_form,
     integer_kernel,
-    local_row_form,
     rank_mod_p,
     smith_normal_form,
     solve_integer,
@@ -26,10 +25,12 @@ from bpuverify.symfun import (
 )
 
 from oracles import (
+    _RANK_PRIME,
     dense_eliminate_mod_prime_power,
     determinant,
     generator_monomial_stack,
     local_elimination_from,
+    local_row_form,
     nonzero_invariant_factors,
     row_reduce_mod_p,
 )
@@ -237,7 +238,7 @@ def test_sparse_elimination_matches_the_dense_oracle():
 
 def test_rank_prime_is_prime():
     # has_full_row_rank takes it as prime without a check
-    assert intlinalg._is_prime(intlinalg._RANK_PRIME)
+    assert intlinalg._is_prime(_RANK_PRIME)
 
 
 def test_hermite_transform_contract():

@@ -465,6 +465,61 @@ def test_monomials_of_degree_queried_out_of_order():
         fresh.monomials_of_degree(-1)
 
 
+def _skipped_buckets(algebra):
+    """(x_j, bucket) for each bucket x_j does not read: "1" for the unit's,
+    else the name of the bucket's last generator."""
+    names = ("1",) + algebra.gen_names
+    return {
+        (algebra.gen_names[j], names[b])
+        for j, steps in enumerate(algebra._raise_plan)
+        for b in range(j + 2) if b not in {read for read, _ in steps}
+    }
+
+
+# five generators g0..g4, in listing order; two-generator leads x_b*x_j at the
+# first, middle and last positions, near misses that must not skip a bucket,
+# squares, a killed generator, a lead from a relation that is not a
+# monomial, and the unit ideal
+_SKIP_CASES = [
+    (["g0*g1"], {("g1", "g0")}),
+    (["g1*g3"], {("g3", "g1")}),
+    (["g3*g4"], {("g4", "g3")}),
+    (["g0*g4", "g2*g3"], {("g4", "g0"), ("g3", "g2")}),
+    (["g1*g3 + g2^7"], {("g3", "g1")}),
+    (["g1^2*g3"], set()),
+    (["g1*g3^2"], set()),
+    (["g0*g1*g3"], set()),
+    (["g1^2*g3", "g1*g3^2", "g0*g1*g3", "g2^3*g4"], set()),
+    (["g0^2", "g3^2", "g1*g4^2"], {("g0", "g0"), ("g3", "g3")}),
+    (["g2", "g0*g3"], {("g2", "1"), ("g2", "g0"), ("g2", "g1"), ("g3", "g0")}),
+    (["1"], set()),
+]
+
+
+@pytest.mark.parametrize(
+    "relations, skipped", _SKIP_CASES, ids=[", ".join(r) for r, _ in _SKIP_CASES]
+)
+def test_bucket_skips_match_both_oracles_through_degree_40(relations, skipped):
+    gens = [("g0", 2), ("g1", 3), ("g2", 1), ("g3", 4), ("g4", 2)]
+    algebra = PresentedAlgebra("hand", gens, relations)
+    assert _skipped_buckets(algebra) == skipped
+    expected = full_scan_monomials(algebra, 40)
+    for d in range(41):
+        assert algebra.monomials_of_degree(d) == expected[d] == lead_filter_monomials(algebra, d), d
+    # each skipped bucket holds monomials in some degree: the skip drops candidates
+    def last(m):
+        return next((algebra.gen_names[k] for k in reversed(range(5)) if m[k]), "1")
+
+    for gen, bucket in skipped:
+        w = algebra.gen_degrees[algebra.gen_names.index(gen)]
+        assert any(last(m) == bucket for monos in expected[: 41 - w] for m in monos), (gen, bucket)
+
+
+def test_w_skips_the_x3_x5_and_x9_buckets_under_x2_and_x9_under_itself():
+    skipped = {("x2", "x3"), ("x2", "x5"), ("x2", "x9"), ("x9", "x9")}
+    assert _skipped_buckets(w_algebra()) == skipped
+
+
 def _corpus_maps():
     return [pi_star(), phi_star(), delta_star(), chi_star(), reduction_map(), toda_identification()]
 

@@ -8,7 +8,6 @@ from bpuverify import cli, intlinalg, poly, symfun
 from bpuverify.intlinalg import (
     IntMatrix,
     element_order_in_cokernel,
-    has_full_row_rank,
     integer_kernel,
     rank_mod_p,
     smith_normal_form,
@@ -45,6 +44,7 @@ from oracles import (
     expand,
     first_outside_by_divergence,
     generator_monomial_stack,
+    has_full_row_rank,
     is_symmetric,
     k3_generators,
     k4_three_adic_factors_by_elimination,
@@ -749,11 +749,23 @@ def test_coker_order_builds_no_dense_matrix_and_no_rank_on_the_kernel_path(monke
     def refuse(*args):
         raise AssertionError("called on the kernel path")
 
+    real = intlinalg._eliminate_mod_prime_power
+    primes = []
+
+    def no_rank_elimination(rows, p, exponent, rank):
+        # a rank check is an elimination modulo the large prime 2^31 - 1;
+        # the local row forms eliminate modulo powers of p = 2 only
+        if p == 2 ** 31 - 1:
+            refuse()
+        primes.append(p)
+        return real(rows, p, exponent, rank)
+
     ctx = SymmetricContext(4)
     alpha = alpha_generators(ctx)
     monkeypatch.setattr(symfun, "nabla_matrix", refuse)
-    monkeypatch.setattr(intlinalg, "has_full_row_rank", refuse)
+    monkeypatch.setattr(intlinalg, "_eliminate_mod_prime_power", no_rank_elimination)
     assert coker_order(ctx, alpha.a4 * alpha.a6) == 4
+    assert primes and set(primes) == {2}
 
 
 def test_coker_order_needs_the_onto_certificate(monkeypatch):
