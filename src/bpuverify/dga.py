@@ -8,22 +8,22 @@ degree-raising differential D (Leibniz extension of x5 -> x3^2, x9 -> x5^2)
 corresponds to Sq^1 under that identification.
 
 A projection onto the monomial families {x2^a x8^b x12^c} and
-{x8^b x12^c x3}, together with an explicit degree-lowering operator P, gives
-the chain-homotopy identity P D + D P = projection + identity on every
-normal-form monomial, which pins the homology to Z/2[x2, x8, x12] (x) E[x3].
+{x8^b x12^c x3} and a degree-lowering operator P give the chain-homotopy
+identity P D + D P = projection + identity, which pins the homology to
+Z/2[x2, x8, x12] + Z/2[x8, x12]*x3.
 
-D, P and the projection are each one rule on a normal-form monomial's
-exponent tuple: the Leibniz rule on odd x5 and x9 exponents, P's case table,
-and the projection's two families.  ``differential``, ``homotopy_p`` and
-``lambda_projection`` are their GF(2) linear extensions.  A suite call
-evaluates each rule once per normal-form monomial into its own table: for
-each degree d, the D columns as bitmasks over degree d + 1, the P columns
-over degree d - 1 and the projection over degree d.  D^2 = 0, the homotopy
-identity, the chain map and the ranks of D are XORs and GF(2) ranks of
-those masks.
+D, P and the projection are tables of (guards, shift) entries on a
+monomial's exponents, read by ``_d_rule``, ``_p_rule`` and
+``_projection_rule``; ``differential``, ``homotopy_p`` and
+``lambda_projection`` are their GF(2) linear extensions.  The tables read
+each exponent only through thresholds and parities and move it by bounded
+shifts, so the suite's checks hold in every degree once they hold on a
+finite box of exponent cells (``_Box``), and first fail in the degree of
+their first failing cell; the counts it prints are series over the same
+exponent classes.
 
 The rules take and return normal forms.  The Groebner leads of W are x2*x3,
-x2*x5, x2*x9 and x9^2, so a normal-form monomial with x3^2, x5 or x9 has no
+x2*x5, x2*x9 and x9^2, so a normal-form monomial with x3, x5 or x9 has no
 x2 and at most one x9, and the exponent shifts of D and P keep it so.  A
 rule value outside the target degree's normal-form basis raises ValueError.
 """
@@ -31,12 +31,14 @@ rule value outside the target degree's normal-form basis raises ValueError.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 from . import gf2
-from .mod2alg.algebra import AlgebraMap, Monomial, Poly, PresentedAlgebra
+from .mod2alg.algebra import AlgebraMap, Monomial, Poly, PresentedAlgebra, mono_mul
 from .mod2alg.rings import toda_action, toda_ring
 from .report import VerificationReport
-from .series import geometric_product, series_mul
+from .series import geometric_product
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,62 +46,64 @@ def w_algebra() -> PresentedAlgebra:
     return PresentedAlgebra(
         "W",
         [("x9", 9), ("x12", 12), ("x8", 8), ("x5", 5), ("x3", 3), ("x2", 2)],
-        [
-            "x2*x3",
-            "x2*x5",
-            "x2*x9",
-            "x9^2 + x3^2*x12 + x5^2*x8 + x3^3*x9 + x3*x5^3",
-        ],
+        ["x2*x3", "x2*x5", "x2*x9", "x9^2 + x3^2*x12 + x5^2*x8 + x3^3*x9 + x3*x5^3"],
     )
 
 
-# generator positions in W's monomials; D takes x5 to x3^2 and x9 to x5^2
+# generator positions in W's monomials
 _X2, _X3, _X5, _X9 = (w_algebra().gen_names.index(g) for g in ("x2", "x3", "x5", "x9"))
-_D_SQUARES = ((_X5, _X3), (_X9, _X5))
+
+_EMPTY: Poly = frozenset()
+
+# A guard (g, op, c) reads the exponent e of generator g: e >= c, e < c or
+# e % 2 == c for op ">=", "<" or "%2".  A rule's value on a monomial is the
+# XOR of the monomial moved by the shift ({generator: change}) of each entry
+# whose guards all hold.
+# D: x5 -> x3^2 on an odd x5 exponent, x9 -> x5^2 on an odd x9 exponent; in
+# char 2 an even exponent differentiates to zero
+_D_TABLE = (
+    (((_X5, "%2", 1),), {_X5: -1, _X3: 2}),
+    (((_X9, "%2", 1),), {_X9: -1, _X5: 2}),
+)
+# P on n * x3^i x5^j x9^k, n in the x2/x8/x12 subring (k <= 1 on normal forms):
+#   i >= 2                        -> n * x3^(i-2) x5^(j+1) x9^k
+#   i <= 1, j >= 2, j and k even  -> n * x3^i x5^(j-2) x9^(k+1)
+_P_TABLE = (
+    (((_X3, ">=", 2),), {_X3: -2, _X5: 1}),
+    (((_X3, "<", 2), (_X5, ">=", 2), (_X5, "%2", 0), (_X9, "%2", 0)), {_X5: -2, _X9: 1}),
+)
+# the projection: the identity on x2^a x8^b x12^c and on x8^b x12^c x3
+_PROJECTION_TABLE = (
+    (((_X3, "<", 1), (_X5, "<", 1), (_X9, "<", 1)), {}),
+    (((_X2, "<", 1), (_X3, ">=", 1), (_X3, "<", 2), (_X5, "<", 1), (_X9, "<", 1)), {}),
+)
 
 
-def _d_rule(m: Monomial) -> list:
-    """The monomials of D(m): the Leibniz rule on an odd x5 or x9 exponent,
-    x5 -> x3^2 and x9 -> x5^2; in char 2 an even exponent differentiates to
-    zero."""
+def _apply(table, m: Monomial) -> list:
     out = []
-    for g, h in _D_SQUARES:
-        if m[g] % 2:
+    for guards, shift in table:
+        for g, op, c in guards:
+            e = m[g]
+            if not (e >= c if op == ">=" else e < c if op == "<" else e % 2 == c):
+                break
+        else:
             t = list(m)
-            t[g] -= 1
-            t[h] += 2
+            for g, k in shift.items():
+                t[g] += k
             out.append(tuple(t))
     return out
 
 
-def _p_rule(m: Monomial) -> tuple:
-    """The monomials of P(m), by the case table on m = n * x3^i x5^j x9^k
-    with n in the x2/x8/x12 subring:
-      i >= 2                      -> n * x3^(i-2) x5^(j+1) x9^k
-      i <= 1, j,k even, j != 0    -> n * x3^i x5^(j-2) x9^(k+1)
-      otherwise                   -> 0
-
-    k <= 1 on normal forms, since x9^2 is a Groebner lead of W.
-    """
-    i, j, k = m[_X3], m[_X5], m[_X9]
-    if i >= 2:
-        new = list(m)
-        new[_X3] -= 2
-        new[_X5] += 1
-    elif j % 2 == 0 and k % 2 == 0 and j != 0:
-        new = list(m)
-        new[_X5] -= 2
-        new[_X9] += 1
-    else:
-        return ()
-    return (tuple(new),)
+def _d_rule(m: Monomial) -> list:
+    return _apply(_D_TABLE, m)
 
 
-def _projection_rule(m: Monomial) -> tuple:
-    """m itself on x2^a x8^b x12^c and x8^b x12^c x3, nothing otherwise."""
-    if m[_X5] or m[_X9] or m[_X3] > 1 or (m[_X3] and m[_X2]):
-        return ()
-    return (m,)
+def _p_rule(m: Monomial) -> list:
+    return _apply(_P_TABLE, m)
+
+
+def _projection_rule(m: Monomial) -> list:
+    return _apply(_PROJECTION_TABLE, m)
 
 
 def _linear(rule, p: Poly) -> Poly:
@@ -129,102 +133,166 @@ def homotopy_p(p: Poly) -> Poly:
     return _linear(_p_rule, p)
 
 
-class _Tables:
-    """D, P and the projection on W's normal-form bases, filled one degree at
-    a time on first use; a sweep drops the degrees it has passed.
+class _Box:
+    """The exponent cells of the all-degree certificate, and the rule values on them.
 
-    ``d_cols(e)``, ``p_cols(e)`` and ``proj_cols(e)`` hold, for each monomial
-    of ``monomials_of_degree(e)`` in order, the mask of its image over degree
-    e + 1, e - 1 and e; each rule runs once per monomial.  A table lives for
-    one suite call, so it always reads the rules as they are at that call.
+    An exponent read by a guard or a Groebner lead has threshold T, its
+    largest guard constant (0 for a parity) or lead exponent, and moves by at
+    most S under one shift.  The rules and the normal-form test read it the
+    same at e + s and e - 2 + s for |s| <= S once e >= T + S + 2, so its cells
+    are 0..T+S+1; an exponent nothing reads has the one cell 0.  The cells
+    are the box's normal forms, in degree-sweep order.
     """
 
     def __init__(self):
-        self.alg = w_algebra()
-        self._columns = {}
-        self._zero_through = -1
-        self._ranks = {}
+        alg = self.alg = w_algebra()
+        self.rules = {"D": (_d_rule, 1), "P": (_p_rule, -1), "projection": (_projection_rule, 0)}
+        self.leads = [lead for lead, _ in alg.groebner]
+        entries = [e for t in (_D_TABLE, _P_TABLE, _PROJECTION_TABLE) for e in t]
+        n = len(alg.gen_degrees)
+        threshold, shift = [None] * n, [0] * n
+        reads = [(g, 0 if op == "%2" else c) for guards, _ in entries for g, op, c in guards]
+        if {op for guards, _ in entries for _, op, _ in guards} - {">=", "<", "%2"}:
+            raise ValueError("a guard's op must be '>=', '<' or '%2'")
+        for g, c in reads + [(g, e) for lead in self.leads for g, e in enumerate(lead) if e]:
+            threshold[g] = max(threshold[g] or 0, c)
+        for g, k in ((g, k) for _, moves in entries for g, k in moves.items()):
+            shift[g] = max(shift[g], abs(k))
+        box = [(0,) if t is None else range(t + s + 2) for t, s in zip(threshold, shift)]
+        cells = set(itertools.product(*box)).difference(
+            *(itertools.product(*(r[e:] for r, e in zip(box, lead))) for lead in self.leads))
+        self.cells = sorted(sorted(cells, reverse=True), key=self.degree)
+        self.threshold, self._values = threshold, {name: {} for name in self.rules}
 
-    def _fill(self, name: str, rule, d: int, e: int) -> list:
-        """The masks over degree e of the rule's values on the degree-d monomials."""
-        key = name, d
-        if key not in self._columns:
-            alg = self.alg
-            get = (alg.basis_index(e) if e >= 0 else {}).get
-            columns = []
-            for m in alg.monomials_of_degree(d) if d >= 0 else ():
-                mask = 0
-                for t in rule(m):
-                    bit = get(t)
-                    if bit is None:
-                        raise ValueError(
-                            f"not a degree-{e} normal-form element: "
-                            f"{alg.format(_linear(rule, {m}))} = {name}({alg.format({m})})"
-                        )
-                    mask ^= 1 << bit
-                columns.append(mask)
-            self._columns[key] = columns
-        return self._columns[key]
+    def degree(self, m: Monomial) -> int:
+        return sum(map(operator.mul, m, self.alg.gen_degrees))
 
-    def d_cols(self, d: int) -> list:
-        return self._fill("D", _d_rule, d, d + 1)
+    def normal(self, m: Monomial) -> bool:
+        return min(m) >= 0 and not any(all(map(operator.le, lead, m)) for lead in self.leads)
 
-    def p_cols(self, d: int) -> list:
-        return self._fill("P", _p_rule, d, d - 1)
+    def value(self, name: str, p) -> Poly:
+        """The rule's value on an element given by its normal-form monomials."""
+        values, out = self._values[name], None
+        for m in p:
+            image = values.get(m)
+            if image is None:
+                image = values[m] = _linear(self.rules[name][0], (m,))
+            out = image if out is None else out ^ image
+        return _EMPTY if out is None else out
 
-    def proj_cols(self, d: int) -> list:
-        return self._fill("projection", _projection_rule, d, d)
+    def checked(self, name: str, m: Monomial) -> Poly:
+        """The rule's value on the normal-form monomial m, which must be a
+        normal form of the target degree; checked on the cells, that holds on
+        every normal form."""
+        image, e = self.value(name, (m,)), self.degree(m) + self.rules[name][1]
+        if image and any(self.degree(t) != e or not self.normal(t) for t in image):
+            raise ValueError(f"not a degree-{e} normal-form element: "
+                             f"{self.alg.format(image)} = {name}({self.alg.format({m})})")
+        return image
 
-    def squares_to_zero(self, d: int) -> bool:
-        """D^2 = 0 on every degree-d normal-form monomial."""
-        above = self.d_cols(d + 1)
-        for c in self.d_cols(d):
-            out = 0
-            while c:
-                out, c = out ^ above[(c & -c).bit_length() - 1], c & c - 1
-            if out:
-                return False
-        return True
+    @functools.cached_property
+    def _generator_values(self) -> list:
+        n = len(self.alg.gen_degrees)
+        units = [tuple(int(k == g) for k in range(n)) for g in range(n)]
+        values = [(g, tuple(-k for k in u), self.value("D", (u,))) for g, u in enumerate(units)]
+        return [value for value in values if value[2]]
 
-    def squares_to_zero_through(self, n: int) -> bool:
-        """D^2 = 0 on every normal-form monomial of degree at most n; the
-        degrees already shown are not checked again."""
-        while self._zero_through < n:
-            if not self.squares_to_zero(self._zero_through + 1):
-                return False
-            self._zero_through += 1
-        return True
+    def leibniz(self, m: Monomial) -> Poly:
+        """The Leibniz extension of D's values on the generators at any
+        monomial m: the XOR of (m / x_g) * D(x_g) over the x_g with an odd
+        exponent in m, the only terms char 2 keeps."""
+        out = set()
+        for g, unit, image in self._generator_values:
+            if m[g] % 2:
+                cof = mono_mul(m, unit)
+                out ^= {mono_mul(cof, t) for t in image}
+        return frozenset(out)
 
-    def rank(self, d: int) -> int:
-        """GF(2) rank of D from degree d to degree d + 1."""
-        if d not in self._ranks:
-            self._ranks[d] = gf2.rank(self.d_cols(d))
-        return self._ranks[d]
+    @functools.cached_property
+    def first_failures(self) -> dict:
+        """{check: (cell, lhs, rhs)} at the first cell where each check fails:
+        D against the Leibniz rule, the homotopy identity, the chain map, and
+        the projection as the identity on its image with D zero there.  The
+        rule values at the cells are checked on the way, in sweep order."""
+        value, checked, first = self.value, self.checked, {}
+        for m in self.cells:
+            mono = frozenset((m,))
+            d, p, proj = checked("D", m), checked("P", m), checked("projection", m)
+            d_proj = value("D", proj)
+            for check, lhs, rhs in (
+                ("leibniz", d, self.leibniz(m)),
+                ("identity", value("P", d) ^ value("D", p), proj ^ mono),
+                ("chain", d_proj, value("projection", d)),
+                ("image", (proj, d_proj), (proj & mono, _EMPTY)),
+            ):
+                if lhs != rhs and check not in first:
+                    first[check] = (m, lhs, rhs)
+        return first
 
-    def drop_below(self, d: int) -> None:
-        """Forget the columns of the degrees below d; ranks and D^2 verdicts stay."""
-        for key in [key for key in self._columns if key[1] < d]:
-            del self._columns[key]
+    def series(self, max_degree: int) -> tuple:
+        """Per-degree counts through max_degree of the normal-form monomials
+        and of those the projection fixes, which read a read exponent e only
+        as itself below its threshold T and as e + 2k from T on: the sum over
+        the cells with every such e <= T + 1 of t^(degree) over 1 - t^(2 deg
+        x_g) for each e >= T and 1 - t^(deg x_g) for each unread x_g."""
+        groups, degrees = ({}, {}), self.alg.gen_degrees
+        for m in self.cells:
+            if self.degree(m) > max_degree or any(t is not None and e > t + 1
+                                                  for e, t in zip(m, self.threshold)):
+                continue
+            steps = tuple(w if t is None else 2 * w
+                          for e, t, w in zip(m, self.threshold, degrees) if t is None or e >= t)
+            for group in groups[:1 + (self.value("projection", (m,)) == {m})]:
+                group.setdefault(steps, [0] * (max_degree + 1))[self.degree(m)] += 1
+        out = []
+        for group in groups:
+            total = [0] * (max_degree + 1)
+            for steps, coeffs in group.items():
+                for s in steps:
+                    for d in range(s, max_degree + 1):
+                        coeffs[d] += coeffs[d - s]
+                total = list(map(operator.add, total, coeffs))
+            out.append(total)
+        return tuple(out)
 
-    def homology_dimension(self, d: int) -> int:
-        if not self.squares_to_zero_through(d + 1):
-            raise ArithmeticError("the differential does not square to zero")
-        kernel_dim = len(self.alg.monomials_of_degree(d)) - self.rank(d)
-        if d == 0:
-            return kernel_dim
-        return kernel_dim - self.rank(d - 1)
+
+def _d_squared_witness(box: _Box, max_degree: int) -> str:
+    """Why D^2 = 0 through max_degree is not certified, or ''.
+
+    Where D is the Leibniz extension L of its generator values through degree
+    max_degree + 1 (the first failing cell's degree is the first failing
+    degree), D^2 = L^2 through max_degree, a derivation in char 2, so zero
+    once zero on the generators; and D maps W's relations into the ideal."""
+    alg = box.alg
+    bad = box.first_failures.get("leibniz")
+    if bad and box.degree(bad[0]) <= max_degree + 1:
+        return "D({}) = {}, the Leibniz rule gives {}".format(*map(alg.format, ({bad[0]}, *bad[1:])))
+    for r in alg.relations:
+        value = alg.normal_form(functools.reduce(operator.xor, map(box.leibniz, r)))
+        if value:
+            return f"D({alg.format(r)}) = {alg.format(value)} mod the relations"
+    for name, w in zip(alg.gen_names, alg.gen_degrees):
+        square = box.value("D", box.value("D", alg.gen(name)))
+        if w <= max_degree and square:
+            return f"D^2({name}) = {alg.format(square)}"
+    return ""
 
 
-def verify_differential_squares_to_zero(max_degree: int) -> bool:
-    return _Tables().squares_to_zero_through(max_degree)
+def verify_differential_squares_to_zero(max_degree: int, box: _Box | None = None) -> bool:
+    """D^2 = 0 on all normal-form monomials through degree max_degree, by
+    the generator-and-relations certificate of ``_d_squared_witness``."""
+    return not _d_squared_witness(box or _Box(), max_degree)
 
 
 def homology_dimension(d: int) -> int:
-    """dim ker(D at degree d) - dim im(D from degree d-1), over GF(2).
-
-    D^2 = 0 is certified through degree d + 1 before ranks are taken.
-    """
-    return _Tables().homology_dimension(d)
+    """dim ker(D at degree d) - dim im(D from degree d-1), over GF(2), from
+    the ranks of D; D^2 = 0 from degree d - 1 to d + 1 is checked first."""
+    alg, image = w_algebra(), lambda m: differential(frozenset({m}))
+    if d and any(differential(image(m)) for m in alg.monomials_of_degree(d - 1)):
+        raise ArithmeticError("the differential does not square to zero")
+    ranks = [gf2.rank([alg.coordinates(image(m), e + 1) for m in alg.monomials_of_degree(e)])
+             for e in (d - 1, d) if e >= 0]
+    return len(alg.monomials_of_degree(d)) - sum(ranks)
 
 
 def stated_answer_series(max_degree: int) -> list:
@@ -232,102 +300,60 @@ def stated_answer_series(max_degree: int) -> list:
     nominal answer ring Z/2[x2,x8,x12] (x) E[x3], which ignores that x2*x3
     vanishes in the algebra."""
     base = geometric_product((2, 8, 12), max_degree)
-    return series_mul(base, [1, 0, 0, 1], max_degree)
+    return [c + (base[d - 3] if d >= 3 else 0) for d, c in enumerate(base)]
 
 
 def homology_series(max_degree: int) -> list:
-    """Coefficients of 1/((1-t^2)(1-t^8)(1-t^12)) + t^3/((1-t^8)(1-t^12)).
-
-    This is the series of the projection's actual image
-    Z/2[x2,x8,x12] + Z/2[x8,x12]*x3, which the chain homotopy identifies
-    with the homology; it differs from the nominal tensor-ring series
-    exactly in the x2^a*x3 (a >= 1) monomials, which are zero in the
-    algebra."""
-    main = geometric_product((2, 8, 12), max_degree)
-    odd = geometric_product((8, 12), max_degree)
-    out = list(main)
-    for d in range(3, max_degree + 1):
-        out[d] += odd[d - 3]
-    return out
+    """Coefficients of 1/((1-t^2)(1-t^8)(1-t^12)) + t^3/((1-t^8)(1-t^12)),
+    the series of the projection's image Z/2[x2,x8,x12] + Z/2[x8,x12]*x3: the
+    nominal series less the x2^a*x3 (a >= 1) monomials, zero in the algebra."""
+    main, odd = geometric_product((2, 8, 12), max_degree), geometric_product((8, 12), max_degree)
+    return [c + (odd[d - 3] if d >= 3 else 0) for d, c in enumerate(main)]
 
 
-def verify_homotopy(max_degree: int) -> VerificationReport:
-    """P D + D P = projection + identity on every normal-form monomial."""
-    return _homotopy_checks(_Tables(), max_degree)
-
-
-def _homotopy_checks(tables: _Tables, max_degree: int) -> VerificationReport:
+def _certificate_checks(box: _Box, counts: list, image: list) -> VerificationReport:
+    """The four homotopy lines and the two findings through the degree of
+    the two series, read off the box certificate: a check fails through that
+    degree exactly when it fails on a cell of degree at most that."""
     report = VerificationReport("dga")
-    alg = tables.alg
-    # one ascending pass over the degrees: D^2 = 0 and the rank of D, and per
-    # monomial m of degree d (bit i), with masks for elements,
-    #   P(D m) + D(P m) against projection(m) + m, over degree d, and
-    #   D(projection m) against projection(D m), over degree d + 1,
-    # each check stopping at its first failure; the columns of degree d - 1
-    # are dropped after degree d, so the tables hold a few degrees at a time
-    squares_zero, bad, chain_ok, checked = True, None, True, 0
-    for d in range(max_degree + 1):
-        squares_zero = squares_zero and tables.squares_to_zero_through(d + 1)
-        tables.rank(d)
-        if bad is None or chain_ok:
-            d_cols, p_cols, proj = tables.d_cols(d), tables.p_cols(d), tables.proj_cols(d)
-            d_below, p_above = tables.d_cols(d - 1), tables.p_cols(d + 1)
-            proj_above = tables.proj_cols(d + 1)
-            for i, (dm, pm, lm) in enumerate(zip(d_cols, p_cols, proj)):
-                # P(D m), projection(D m), D(P m), D(projection m): XORs of columns
-                pdm = ldm = dpm = dlm = 0
-                while dm:
-                    k = (dm & -dm).bit_length() - 1
-                    pdm, ldm, dm = pdm ^ p_above[k], ldm ^ proj_above[k], dm & dm - 1
-                while pm:
-                    dpm, pm = dpm ^ d_below[(pm & -pm).bit_length() - 1], pm & pm - 1
-                rhs = lm ^ 1 << i
-                while lm:
-                    dlm, lm = dlm ^ d_cols[(lm & -lm).bit_length() - 1], lm & lm - 1
-                if bad is None:
-                    lhs = pdm ^ dpm
-                    checked += 1
-                    if lhs != rhs:
-                        bad = [alg.from_mask(mask, d) for mask in (1 << i, lhs, rhs)]
-                chain_ok = chain_ok and dlm == ldm
-                if bad is not None and not chain_ok:
-                    break
-        tables.drop_below(d)
-    report.add(
-        "d-squared",
-        squares_zero,
-        f"D^2 = 0 on all normal-form monomials through degree {max_degree + 1}",
-    )
-    report.add(
-        "homotopy-identity",
-        bad is None,
-        f"P*D + D*P = projection + id on all {checked} normal-form monomials "
-        f"through degree {max_degree}",
-        witness=""
-        if bad is None
-        else f"{alg.format(bad[0])}: lhs {alg.format(bad[1])} rhs {alg.format(bad[2])}",
-    )
-    report.add(
-        "projection-chain-map",
-        chain_ok,
-        f"the projection commutes with D through degree {max_degree}",
-    )
-    dims = [tables.homology_dimension(d) for d in range(max_degree + 1)]
-    series = homology_series(max_degree)
-    mismatches = [
-        (d, dims[d], series[d]) for d in range(max_degree + 1) if dims[d] != series[d]
-    ]
-    report.add(
-        "homology-dimensions",
-        not mismatches,
-        f"homology dimensions equal the series of Z/2[x2,x8,x12] + Z/2[x8,x12]*x3 "
-        f"through degree {max_degree}",
-        witness=str(mismatches[:4]) if mismatches else "",
-    )
+    alg, max_degree = box.alg, len(counts) - 1
+    failing = {k: bad for k, bad in box.first_failures.items() if box.degree(bad[0]) <= max_degree}
+    squares_zero = verify_differential_squares_to_zero(max_degree + 1, box)
+    report.add("d-squared", squares_zero,
+               f"D^2 = 0 on all normal-form monomials through degree {max_degree + 1}",
+               witness="" if squares_zero else _d_squared_witness(box, max_degree + 1))
+    # a degree sweep checks the monomials up to the first failing one
+    checked, witness = sum(counts), ""
+    if "identity" in failing:
+        m, lhs, rhs = failing["identity"]
+        d = box.degree(m)
+        checked = sum(counts[:d]) + alg.monomials_of_degree(d).index(m) + 1
+        witness = f"{alg.format({m})}: lhs {alg.format(lhs)} rhs {alg.format(rhs)}"
+    report.add("homotopy-identity", not witness,
+               f"P*D + D*P = projection + id on all {checked} normal-form monomials "
+               f"through degree {max_degree}", witness=witness)
+    chain = failing.get("chain")
+    report.add("projection-chain-map", chain is None,
+               f"the projection commutes with D through degree {max_degree}",
+               witness=chain and "{}: D*projection {} projection*D {}".format(
+                   *map(alg.format, ({chain[0]}, *chain[1:]))) or "")
+    # with the three lines above, and D zero on the projection's image, the
+    # homotopy identifies the homology with that image: its fixed monomials
+    mismatches = [(d, image[d], s) for d, s in enumerate(homology_series(max_degree))
+                  if image[d] != s]
+    if report.failures:
+        witness = "rests on d-squared, homotopy-identity and projection-chain-map"
+    elif "image" in failing:
+        m, (proj, d_proj), _ = failing["image"]
+        witness = (f"{alg.format({m})}: projection {alg.format(proj)}, "
+                   f"D*projection {alg.format(d_proj)}")
+    else:
+        witness = str(mismatches[:4]) if mismatches else ""
+    report.add("homology-dimensions", not witness,
+               f"homology dimensions equal the series of Z/2[x2,x8,x12] + Z/2[x8,x12]*x3 "
+               f"through degree {max_degree}", witness=witness)
     nominal = stated_answer_series(max_degree)
-    first_diff = next(
-        (d for d in range(max_degree + 1) if dims[d] != nominal[d]), None
-    )
+    first_diff = next((d for d in range(max_degree + 1) if image[d] != nominal[d]), None)
     report.finding(
         "nominal-answer-series",
         "the nominal answer ring Z/2[x2,x8,x12] (x) E[x3] overcounts the "
@@ -346,54 +372,16 @@ def _homotopy_checks(tables: _Tables, max_degree: int) -> VerificationReport:
 KERNEL_GENERATORS = ("x2", "x8", "x12", "x3", "x5^2", "x3^2*x9 + x5^3")
 
 
-def ker_d_generators_check(max_degree: int) -> VerificationReport:
-    """ker D equals the subalgebra on the six listed elements, degreewise."""
-    return _kernel_generators_check(_Tables(), max_degree)
-
-
-def _kernel_generators_check(tables: _Tables, max_degree: int) -> VerificationReport:
-    report = VerificationReport("dga-kernel")
-    alg = tables.alg
-    gens = [alg.parse(s) for s in KERNEL_GENERATORS]
-    first_bad = None
-    for d, (sub_dim, _) in enumerate(alg.subalgebra_ranks(gens, max_degree)):
-        kernel_dim = len(alg.monomials_of_degree(d)) - tables.rank(d)
-        if sub_dim != kernel_dim and first_bad is None:
-            first_bad = (d, kernel_dim, sub_dim)
-    report.add(
-        "kernel-generators",
-        first_bad is None,
-        f"ker D dimensions match the six-generator subalgebra through degree {max_degree}",
-        witness=""
-        if first_bad is None
-        else f"degree {first_bad[0]}: kernel {first_bad[1]} vs subalgebra {first_bad[2]}",
-    )
-    return report
-
-
 @functools.lru_cache(maxsize=None)
 def toda_identification() -> AlgebraMap:
     """The isomorphism onto the six-generator cohomology ring."""
-    return AlgebraMap(
-        "w-identification",
-        w_algebra(),
-        toda_ring(),
-        {
-            "x2": "y2",
-            "x3": "y3",
-            "x5": "y5",
-            "x9": "y9",
-            "x8": "y8 + y3*y5",
-            "x12": "y12 + y3*y9",
-        },
-    )
+    return AlgebraMap("w-identification", w_algebra(), toda_ring(), {
+        "x2": "y2", "x3": "y3", "x5": "y5", "x9": "y9", "x8": "y8 + y3*y5", "x12": "y12 + y3*y9"})
 
 
 def verify_sq1_correspondence(max_degree: int) -> bool:
     """D corresponds to Sq^1 under the identification, on a basis sweep."""
-    alg = w_algebra()
-    iso = toda_identification()
-    act = toda_action()
+    alg, iso, act = w_algebra(), toda_identification(), toda_action()
     for d in range(max_degree + 1):
         for m in alg.monomials_of_degree(d):
             mono = frozenset({m})
@@ -403,15 +391,28 @@ def verify_sq1_correspondence(max_degree: int) -> bool:
 
 
 def dga_suite(max_degree: int) -> VerificationReport:
-    """The homotopy suite through max_degree, with the kernel generators
-    checked through min(30, max_degree)."""
-    tables = _Tables()
-    report = _homotopy_checks(tables, max_degree)
-    report.extend(_kernel_generators_check(tables, min(30, max_degree)))
-    report.add(
-        "sq1-correspondence",
-        verify_sq1_correspondence(min(20, max_degree)),
-        "D matches Sq^1 on the six-generator cohomology ring under the "
-        "alphabet identification (basis sweep to degree 20)",
-    )
+    """The homotopy certificate, read through max_degree, with ker D checked
+    against the subalgebra on ``KERNEL_GENERATORS`` through min(30,
+    max_degree) and Sq^1 through min(20, max_degree).
+
+    The dimension of ker D comes from the certified homology h and the
+    normal-form counts w: k_d = h_d + rank D_(d-1) = h_d + w_(d-1) - k_(d-1)."""
+    box = _Box()
+    counts, image = box.series(max_degree)
+    report = _certificate_checks(box, counts, image)
+    alg, top, kernel = box.alg, min(30, max_degree), []
+    for d in range(top + 1):
+        kernel.append(image[d] + (counts[d - 1] - kernel[-1] if d else 0))
+    ranks = alg.subalgebra_ranks([alg.parse(s) for s in KERNEL_GENERATORS], top)
+    first_bad = next(((d, kernel[d], sub) for d, (sub, _) in enumerate(ranks)
+                      if sub != kernel[d]), None)
+    witness = first_bad and "degree {}: kernel {} vs subalgebra {}".format(*first_bad) or ""
+    if report.failures:
+        witness = "rests on homology-dimensions"
+    report.add("kernel-generators", not witness,
+               f"ker D dimensions match the six-generator subalgebra through degree {top}",
+               witness=witness)
+    report.add("sq1-correspondence", verify_sq1_correspondence(min(20, max_degree)),
+               "D matches Sq^1 on the six-generator cohomology ring under the "
+               "alphabet identification (basis sweep to degree 20)")
     return report

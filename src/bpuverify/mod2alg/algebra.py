@@ -85,6 +85,7 @@ class PresentedAlgebra:
             if self.normal_form(r):
                 raise ArithmeticError("a defining relation does not reduce to zero")
         self._graded_cache = {}
+        self._basis_indexes = {}
 
     # -- monomial order ----------------------------------------------------
     def degree(self, m: Monomial) -> int:
@@ -227,9 +228,8 @@ class PresentedAlgebra:
         monomial is tested only against leads with no generator after x_b but
         x_j, and x_j skips the bucket when x_b*x_j is a lead (its own bucket
         when x_j^2 is); a generator with no lead raises with no test.  Every
-        degree up to d not yet cached is filled in ascending order, each with
-        its {monomial: index} map; buckets are kept only for the degrees a
-        later fill reads.
+        degree up to d not yet cached is filled in ascending order; buckets
+        are kept only for the degrees a later fill reads.
         """
         if d < 0:
             raise ValueError("degree must be >= 0")
@@ -248,21 +248,22 @@ class PresentedAlgebra:
                     zeros = unit[j + 1:]
                     raised = [m[:j] + (m[j] + 1,) + zeros
                               for b, tests in (steps if w <= e else ())
-                              for m in cache[e - w][2][b]
+                              for m in cache[e - w][1][b]
                               if not tests or not any(mono_divides(t, m) for t in tests)]
                     raised.sort(reverse=True)
                     buckets.append(raised)
                 monos = tuple(sorted(itertools.chain(*buckets), reverse=True))
-                cache[e] = (monos, {m: i for i, m in enumerate(monos)}, buckets)
+                cache[e] = (monos, buckets)
                 if e >= top:  # later fills read the buckets above degree e - top only
-                    cache[e - top] = cache[e - top][:2]
+                    cache[e - top] = cache[e - top][:1]
         return cache[d][0]
 
     def basis_index(self, d: int) -> dict:
-        """{monomial: bit} over monomials_of_degree(d); the cached dict itself,
-        which callers only read."""
-        self.monomials_of_degree(d)
-        return self._graded_cache[d][1]
+        """{monomial: bit} over monomials_of_degree(d), built on the first call
+        for that degree; the cached dict itself, which callers only read."""
+        if d not in self._basis_indexes:
+            self._basis_indexes[d] = {m: i for i, m in enumerate(self.monomials_of_degree(d))}
+        return self._basis_indexes[d]
 
     def coordinates(self, p: Poly, d: int) -> int:
         """Bitmask over monomials_of_degree(d) of an element already in normal form.

@@ -21,13 +21,3 @@ def geometric_product(weights, max_degree: int) -> list:
             coeffs[d] += coeffs[d - w]
     return coeffs
 
-
-def series_mul(a, b, max_degree: int) -> list:
-    out = [0] * (max_degree + 1)
-    for i, x in enumerate(a[: max_degree + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: max_degree + 1 - i]):
-            out[i + j] += x * y
-    return out
-

@@ -43,7 +43,13 @@ from bpuverify.symfun import (
     vistoli_delta_check,
 )
 
-from oracles import alpha_monomial, delta_polynomial, toda_dimension_oracle
+from oracles import (
+    alpha_monomial,
+    delta_polynomial,
+    ker_d_generators_check,
+    toda_dimension_oracle,
+    verify_homotopy,
+)
 
 CTX = SymmetricContext(4)
 ALPHA = alpha_generators(CTX)
@@ -240,8 +246,8 @@ def test_criterion_08_reduction_image_suite():
 
 def test_criterion_09_dga_homotopy_and_homology():
     t0 = time.perf_counter()
-    homotopy = dga_mod.verify_homotopy(40)
-    kernel = dga_mod.ker_d_generators_check(30)
+    homotopy = verify_homotopy(40)
+    kernel = ker_d_generators_check(30)
     dims = [dga_mod.homology_dimension(d) for d in range(41)]
     stated = dga_mod.stated_answer_series(40)
     elapsed = time.perf_counter() - t0

@@ -91,6 +91,20 @@ def test_options_a_suite_cannot_use_are_usage_errors(argv, capsys):
     assert captured.err.startswith("usage:"), captured.err
 
 
+@pytest.mark.parametrize("prime", ["11", "13"])
+def test_vistoli_primes_above_7_are_usage_errors(prime, capsys, monkeypatch):
+    """Refused before any suite runs: the expansions of V and delta would
+    outgrow memory at these primes."""
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    assert cli.main(["vistoli", "--prime", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:"), captured.err
+    assert f"odd primes up to 7, got {prime}" in captured.err
+    assert ran == []
+
+
 SMALLEST_BOUNDS = (
     ["k4", "--max-degree", "2"],
     ["coker", "--max-degree", "1"],

@@ -9,17 +9,22 @@ from bpuverify.dga import (
     homology_dimension,
     homology_series,
     homotopy_p,
-    ker_d_generators_check,
     lambda_projection,
     stated_answer_series,
     toda_identification,
     verify_differential_squares_to_zero,
-    verify_homotopy,
     verify_sq1_correspondence,
     w_algebra,
 )
 from bpuverify.mod2alg.rings import toda_action, toda_ring
-from oracles import dga_homology_dimension, dga_rank_of_d, dga_squares_to_zero_at
+from oracles import (
+    DgaTables,
+    dga_homology_dimension,
+    dga_rank_of_d,
+    dga_squares_to_zero_at,
+    ker_d_generators_check,
+    verify_homotopy,
+)
 
 
 def test_differential_examples():
@@ -151,25 +156,35 @@ def test_mod2_functions_take_and_return_normal_forms(monkeypatch):
                 assert T.normal_form(value) == value, (i, T.format(r))
 
 
-def test_each_rule_runs_once_per_normal_form_monomial(monkeypatch):
-    """verify_homotopy(30) reads D through degree 32 (D^2 on degree 31) and
-    P and the projection through degree 31, each rule once per monomial."""
+def _lines(report):
+    return {c.name: c for c in report.checks}
+
+
+def test_rule_calls_do_not_grow_with_the_degree_bound(monkeypatch):
+    """The suite reads P and the projection on the box cells and their
+    D-neighbours only, once each, and D there and in the Sq^1 sweep to degree
+    20: the same calls at bound 54 as at 300."""
     calls = {}
 
     def counting(name, rule):
         def wrapper(m):
-            calls.setdefault(name, []).append(m)
+            calls[name].append(m)
             return rule(m)
         return wrapper
 
     for name in ("_d_rule", "_p_rule", "_projection_rule"):
         monkeypatch.setattr(dga, name, counting(name, getattr(dga, name)))
-    assert verify_homotopy(30).passed
-    alg = w_algebra()
-    through = {"_d_rule": 32, "_p_rule": 31, "_projection_rule": 31}
-    for name, top in through.items():
-        expected = [m for d in range(top + 1) for m in alg.monomials_of_degree(d)]
-        assert sorted(calls[name]) == sorted(expected), name
+    seen = []
+    for bound in (54, 300):
+        calls.update((name, []) for name in ("_d_rule", "_p_rule", "_projection_rule"))
+        assert dga_suite(bound).passed
+        seen.append({name: sorted(ms) for name, ms in calls.items()})
+    assert seen[0] == seen[1]
+    box = dga._Box()
+    near = set(box.cells) | {t for m in box.cells for t in box.value("D", {m})}
+    for name in ("_p_rule", "_projection_rule"):
+        made = seen[0][name]
+        assert len(set(made)) == len(made) < 150 and set(made) <= near, name
 
 
 def test_suite_and_kernel_generators():
@@ -180,6 +195,79 @@ def test_suite_and_kernel_generators():
     full = dga_suite(28)
     assert full.passed
     assert any(c.status == "finding" for c in full.checks)
+
+
+def test_the_certificate_matches_the_sweep_oracle_through_degree_60():
+    """Every line of the suite, the counts and the first divergence
+    included, equals the oracle's per-degree sweep."""
+    for bound in (1, 2, 4, 5, 6, 9, 13, 20, 31, 40, 54, 60):
+        expected = verify_homotopy(bound)
+        expected.extend(ker_d_generators_check(min(30, bound)))
+        got = dga_suite(bound).checks[:-1]
+        assert [(c.name, c.status, c.detail, c.witness) for c in got] == [
+            (c.name, c.status, c.detail, c.witness) for c in expected.checks
+        ], bound
+
+
+def test_series_match_the_normal_form_counts_and_the_ranks_through_degree_60():
+    """The certificate's counts: W's Hilbert series from the leads, and the
+    projection's image from its table; the kernel dimensions they give by
+    k_d = h_d + w_(d-1) - k_(d-1) are those of the ranks of D."""
+    alg = w_algebra()
+    counts, image = dga._Box().series(60)
+    assert counts == [len(alg.monomials_of_degree(d)) for d in range(61)]
+    assert image == homology_series(60) == [dga_homology_dimension(d) for d in range(61)]
+    kernel = 0
+    for d in range(61):
+        kernel = image[d] + (counts[d - 1] - kernel if d else 0)
+        assert kernel == counts[d] - dga_rank_of_d(d), d
+
+
+def test_the_box_is_read_off_the_tables(monkeypatch):
+    """Thresholds 2 and shifts 2 on x3 and x5 give them the cells 0..5, x9
+    stops below its lead x9^2, x2 has threshold 1 and no shift, and x8 and
+    x12 are read by nothing; raising a threshold widens its exponent."""
+    box = dga._Box()
+    alg = box.alg
+    spans = [sorted({m[g] for m in box.cells}) for g in range(6)]
+    assert dict(zip(alg.gen_names, spans)) == {
+        "x9": [0, 1], "x12": [0], "x8": [0], "x5": list(range(6)), "x3": list(range(6)), "x2": [0, 1, 2],
+    }
+    assert len(box.cells) == 74
+    assert [box.degree(m) for m in box.cells] == sorted(box.degree(m) for m in box.cells)
+    monkeypatch.setattr(dga, "_P_TABLE", _replace_guard(dga._P_TABLE, 0, (dga._X3, ">=", 2),
+                                                        (dga._X3, ">=", 3)))
+    assert max(m[dga._X3] for m in dga._Box().cells) == 6
+
+
+def test_an_unknown_guard_op_is_refused(monkeypatch):
+    monkeypatch.setattr(dga, "_P_TABLE", _replace_guard(dga._P_TABLE, 0, (dga._X3, ">=", 2),
+                                                        (dga._X3, ">", 1)))
+    with pytest.raises(ValueError, match="guard's op"):
+        dga_suite(20)
+
+
+def _replace_guard(table, index, old, new):
+    entries = list(table)
+    guards, shift = entries[index]
+    entries[index] = (tuple(new if g == old else g for g in guards), shift)
+    return tuple(entries)
+
+
+def _exactly(alg, text):
+    """Guards that hold on the one monomial ``text``."""
+    (m,) = alg.parse(text)
+    return tuple(guard for g, e in enumerate(m) for guard in ((g, ">=", e), (g, "<", e + 1)))
+
+
+def _p_blind_to_x8(alg):
+    """P zero on n * x3^i with i >= 2 once x8 divides n."""
+    guards, shift = dga._P_TABLE[0]
+    return "_P_TABLE", (((*guards, (alg.gen_names.index("x8"), "<", 1)), shift),) + dga._P_TABLE[1:]
+
+
+def _projection_keeping(alg, text):
+    return "_PROJECTION_TABLE", dga._PROJECTION_TABLE + ((_exactly(alg, text), {}),)
 
 
 def _two_sweep_oracle(max_degree):
@@ -203,134 +291,218 @@ def _two_sweep_oracle(max_degree):
     return checked, bad, chain_ok
 
 
-def _monomial(alg, text):
-    (m,) = alg.parse(text)
-    return m
-
-
-def _corrupt_homotopy(original, alg, text):
-    broken = _monomial(alg, text)
-    return lambda m: () if m == broken else original(m)
-
-
-def _corrupt_projection(original, alg, text):
-    extra = _monomial(alg, text)
-    return lambda m: (m,) if m == extra else original(m)
-
-
 @pytest.mark.parametrize(
-    "corruptions, chain_holds",
+    "corruptions, chain_cell",
     [
         # the homotopy identity fails at x5*x8 in degree 13; D commutes with
         # the projection
-        ([("_p_rule", _corrupt_homotopy, "x3^2*x8")], True),
+        ([_p_blind_to_x8], None),
         # keeping x3^2 breaks the chain map at x5 in degree 5, before the
         # homotopy identity fails at x3^2 in degree 6
-        ([("_projection_rule", _corrupt_projection, "x3^2")], False),
+        ([lambda alg: _projection_keeping(alg, "x3^2")], "x5"),
         # the homotopy identity fails in degree 13 and the chain map only at
         # x5*x12 in degree 17, so the sweep must go on after the first failure
-        (
-            [
-                ("_p_rule", _corrupt_homotopy, "x3^2*x8"),
-                ("_projection_rule", _corrupt_projection, "x3^2*x12"),
-            ],
-            False,
-        ),
+        ([_p_blind_to_x8, lambda alg: _projection_keeping(alg, "x3^2*x12")], "x12*x5"),
     ],
     ids=["homotopy", "projection", "both"],
 )
-def test_one_sweep_matches_the_two_sweep_oracle_on_failures(monkeypatch, corruptions, chain_holds):
+def test_one_sweep_matches_the_two_sweep_oracle_on_failures(monkeypatch, corruptions, chain_cell):
+    """The oracle's one sweep and the certificate both match the two-sweep
+    oracle on corrupted tables: the same first failure, count and witness."""
     alg = w_algebra()
-    for name, corrupt, text in corruptions:
-        monkeypatch.setattr(dga, name, corrupt(getattr(dga, name), alg, text))
+    for corrupt in corruptions:
+        monkeypatch.setattr(dga, *corrupt(alg))
     checked, bad, chain_ok = _two_sweep_oracle(20)
-    assert bad is not None and chain_ok == chain_holds
-    checks = {c.name: c for c in verify_homotopy(20).checks}
-    identity = checks["homotopy-identity"]
-    assert identity.status == "fail"
-    assert f"on all {checked} normal-form monomials" in identity.detail
-    assert identity.witness == (
-        f"{alg.format(bad[0])}: lhs {alg.format(bad[1])} rhs {alg.format(bad[2])}"
+    assert bad is not None and chain_ok == (chain_cell is None)
+    identity_line = (
+        "fail",
+        f"P*D + D*P = projection + id on all {checked} normal-form monomials through degree 20",
+        f"{alg.format(bad[0])}: lhs {alg.format(bad[1])} rhs {alg.format(bad[2])}",
     )
-    assert checks["projection-chain-map"].status == ("pass" if chain_ok else "fail")
+    for report in (verify_homotopy(20), dga_suite(20)):
+        lines = _lines(report)
+        identity = lines["homotopy-identity"]
+        assert (identity.status, identity.detail, identity.witness) == identity_line
+        assert lines["projection-chain-map"].status == ("pass" if chain_ok else "fail")
+    certified = _lines(dga_suite(20))
+    assert certified["homology-dimensions"].status == "fail"
+    if chain_cell:
+        assert certified["projection-chain-map"].witness.startswith(chain_cell + ": ")
 
 
 def test_tables_match_the_per_monomial_oracle_through_degree_40():
-    tables = dga._Tables()
+    tables = DgaTables()
     for d in range(41):
         assert tables.squares_to_zero(d) == dga_squares_to_zero_at(d), d
         assert tables.rank(d) == dga_rank_of_d(d), d
-        assert homology_dimension(d) == dga_homology_dimension(d), d
+        assert homology_dimension(d) == dga_homology_dimension(d) == tables.homology_dimension(d), d
 
 
-def _parity_blind_d_rule(m):
+def _parity_blind_d_table():
     """D with the parity test dropped: x5^j -> x5^(j-1)*x3^2 for every j >= 1,
     so D(x5^2) = x3^2*x5, and D^2 is first nonzero in degree 9, on x9."""
-    out = []
-    for g, h in dga._D_SQUARES:
-        if m[g]:
-            t = list(m)
-            t[g] -= 1
-            t[h] += 2
-            out.append(tuple(t))
-    return out
+    return tuple(((((g, ">=", 1),), shift) for ((g, _, _),), shift in dga._D_TABLE))
 
 
 def test_both_routes_fail_d_squared_at_the_same_first_degree(monkeypatch):
-    monkeypatch.setattr(dga, "_d_rule", _parity_blind_d_rule)
-    tables = dga._Tables()
+    monkeypatch.setattr(dga, "_D_TABLE", _parity_blind_d_table())
+    tables = DgaTables()
     table_verdicts = [tables.squares_to_zero(d) for d in range(41)]
     assert table_verdicts == [dga_squares_to_zero_at(d) for d in range(41)]
     assert table_verdicts.index(False) == 9
     assert verify_differential_squares_to_zero(8) and not verify_differential_squares_to_zero(9)
-    # ranks are read only where D^2 = 0 is shown through one degree above
-    assert homology_dimension(7) == 0
-    for run in (lambda: homology_dimension(8), lambda: verify_homotopy(20)):
+    lines = _lines(dga_suite(20))
+    assert lines["d-squared"].status == "fail"
+    assert lines["d-squared"].witness == "D(x5^2) = x5*x3^2, the Leibniz rule gives 0"
+    assert lines["homology-dimensions"].status == "fail"
+    assert _lines(dga_suite(7))["d-squared"].status == "pass"
+    # the rank route checks D^2 = 0 into the degree it reads
+    assert homology_dimension(9) == 0
+    for run in (lambda: homology_dimension(10), lambda: verify_homotopy(20)):
         with pytest.raises(ArithmeticError, match="does not square to zero"):
             run()
 
 
-def _inhomogeneous_d_rule(original):
+def _inhomogeneous_d_table():
     """D with x9 -> x5^2 + x3^3, whose x3^3 has degree 9, not 10."""
-    def rule(m):
-        out = list(original(m))
-        if m[dga._X9] % 2:
-            t = list(m)
-            t[dga._X9] -= 1
-            t[dga._X3] += 3
-            out.append(tuple(t))
-        return out
-    return rule
+    return dga._D_TABLE + ((((dga._X9, "%2", 1),), {dga._X9: -1, dga._X3: 3}),)
 
 
-def test_an_inhomogeneous_d_rule_is_refused_by_both_routes(monkeypatch):
+def test_an_inhomogeneous_d_rule_is_refused_by_both_routes(monkeypatch, capsys):
     """x9 -> x5^2 + x3^3 keeps D a derivation with D^2 = 0, so neither route
-    fails d-squared on it; the oracle's coordinates and the table both refuse
-    the degree-9 term in the image of x9, naming the element."""
-    monkeypatch.setattr(dga, "_d_rule", _inhomogeneous_d_rule(dga._d_rule))
+    fails d-squared on it; the oracle's coordinates and the certificate both
+    refuse the degree-9 term in the image of x9, naming the element, and the
+    CLI exits 2."""
+    monkeypatch.setattr(dga, "_D_TABLE", _inhomogeneous_d_table())
     assert all(dga_squares_to_zero_at(d) for d in range(21))
     with pytest.raises(ValueError, match=r"degree-10 normal-form element: x5\^2 \+ x3\^3$"):
         dga_rank_of_d(9)
     with pytest.raises(ValueError, match=r"degree-10 normal-form element: x5\^2 \+ x3\^3 = D\(x9\)"):
-        dga._Tables().rank(9)
+        dga_suite(20)
+    assert cli.main(["dga", "--max-degree", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a degree-10 normal-form element: x5^2 + x3^3 = D(x9)")
 
 
-def _reducible_p_rule(original, alg):
+def _reducible_p_table():
     """P with P(x3^2) = x3*x2, a monomial the Groebner lead x2*x3 divides."""
-    x3_squared, x2_x3 = _monomial(alg, "x3^2"), _monomial(alg, "x2*x3")
-    return lambda m: (x2_x3,) if m == x3_squared else original(m)
+    (guards, _), *rest = dga._P_TABLE
+    return ((guards, {dga._X3: -1, dga._X2: 1}), *rest)
 
 
 def test_an_off_basis_rule_value_is_a_value_error(monkeypatch):
-    alg = w_algebra()
-    monkeypatch.setattr(dga, "_p_rule", _reducible_p_rule(dga._p_rule, alg))
+    monkeypatch.setattr(dga, "_P_TABLE", _reducible_p_table())
     with pytest.raises(ValueError, match=r"not a degree-5 normal-form element: x3\*x2 = P\(x3\^2\)"):
-        verify_homotopy(20)
+        dga_suite(20)
 
 
 def test_an_off_basis_rule_value_is_an_internal_error_in_the_cli(monkeypatch, capsys):
-    monkeypatch.setattr(dga, "_p_rule", _reducible_p_rule(dga._p_rule, w_algebra()))
+    monkeypatch.setattr(dga, "_P_TABLE", _reducible_p_table())
     assert cli.main(["dga", "--max-degree", "20"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: not a degree-5 normal-form element: x3*x2")
+
+
+def test_p_case_raised_to_i_at_least_3_fails_the_homotopy_identity_at_its_cell(monkeypatch):
+    """P's first case moved from i >= 2 to i >= 3 leaves P(x3^2) = 0, so the
+    identity fails at x5, whose D is x3^2; as the oracle sweep finds."""
+    table = _replace_guard(dga._P_TABLE, 0, (dga._X3, ">=", 2), (dga._X3, ">=", 3))
+    monkeypatch.setattr(dga, "_P_TABLE", table)
+    lines = _lines(dga_suite(54))
+    identity = lines["homotopy-identity"]
+    assert identity.status == "fail"
+    assert identity.witness == "x5: lhs 0 rhs x5"
+    assert identity.detail == _lines(verify_homotopy(54))["homotopy-identity"].detail
+    assert _lines(dga_suite(4))["homotopy-identity"].status == "pass"
+
+
+@pytest.mark.parametrize("guard, failing", [((dga._X2, ">=", 1), True), (None, False)],
+                         ids=["a-at-least-1", "a-unrestricted"])
+def test_the_projection_family_with_x2(monkeypatch, guard, failing):
+    """The projection's second family with a >= 1 names only monomials that
+    are zero in W, so x3 leaves the image and the homology lines fail; with
+    a unrestricted it is the same projection on the normal forms."""
+    x2_guard = (dga._X2, "<", 1)
+    first, (guards, shift) = dga._PROJECTION_TABLE
+    guards = tuple(g for g in guards if g != x2_guard) + ((guard,) if guard else ())
+    monkeypatch.setattr(dga, "_PROJECTION_TABLE", (first, (guards, shift)))
+    lines = _lines(dga_suite(54))
+    assert lines["homology-dimensions"].status == ("fail" if failing else "pass")
+    assert lines["homotopy-identity"].status == ("fail" if failing else "pass")
+    if failing:
+        assert lines["homotopy-identity"].witness == "x3: lhs 0 rhs x3"
+
+
+def _extra_guard(table_name, index, guard):
+    def corrupt():
+        entries = list(getattr(dga, table_name))
+        guards, shift = entries[index]
+        entries[index] = ((*guards, guard), shift)
+        return table_name, tuple(entries)
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _extra_guard("_P_TABLE", 0, (dga._X5, "<", 4)),
+        _extra_guard("_P_TABLE", 0, (dga._X3, "<", 5)),
+        _extra_guard("_P_TABLE", 0, (dga._X9, "%2", 0)),
+        _extra_guard("_P_TABLE", 1, (dga._X5, ">=", 4)),
+        _extra_guard("_P_TABLE", 1, (dga._X2, "<", 1)),
+        _extra_guard("_PROJECTION_TABLE", 0, (dga._X2, "<", 3)),
+        _extra_guard("_PROJECTION_TABLE", 1, (dga._X3, "<", 1)),
+    ],
+    ids=["p-x5-below-4", "p-x3-below-5", "p-x9-even", "p-j-from-4", "p-x2-free", "proj-x2-below-3", "proj-no-x3"],
+)
+def test_the_certificate_matches_the_sweep_oracle_on_corrupted_tables(monkeypatch, corrupt):
+    """Guards with other thresholds, parities and generators: the box read
+    off the corrupted tables finds the sweep's first failure, count and
+    witness, and the same chain-map verdict, through degree 60."""
+    monkeypatch.setattr(dga, *corrupt())
+    expected, got = _lines(verify_homotopy(60)), _lines(dga_suite(60))
+    for name in ("d-squared", "homotopy-identity"):
+        assert (got[name].status, got[name].detail, got[name].witness) == (
+            expected[name].status, expected[name].detail, expected[name].witness), name
+    assert got["projection-chain-map"].status == expected["projection-chain-map"].status
+
+
+def test_d_squared_fails_from_the_first_degree_the_leibniz_rule_does(monkeypatch):
+    """D(x5^3) = 0 breaks the Leibniz rule at x5^3 (degree 15), and D^2 first
+    fails one degree lower, at x9*x5, whose D has x5^3 as a term; the
+    certificate needs the Leibniz rule one degree above its bound."""
+    (guards, shift), rest = dga._D_TABLE[0], dga._D_TABLE[1:]
+    monkeypatch.setattr(dga, "_D_TABLE", ((guards + ((dga._X5, "<", 2),), shift), *rest))
+    tables = DgaTables()
+    expected = [tables.squares_to_zero(d) for d in range(21)]
+    assert expected.index(False) == 14
+    assert [verify_differential_squares_to_zero(d) for d in range(21)] == [
+        all(expected[:d + 1]) for d in range(21)]
+
+
+def _exactly_x3_squared_first(alg):
+    """P's first case split into disjoint entries that skip x3^2 itself and
+    nothing else: i >= 3, or i = 2 and the first other exponent set is g's."""
+    (guards, shift), rest = dga._P_TABLE[0], dga._P_TABLE[1:]
+    others = [g for g in range(6) if g != dga._X3]
+    beside = [(guards + ((dga._X3, "<", 3), (g, ">=", 1), *((h, "<", 1) for h in others[:k])), shift)
+              for k, g in enumerate(others)]
+    return ((guards + ((dga._X3, ">=", 3),), shift), *beside, *rest)
+
+
+def test_d_on_the_projection_image_is_checked(monkeypatch):
+    """With P(x3^2) = 0 and the projection keeping x5 and x3^2, the identity
+    and the chain map still hold, but D(x5) = x3^2 inside the image, so the
+    image is not the homology and homology-dimensions names the cell."""
+    alg = w_algebra()
+    monkeypatch.setattr(dga, "_P_TABLE", _exactly_x3_squared_first(alg))
+    monkeypatch.setattr(dga, "_PROJECTION_TABLE", dga._PROJECTION_TABLE + (
+        (_exactly(alg, "x5"), {}), (_exactly(alg, "x3^2"), {})))
+    lines = _lines(dga_suite(20))
+    assert [lines[n].status for n in ("d-squared", "homotopy-identity", "projection-chain-map")] == [
+        "pass"] * 3
+    assert lines["homology-dimensions"].status == "fail"
+    assert lines["homology-dimensions"].witness == "x5: projection x5, D*projection x3^2"
+    assert _lines(verify_homotopy(20))["homotopy-identity"].status == "pass"

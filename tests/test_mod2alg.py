@@ -457,6 +457,18 @@ def test_bucketed_fill_matches_the_full_scan_oracle_through_degree_60(algebra):
         assert algebra.basis_index(d) == {m: i for i, m in enumerate(monos)}, d
 
 
+def test_the_fill_holds_no_index_dict():
+    """monomials_of_degree keeps the monomials and the buckets later fills
+    read; basis_index builds a degree's {monomial: bit} dict on its first call."""
+    fresh = w_algebra.__wrapped__()
+    fresh.monomials_of_degree(60)
+    assert fresh._basis_indexes == {}
+    assert not [part for entry in fresh._graded_cache.values() for part in entry
+                if isinstance(part, dict)]
+    index = fresh.basis_index(40)
+    assert fresh.basis_index(40) is index and list(fresh._basis_indexes) == [40]
+
+
 def test_monomials_of_degree_queried_out_of_order():
     fresh = load_algebra((ROOT / "src/bpuverify/data/toda.alg").read_text(), "toda")
     assert fresh.monomials_of_degree(40) == lead_filter_monomials(fresh, 40)
