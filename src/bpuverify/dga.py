@@ -412,7 +412,8 @@ def dga_suite(max_degree: int) -> VerificationReport:
     report.add("kernel-generators", not witness,
                f"ker D dimensions match the six-generator subalgebra through degree {top}",
                witness=witness)
-    report.add("sq1-correspondence", verify_sq1_correspondence(min(20, max_degree)),
+    sweep = min(20, max_degree)
+    report.add("sq1-correspondence", verify_sq1_correspondence(sweep),
                "D matches Sq^1 on the six-generator cohomology ring under the "
-               "alphabet identification (basis sweep to degree 20)")
+               f"alphabet identification (basis sweep to degree {sweep})")
     return report

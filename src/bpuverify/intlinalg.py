@@ -1,5 +1,6 @@
 """Exact linear algebra over Z, Z/p and Z/p^E: Smith normal form, kernels,
-cokernels, local row forms, and the p-parts of invariant factors.
+cokernels, determinants, local row forms, and the p-parts of invariant
+factors.
 
 Everything uses arbitrary-precision Python ints.  The Smith and Hermite forms
 are dense, on small matrices, and every Smith decomposition is re-verified,
@@ -254,6 +255,24 @@ def _is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix, a list of rows, by
+    fraction-free (Bareiss) elimination with row swaps."""
+    rows, sign, prev = [list(row) for row in rows], 1, 1
+    n = len(rows)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        for i in range(k + 1, n):
+            rows[i] = [(a * rows[k][k] - rows[i][k] * b) // prev
+                       for a, b in zip(rows[i], rows[k])]
+        prev = rows[k][k]
+    return sign * prev
 
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:

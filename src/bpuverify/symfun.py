@@ -9,7 +9,8 @@ The divergence operator is the sum of all partial d/dv_i.  On symmetric
 polynomials, written in elementary-symmetric coordinates, it acts as the
 derivation sending s1 to n and s_k to (n - k + 1) * s_{k-1}: one rule, held
 as data, gives the operator, its matrix and the certificate that it is onto.
-Nothing is expanded into the v's here; that route, the sigma rewrite and the
+Nothing is expanded into the v's here; that route, the sigma rewrite, the
+alternating product by cofactors, the Vandermonde term by term and the
 column-by-column onto check live in tests/oracles.py for cross-checks.
 
 The suites never build a kernel basis: they decide membership by the
@@ -20,7 +21,6 @@ basis off a Hermite normal form.  Nothing is done over the rationals.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -66,17 +66,8 @@ class SymmetricContext:
         return monomial_basis(degree, self.sigma_ring.weights)
 
     # -- the divergence operator -------------------------------------------
-    def nabla(self, f: Polynomial) -> Polynomial:
-        """Sum of all partial derivatives, acting on v-polynomials."""
-        if f.ring != self.v_ring:
-            raise ValueError("divergence acts on v-ring polynomials")
-        out = self.v_ring.zero()
-        for i in range(self.n):
-            out = out + f.partial_derivative(i)
-        return out
-
     def nabla_sigma(self, f: Polynomial) -> Polynomial:
-        """The same operator in sigma-coordinates, by ``monomial_divergence``."""
+        """The divergence in sigma-coordinates, by ``monomial_divergence``."""
         if f.ring != self.sigma_ring:
             raise ValueError("expected a sigma-ring polynomial")
         out = {}
@@ -400,132 +391,101 @@ def theta_map(ctx: SymmetricContext, f: Polynomial) -> int:
     if f.ring == ctx.v_ring:
         point = range(1, ctx.n + 1)
     elif f.ring == ctx.sigma_ring:
-        point = [
-            sum(math.prod(c) for c in itertools.combinations(range(1, ctx.n + 1), k))
-            for k in range(1, ctx.n + 1)
-        ]
+        point = _theta_point(ctx.n)
     else:
         raise ValueError("expected a polynomial of this context")
     d = f.homogeneous_degree()
-    value = sum(
-        c * math.prod(x ** k for x, k in zip(point, e)) for e, c in f.terms.items()
-    )
+    value = _evaluate(f, point)
     return value % ctx.n if d else value
+
+
+def _theta_point(n: int) -> list:
+    """e_1..e_n of 1, ..., n: the coefficients of prod (1 + m*t), m = 1..n."""
+    e = [1]
+    for m in range(1, n + 1):
+        e = [a + m * b for a, b in zip(e + [0], [0] + e)]
+    return e[1:]
+
+
+def _evaluate(f: Polynomial, point) -> int:
+    return sum(c * math.prod(x ** k for x, k in zip(point, e)) for e, c in f.terms.items())
 
 
 def power_sums(ctx: SymmetricContext, count: int) -> list:
     """The power sums p_0..p_(count-1) of the v's in sigma coordinates, by
     Newton's identities: p_0 = n and, with s_k = 0 for k > n,
     p_k = sum_(1 <= i < k, i <= n) (-1)^(i-1) s_i p_(k-i) + (-1)^(k-1) k s_k."""
-    sums = [ctx.sigma_ring.const(ctx.n)]
-    for k in range(1, count):
-        pk = (-1) ** (k - 1) * k * ctx.sigma(k) if k <= ctx.n else ctx.sigma_ring.zero()
-        for i in range(1, min(k - 1, ctx.n) + 1):
-            pk = pk + (-1) ** (i - 1) * ctx.sigma(i) * sums[k - i]
-        sums.append(pk)
-    return sums
-
-
-def delta_sigma(ctx: SymmetricContext) -> Polynomial:
-    """The product of (v_i - v_j) over all ordered pairs i != j, in sigma
-    coordinates.
-
-    It is (-1)^(n(n-1)/2) V^2 for the Vandermonde V, and V^2 is the Hankel
-    determinant det[p_(i+j)] (0 <= i, j < n) of the power sums.  The
-    determinant is expanded by cofactors along its rows, top row first, so the
-    minor on the first r rows and each column set is computed once, as a dict.
-    Each exponent vector is packed into one int, a slot of ``width`` bits per
-    s_k.  No minor has degree above n(n-1), so no exponent exceeds it and no
-    slot carries into the next: the packed exponents of a product are the sum
-    of its factors'.
-    """
     n = ctx.n
-    width = (n * (n - 1)).bit_length()
-    sums = [{sum(a << (width * k) for k, a in enumerate(e)): c for e, c in p.terms.items()}
-            for p in power_sums(ctx, 2 * n - 1)]
-    minors = {(): {0: 1}}
-    for r in range(n):
-        below, minors = minors, {}
-        for cols in itertools.combinations(range(n), r + 1):
-            total = {}
-            for pos, j in enumerate(cols):
-                sign = -1 if (r + pos) % 2 else 1
-                rest = below[cols[:pos] + cols[pos + 1:]].items()
-                for e1, c1 in sums[r + j].items():
-                    c1 *= sign
-                    for e2, c2 in rest:
-                        e = e1 + e2
-                        total[e] = total.get(e, 0) + c1 * c2
-            minors[cols] = {e: c for e, c in total.items() if c}
-    mask = (1 << width) - 1
-    terms = {tuple(e >> (width * k) & mask for k in range(n)): c
-             for e, c in minors[tuple(range(n))].items()}
-    return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, terms)
-
-
-def vandermonde(ctx: SymmetricContext) -> Polynomial:
-    """The alternant det[v_i^j] (0 <= i, j < n) in the v-ring, one term per
-    permutation."""
-    pairs = list(itertools.combinations(range(ctx.n), 2))
-    return Polynomial(ctx.v_ring, {
-        perm: (-1) ** sum(perm[i] > perm[j] for i, j in pairs)
-        for perm in itertools.permutations(range(ctx.n))
-    })
-
-
-def _is_alternating(ctx: SymmetricContext, f: Polynomial) -> bool:
-    """Whether every adjacent swap of the v's negates f."""
-    return all(
-        {e[:i] + (e[i + 1], e[i]) + e[i + 2:]: -c for e, c in f.terms.items()} == f.terms
-        for i in range(ctx.n - 1)
-    )
+    sums = [ctx.sigma_ring.const(n)]
+    for k in range(1, count):
+        pk = {tuple(int(j == k - 1) for j in range(n)): (-1) ** (k - 1) * k} if k <= n else {}
+        for i in range(1, min(k - 1, n) + 1):
+            sign = (-1) ** (i - 1)
+            for e, c in sums[k - i].terms.items():  # times s_i
+                e = e[:i - 1] + (e[i - 1] + 1,) + e[i:]
+                pk[e] = pk.get(e, 0) + sign * c
+        sums.append(Polynomial(ctx.sigma_ring, pk))
+    return sums
 
 
 def vistoli_delta_check(p: int) -> VerificationReport:
     """Certify the behaviour of the alternating product delta under the
-    divergence and the cyclic restriction, for an odd prime p.
+    divergence and the cyclic restriction, for an odd prime p = n.
 
-    delta is never expanded in the v's: its sigma form comes from
-    ``delta_sigma``, and as delta = +-V^2 the swap and divergence lines are
-    checked on the Vandermonde V.  theta(delta) must also equal +-theta(V)^2
-    mod p, which ties the sigma form to V.  The kernel lattice is saturated
-    and its theta-restricted part is {x in kernel : theta(x) = 0 mod p}, so
-    both memberships are decided by evaluating the divergence and theta on
-    the sigma form.
+    delta = (-1)^(n(n-1)/2) det H for the Hankel matrix H = [p_(i+j)]
+    (0 <= i, j < n) of the power sums, which ``power_sums`` gives in Z[sigma];
+    neither delta nor the Vandermonde is built.  Each line is a finite exact
+    check on p_0..p_(2n-2).  homogeneous: each p_k has degree k, so every
+    term of det H has degree n(n-1).  symmetric: p_k at s = e(1, ..., n) is
+    the sum of m^k over m = 1..n.  divergence: divergence(p_0) = 0 and
+    divergence(p_k) = k*p_(k-1), so divergence(H) = L*H + H*L^T with L
+    strictly lower triangular, L(i, i-1) = i, and by Jacobi's formula
+    divergence(det H) = det H * tr(L + L^T) = 0 over any commutative ring.
+    theta: evaluation at s = e(1, ..., n), a ring map, so theta(delta) is
+    +-det[theta(p_(i+j))] mod p, an integer determinant that Cauchy-Binet at
+    (1, ..., n) puts at prod_(i<j) (j - i)^2.  The kernel lattice is
+    saturated and its theta-restricted part is {x in kernel : theta(x) = 0
+    mod p}, so both memberships follow.
     """
-    from .intlinalg import _is_prime
+    from .intlinalg import _is_prime, determinant
     if p % 2 == 0 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     report = VerificationReport("vistoli")
     ctx = SymmetricContext(p)
-    vand = vandermonde(ctx)
-    delta = delta_sigma(ctx)
+    sums = power_sums(ctx, 2 * p - 1)
     d = p * p - p
 
-    deg = delta.homogeneous_degree()
-    report.add(
-        "delta/homogeneous",
-        deg == d == 2 * vand.homogeneous_degree(),
-        f"alternating product is homogeneous of degree {deg}",
-    )
-    report.add("delta/symmetric", _is_alternating(ctx, vand), "invariant under all adjacent swaps")
-    grad = ctx.nabla(vand)
-    report.add(
-        "delta/divergence",
-        grad.is_zero(),
-        "divergence(delta) = 0" if grad.is_zero() else f"divergence(V) = {grad}",
-    )
+    off = next((k for k, pk in enumerate(sums)
+                if any(ctx.sigma_ring.degree_of(e) != k for e in pk.terms)), None)
+    report.add("delta/homogeneous", off is None,
+               f"alternating product is homogeneous of degree {d}" if off is None
+               else f"power sum p_{off} has terms off degree {off}")
 
-    image = theta_map(ctx, delta)
-    tie = (-1) ** (p * (p - 1) // 2) * theta_map(ctx, vand) ** 2 % p
+    point = _theta_point(p)
+    values = [_evaluate(pk, point) for pk in sums]
+    bad = next((k for k, v in enumerate(values) if v != sum(m ** k for m in range(1, p + 1))),
+               None)
+    report.add("delta/symmetric", bad is None, "invariant under all adjacent swaps"
+               if bad is None else f"p_{bad} at s = e(1, ..., {p}) is {values[bad]}, "
+               f"not the sum of m^{bad} over m = 1..{p}")
+
+    bad = next((k for k, pk in enumerate(sums) if ctx.nabla_sigma(pk)
+                != (k * sums[k - 1] if k else ctx.sigma_ring.zero())), None)
+    in_kernel = bad is None
+    report.add("delta/divergence", in_kernel, "divergence(delta) = 0" if in_kernel
+               else f"divergence(p_{bad}) differs from {bad}*p_{bad - 1}" if bad
+               else "divergence(p_0) is not 0")
+
+    det = determinant([values[i:i + p] for i in range(p)])
+    square = math.prod(math.factorial(j) for j in range(p)) ** 2
+    image = (-1) ** (p * (p - 1) // 2) * det % p
     eta = Ring(("eta",), (1,))
     shown = eta.monomial((d,), image)
     detail = f"theta(delta) = {shown}, expected {eta.monomial((d,), p - 1)} (= -eta^{d} mod {p})"
-    if tie != image:
-        detail += f", but the Vandermonde gives {eta.monomial((d,), tie)}"
-    report.add("delta/theta", image == tie == p - 1, detail, witness=str(shown))
+    if det != square:
+        detail += ", but det[theta(p_(i+j))] differs from prod_(i<j) (j - i)^2"
+    report.add("delta/theta", image == p - 1 and det == square, detail, witness=str(shown))
 
-    in_kernel = ctx.nabla_sigma(delta).is_zero()
     report.add(
         "delta/kernel-membership",
         in_kernel,

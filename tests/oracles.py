@@ -3,9 +3,9 @@
 Through the v-ring, for bpuverify.symfun.  The library works in sigma coordinates and never expands a symmetric
 polynomial into the v's.  These functions do, which makes them slow past five
 variables but independent of the sigma-side formulas: the elementary
-polynomials, expansion of a sigma-polynomial into the v's, the
-leading-term rewrite back into sigma coordinates, and the alternating product
-built as a v-polynomial.  Expansions are cached per variable count.
+polynomials, expansion of a sigma-polynomial into the v's, the divergence
+as the sum of the partial derivatives, the leading-term rewrite back into
+sigma coordinates, and the alternating product built as a v-polynomial.  Expansions are cached per variable count.
 
 Over all ambient monomials, for bpuverify.mod2alg: the normal-form monomials
 of a degree as the ambient ones no Groebner lead divides, and subalgebra
@@ -60,9 +60,12 @@ module: the elimination over Z/p^E with every lower row scanned, and cut
 down by a column, at every pivot, in place of the sparse rows and their
 column index; the two return the same valuations, pivots and steps.
 
-With exponent tuples, for bpuverify.symfun.delta_sigma: the same cofactor
-expansion of the Hankel determinant, each term product a tuple sum, in place
-of exponents packed into one int.
+By expansion, for bpuverify.symfun.vistoli_delta_check: the alternating
+product delta in sigma coordinates by cofactor expansion of the Hankel
+determinant det[p_(i+j)], with exponents packed into one int (and again with
+exponent tuples, each term product a tuple sum), and the Vandermonde V as a
+v-polynomial with one term per permutation; the six vistoli lines are read
+off delta and V, in place of the identities on the power sums.
 
 With a rank check first, for bpuverify.intlinalg.full_rank_local_row_form:
 the local row form of a dense matrix once its rank modulo 2^31 - 1 shows
@@ -91,6 +94,7 @@ from bpuverify.symfun import (
     coordinates,
     power_sums,
     standard_exponents,
+    theta_map,
 )
 
 _elementary_cache = {}  # (n, k) -> e_k in the v's
@@ -134,6 +138,17 @@ def _expand_monomial(ctx: SymmetricContext, e) -> Polynomial:
                 prod = prod * elementary(ctx, k) ** power
         _expand_cache[key] = prod
     return _expand_cache[key]
+
+
+def nabla(ctx: SymmetricContext, f: Polynomial) -> Polynomial:
+    """The divergence on v-ring polynomials: the sum of all partial
+    derivatives."""
+    if f.ring != ctx.v_ring:
+        raise ValueError("divergence acts on v-ring polynomials")
+    out = ctx.v_ring.zero()
+    for i in range(ctx.n):
+        out = out + f.partial_derivative(i)
+    return out
 
 
 def to_sigma(ctx: SymmetricContext, f: Polynomial) -> Polynomial:
@@ -208,6 +223,94 @@ def tuple_delta_sigma(ctx: SymmetricContext) -> Polynomial:
                     total[e] = total.get(e, 0) + sign * c1 * c2
             minors[cols] = {e: c for e, c in total.items() if c}
     return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, minors[tuple(range(n))])
+
+
+def delta_sigma(ctx: SymmetricContext) -> Polynomial:
+    """The product of (v_i - v_j) over all ordered pairs i != j, in sigma
+    coordinates.
+
+    It is (-1)^(n(n-1)/2) V^2 for the Vandermonde V, and V^2 is the Hankel
+    determinant det[p_(i+j)] (0 <= i, j < n) of the power sums.  The
+    determinant is expanded by cofactors along its rows, top row first, so the
+    minor on the first r rows and each column set is computed once, as a dict.
+    Each exponent vector is packed into one int, a slot of ``width`` bits per
+    s_k.  No minor has degree above n(n-1), so no exponent exceeds it and no
+    slot carries into the next: the packed exponents of a product are the sum
+    of its factors'.
+    """
+    n = ctx.n
+    width = (n * (n - 1)).bit_length()
+    sums = [{sum(a << (width * k) for k, a in enumerate(e)): c for e, c in p.terms.items()}
+            for p in power_sums(ctx, 2 * n - 1)]
+    minors = {(): {0: 1}}
+    for r in range(n):
+        below, minors = minors, {}
+        for cols in itertools.combinations(range(n), r + 1):
+            total = {}
+            for pos, j in enumerate(cols):
+                sign = -1 if (r + pos) % 2 else 1
+                rest = below[cols[:pos] + cols[pos + 1:]].items()
+                for e1, c1 in sums[r + j].items():
+                    c1 *= sign
+                    for e2, c2 in rest:
+                        e = e1 + e2
+                        total[e] = total.get(e, 0) + c1 * c2
+            minors[cols] = {e: c for e, c in total.items() if c}
+    mask = (1 << width) - 1
+    terms = {tuple(e >> (width * k) & mask for k in range(n)): c
+             for e, c in minors[tuple(range(n))].items()}
+    return (-1) ** (n * (n - 1) // 2) * Polynomial(ctx.sigma_ring, terms)
+
+
+def vandermonde(ctx: SymmetricContext) -> Polynomial:
+    """The alternant det[v_i^j] (0 <= i, j < n) in the v-ring, one term per
+    permutation."""
+    pairs = list(itertools.combinations(range(ctx.n), 2))
+    return Polynomial(ctx.v_ring, {
+        perm: (-1) ** sum(perm[i] > perm[j] for i, j in pairs)
+        for perm in itertools.permutations(range(ctx.n))
+    })
+
+
+def is_alternating(ctx: SymmetricContext, f: Polynomial) -> bool:
+    """Whether every adjacent swap of the v's negates f."""
+    return all(
+        {e[:i] + (e[i + 1], e[i]) + e[i + 2:]: -c for e, c in f.terms.items()} == f.terms
+        for i in range(ctx.n - 1)
+    )
+
+
+def vistoli_by_expansion(p: int) -> VerificationReport:
+    """The vistoli suite's six lines read off delta's sigma form
+    (``delta_sigma``) and the Vandermonde V: degree of delta against twice
+    V's, V negated by every adjacent swap, the divergence of V, theta(delta)
+    against +-theta(V)^2 mod p, and both memberships of delta by the
+    divergence and theta of its sigma form."""
+    report = VerificationReport("vistoli")
+    ctx = SymmetricContext(p)
+    vand = vandermonde(ctx)
+    delta = delta_sigma(ctx)
+    d = p * p - p
+    deg = delta.homogeneous_degree()
+    report.add("delta/homogeneous", deg == d == 2 * vand.homogeneous_degree(),
+               f"alternating product is homogeneous of degree {deg}")
+    report.add("delta/symmetric", is_alternating(ctx, vand), "invariant under all adjacent swaps")
+    grad = nabla(ctx, vand)
+    report.add("delta/divergence", grad.is_zero(),
+               "divergence(delta) = 0" if grad.is_zero() else f"divergence(V) = {grad}")
+    image = theta_map(ctx, delta)
+    tie = (-1) ** (p * (p - 1) // 2) * theta_map(ctx, vand) ** 2 % p
+    eta = Ring(("eta",), (1,))
+    shown = eta.monomial((d,), image)
+    detail = f"theta(delta) = {shown}, expected {eta.monomial((d,), p - 1)} (= -eta^{d} mod {p})"
+    if tie != image:
+        detail += f", but the Vandermonde gives {eta.monomial((d,), tie)}"
+    report.add("delta/theta", image == tie == p - 1, detail, witness=str(shown))
+    in_kernel = ctx.nabla_sigma(delta).is_zero()
+    report.add("delta/kernel-membership", in_kernel, "delta lies in the integral kernel lattice")
+    report.add("delta/outside-restricted-kernel", not (in_kernel and image == 0),
+               "delta is not killed by the cyclic restriction")
+    return report
 
 
 def lead_filter_monomials(algebra, d: int) -> tuple:
@@ -674,26 +777,10 @@ def toda_dimension_oracle(d: int) -> int:
 
 
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant of a square IntMatrix by fraction-free (Bareiss)
-    elimination."""
+    """Exact determinant of a square IntMatrix, by ``intlinalg.determinant``."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    rows = [list(row) for row in a.entries]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1] if n else 1
+    return intlinalg.determinant(a.entries)
 
 
 _RANK_PRIME = 2 ** 31 - 1

@@ -92,16 +92,24 @@ def test_options_a_suite_cannot_use_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("prime", ["11", "13"])
-def test_vistoli_primes_above_7_are_usage_errors(prime, capsys, monkeypatch):
-    """Refused before any suite runs: the expansions of V and delta would
-    outgrow memory at these primes."""
+def test_vistoli_primes_past_7_run(prime, capsys):
+    """The power-sum route reaches primes whose expansions of V and delta
+    would outgrow memory."""
+    code, out = run_cli(["vistoli", "--prime", prime], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:7]] == ["pass"] * 6
+
+
+def test_vistoli_primes_above_the_bound_are_usage_errors(capsys, monkeypatch):
+    """Refused before any suite runs: past the bound the power sums outgrow
+    the stated time and memory."""
     ran = []
     monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
-    assert cli.main(["vistoli", "--prime", prime]) == 2
+    assert cli.main(["vistoli", "--prime", "29"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage:"), captured.err
-    assert f"odd primes up to 7, got {prime}" in captured.err
+    assert "odd primes up to 23, got 29" in captured.err
     assert ran == []
 
 

@@ -116,6 +116,15 @@ def test_identification_with_the_cohomology_ring():
     assert verify_sq1_correspondence(16)
 
 
+def test_sq1_line_states_its_sweep_bound(capsys):
+    # the sweep runs through min(20, --max-degree), and the line says so
+    for bound, top in ((8, 8), (20, 20), (54, 20)):
+        assert cli.main(["dga", "--max-degree", str(bound)]) == 0
+        line = capsys.readouterr().out.splitlines()[-2]
+        assert line.startswith("pass sq1-correspondence: "), line
+        assert line.endswith(f"(basis sweep to degree {top})"), line
+
+
 def test_normal_form_shape():
     alg = w_algebra()
     for d in range(30):

@@ -22,7 +22,6 @@ from bpuverify.symfun import (
     certify_k4_presentation,
     coker_order,
     coordinates,
-    delta_sigma,
     divergence_onto_shape,
     h3_order,
     kernel_basis,
@@ -30,7 +29,6 @@ from bpuverify.symfun import (
     power_sums,
     standard_exponents,
     theta_map,
-    vandermonde,
     vistoli_delta_check,
 )
 
@@ -39,6 +37,7 @@ from test_intlinalg import _time_limit
 from oracles import (
     alpha_monomial,
     delta_polynomial,
+    delta_sigma,
     divergence_onto_shape_by_columns,
     elementary,
     expand,
@@ -48,9 +47,12 @@ from oracles import (
     is_symmetric,
     k3_generators,
     k4_three_adic_factors_by_elimination,
+    nabla,
     nonzero_invariant_factors,
     to_sigma,
     tuple_delta_sigma,
+    vandermonde,
+    vistoli_by_expansion,
 )
 
 CTX4 = SymmetricContext(4)
@@ -76,7 +78,7 @@ def test_divergence_of_elementary_classes():
     for n in range(1, 6):
         ctx = SymmetricContext(n)
         for k in range(1, n + 1):
-            expanded = ctx.nabla(expand(ctx, ctx.sigma(k)))
+            expanded = nabla(ctx, expand(ctx, ctx.sigma(k)))
             target = (n - k + 1) * (
                 expand(ctx, ctx.sigma(k - 1)) if k >= 2 else ctx.v_ring.one()
             )
@@ -86,9 +88,9 @@ def test_divergence_of_elementary_classes():
 
 
 def test_divergence_simple_and_errors():
-    assert CTX4.nabla(CTX4.v_ring.var("v1")) == CTX4.v_ring.one()
+    assert nabla(CTX4, CTX4.v_ring.var("v1")) == CTX4.v_ring.one()
     with pytest.raises(ValueError):
-        CTX4.nabla(CTX4.sigma(1))
+        nabla(CTX4, CTX4.sigma(1))
     with pytest.raises(ValueError):
         CTX4.nabla_sigma(CTX4.v_ring.var("v1"))
 
@@ -128,14 +130,14 @@ def test_divergence_commutes_with_permutations():
                     {tuple(e[perm[i]] for i in range(n)): c for e, c in p.terms.items()},
                 )
 
-            assert permute(ctx.nabla(f)) == ctx.nabla(permute(f))
+            assert permute(nabla(ctx, f)) == nabla(ctx, permute(f))
 
 
 def test_divergence_leibniz_random():
     rng = random.Random(32)
     for _ in range(15):
         f, g = _random_vpoly(rng, CTX4, 3, 4), _random_vpoly(rng, CTX4, 3, 4)
-        assert CTX4.nabla(f * g) == CTX4.nabla(f) * g + f * CTX4.nabla(g)
+        assert nabla(CTX4, f * g) == nabla(CTX4, f) * g + f * nabla(CTX4, g)
 
 
 def test_nabla_matrix_examples():
@@ -956,15 +958,67 @@ def test_vandermonde_is_the_product_of_differences():
         assert vandermonde(ctx) == product, n
 
 
-def test_vistoli_theta_tie_catches_a_wrong_vandermonde(monkeypatch):
-    # delta = (-1)^(p(p-1)/2) V^2 fixes theta(delta) by theta(V); doubling V
-    # multiplies the tie by 4, which is 1 mod 3 but not mod 5
-    true_vandermonde = symfun.vandermonde
-    monkeypatch.setattr(symfun, "vandermonde", lambda ctx: 2 * true_vandermonde(ctx))
-    failed = [c for c in vistoli_delta_check(5).checks if c.status != "pass"]
-    assert [c.name for c in failed] == ["delta/theta"]
-    assert "but the Vandermonde gives eta^20" in failed[0].detail
+def _vistoli_failures(p):
+    return [c.name for c in vistoli_delta_check(p).checks if c.status != "pass"]
+
+
+def test_vistoli_lines_match_the_expansion_route():
+    # the old route reads every line off delta's sigma form and the Vandermonde
+    for p in (3, 5, 7):
+        new, old = vistoli_delta_check(p), vistoli_by_expansion(p)
+        assert [(c.name, c.status, c.detail, c.witness) for c in new.checks] == [
+            (c.name, c.status, c.detail, c.witness) for c in old.checks], p
+        assert new.passed, p
+
+
+def test_vistoli_theta_tie_catches_a_wrong_hankel_determinant(monkeypatch):
+    # theta(delta) = +-det[theta(p_(i+j))] mod p, tied to prod (j - i)^2 =
+    # theta(V)^2; a determinant 4 times too large, as a doubled V would give,
+    # breaks the tie at every p, and the image too unless 4 = 1 mod p
+    true_determinant = intlinalg.determinant
+    monkeypatch.setattr(intlinalg, "determinant", lambda rows: 4 * true_determinant(rows))
+    for p, image in ((3, "2*eta^6"), (5, "eta^20")):
+        failed = [c for c in vistoli_delta_check(p).checks if c.status != "pass"]
+        assert [c.name for c in failed] == ["delta/theta"], p
+        assert failed[0].witness == image
+        assert failed[0].detail.endswith(
+            ", but det[theta(p_(i+j))] differs from prod_(i<j) (j - i)^2"), p
+    monkeypatch.undo()
     assert vistoli_delta_check(3).passed
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 8])
+def test_vistoli_refuses_a_scaled_power_sum(monkeypatch, k):
+    true_power_sums = symfun.power_sums
+
+    def scaled(ctx, count):
+        sums = true_power_sums(ctx, count)
+        sums[k] = 2 * sums[k]
+        return sums
+
+    assert _vistoli_failures(5) == []
+    monkeypatch.setattr(symfun, "power_sums", scaled)
+    failed = _vistoli_failures(5)
+    assert {"delta/symmetric", "delta/theta"} <= set(failed), (k, failed)
+    assert "delta/homogeneous" not in failed
+
+
+def test_vistoli_refuses_an_off_degree_power_sum(monkeypatch):
+    true_power_sums = symfun.power_sums
+
+    def shifted(ctx, count):
+        sums = true_power_sums(ctx, count)
+        sums[3] = sums[3] + ctx.sigma(1)
+        return sums
+
+    monkeypatch.setattr(symfun, "power_sums", shifted)
+    assert "delta/homogeneous" in _vistoli_failures(5)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_RULES))
+def test_vistoli_refuses_a_wrong_divergence_rule(monkeypatch, name):
+    _corrupt_rule(monkeypatch, name)
+    assert _vistoli_failures(5) == ["delta/divergence", "delta/kernel-membership"]
 
 
 def test_h3_order():
