@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import re
 
 Exponents = tuple  # tuple[int, ...], one entry per ring variable
 
@@ -93,9 +92,9 @@ class Polynomial:
 
     def __init__(self, ring: Ring, terms: dict):
         canonical = {}
-        m = ring.modulus
+        m, n = ring.modulus, ring.nvars
         for exp, c in terms.items():
-            if len(exp) != ring.nvars:
+            if len(exp) != n:
                 raise ValueError("exponent tuple length mismatch")
             if m:
                 c %= m
@@ -341,73 +340,63 @@ def _completions(weights: tuple, remaining: int) -> tuple:
 
 # -- text syntax -----------------------------------------------------------
 
-_TOKEN = r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()]))"
-
-
-def _tokenize(text: str):
-    match = re.compile(_TOKEN).match  # compiled on the first parse, then cached by re
-    pos, out = 0, []
-    while pos < len(text):
-        m = match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial syntax near {text[pos:pos+12]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", int(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+def _scan(text: str) -> list:
+    """The tokens of polynomial text in one pass: ("num", int) for a run of
+    digits, ("name", str) for ASCII letters and the digits after them, and
+    ("op", char) for one of ``-+*^()``, with whitespace between them skipped."""
+    pos, n, out = 0, len(text), []
+    while pos < n:
+        start = pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+        c, end = text[pos:pos + 1], pos + 1
+        letters = c.isascii() and c.isalpha()
+        if letters or c.isdecimal():
+            while letters and end < n and text[end].isascii() and text[end].isalpha():
+                end += 1
+            while end < n and text[end].isdecimal():
+                end += 1
+            out.append(("name", text[pos:end]) if letters else ("num", int(text[pos:end])))
+        elif c and c in "-+*^()":
+            out.append(("op", c))
+        elif c:
+            raise ValueError(f"bad polynomial syntax near {text[start:start+12]!r}")
+        pos = end
     return out
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
-    """Parse the plain-text polynomial syntax into ``ring``."""
-    tokens = _tokenize(text)
-    result = ring.zero()
-    i = 0
+    """Parse the plain-text polynomial syntax into ``ring``, summing its terms in one dict."""
+    tokens, terms, i = _scan(text), {}, 0
     n = len(tokens)
     while i < n:
         sign = 1
-        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
+        while i < n and tokens[i] in (("op", "+"), ("op", "-")):
+            sign, i = -sign if tokens[i][1] == "-" else sign, i + 1
         if i >= n:
             raise ValueError("dangling sign in polynomial text")
-        coeff = sign
-        exps = [0] * ring.nvars
-        saw_factor = False
-        while i < n:
+        coeff, exps = sign, [0] * ring.nvars
+        while True:  # a factor, then '*' and the next factor or the end of the term
             kind, val = tokens[i]
-            if kind in ("num", "name") and saw_factor:
-                raise ValueError("factors must be joined by '*'")
             if kind == "num":
-                coeff *= val
-                i += 1
+                coeff, i = coeff * val, i + 1
             elif kind == "name":
-                idx = ring.index(val)
-                i += 1
-                power = 1
+                idx, i, power = ring.index(val), i + 1, 1
                 if i < n and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= n or tokens[i][0] != "num":
+                    if i + 1 >= n or tokens[i + 1][0] != "num":
                         raise ValueError("exponent must be a literal integer")
-                    power = tokens[i][1]
-                    i += 1
+                    power, i = tokens[i + 1][1], i + 2
                 exps[idx] += power
-            elif (kind, val) == ("op", "*"):
-                i += 1
-                if not saw_factor or i >= n or tokens[i][0] not in ("num", "name"):
+            else:
+                raise ValueError("'*' must stand between two factors" if val == "*"
+                                 else "empty term in polynomial text")
+            if i < n and tokens[i] == ("op", "*"):
+                if i + 1 >= n or tokens[i + 1][0] == "op":
                     raise ValueError("'*' must stand between two factors")
-                saw_factor = False
-                continue
+                i += 1
+            elif i < n and tokens[i][0] != "op":
+                raise ValueError("factors must be joined by '*'")
             else:
                 break
-            saw_factor = True
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
-        result = result + ring.monomial(exps, coeff)
-    return result
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    return Polynomial(ring, terms)

@@ -35,7 +35,9 @@ the next, in place of the closed form 3^k.
 
 By recursion, for bpuverify.poly: the exponent tuples of a weighted degree,
 each exponent searched largest first and the last one solved, in place of
-the cached suffix tables.
+the cached suffix tables.  By regular expression, for the same module: the
+polynomial text syntax read by a token pattern, each term a Polynomial
+added to the sum, in place of the one-pass scanner and its one term dict.
 
 By list scan, for bpuverify.gf2: each vector reduced against the whole sorted
 echelon list, which is re-sorted after every insertion, in place of the pivot
@@ -48,7 +50,9 @@ public linear extensions, so they see a patched rule table.  By sweep, for
 the same module: the four homotopy lines and the kernel-generator line from
 per-degree GF(2) bitmask tables of D, P and the projection on every
 normal-form monomial through the bound, in place of the exponent-box
-certificate.
+certificate.  By sweep, for the same module: D against Sq^1 under the
+identification on every normal-form monomial through the bound, in place of
+the generator certificate.
 
 By sweep, for the bpu2 suite's Sq^1 uniqueness lines: every element of a
 degree tried in turn, in place of one affine solve.
@@ -81,10 +85,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 
 from bpuverify import dga, gf2, intlinalg
 from bpuverify.intlinalg import IntMatrix, rank_mod_p
 from bpuverify.mod2alg.algebra import mono_divides
+from bpuverify.mod2alg.rings import toda_action
 from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, Ring, monomial_basis
 from bpuverify.report import VerificationReport
@@ -675,6 +681,18 @@ def ker_d_generators_check(max_degree: int) -> VerificationReport:
     return report
 
 
+def sweep_sq1_correspondence(max_degree: int) -> bool:
+    """D corresponds to Sq^1 under the identification on every normal-form
+    monomial through max_degree, each compared by the public maps."""
+    alg, iso, act = dga.w_algebra(), dga.toda_identification(), toda_action()
+    for d in range(max_degree + 1):
+        for m in alg.monomials_of_degree(d):
+            mono = frozenset({m})
+            if iso.apply(dga.differential(mono)) != act.sq(1, iso.apply(mono)):
+                return False
+    return True
+
+
 def sweep_sq1_preimages(algebra, action, target, d: int) -> list:
     """Every degree-d element s with Sq^1(s) = target, trying all 2^n
     elements of the degree in mask order."""
@@ -868,6 +886,79 @@ def _trial_primes(g: int) -> list:
     if g > 1:
         primes.append(g)
     return primes
+
+
+_TOKEN = r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()]))"
+
+
+def _regex_tokens(text: str) -> list:
+    match = re.compile(_TOKEN).match
+    pos, out = 0, []
+    while pos < len(text):
+        m = match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ValueError(f"bad polynomial syntax near {text[pos:pos+12]!r}")
+            break
+        pos = m.end()
+        if m.lastgroup == "num":
+            out.append(("num", int(m.group("num"))))
+        elif m.lastgroup == "name":
+            out.append(("name", m.group("name")))
+        else:
+            out.append(("op", m.group("op")))
+    return out
+
+
+def regex_parse_polynomial(text: str, ring: Ring) -> Polynomial:
+    """The polynomial text syntax by a regular-expression tokenizer, each
+    term added to the sum as its own Polynomial."""
+    tokens = _regex_tokens(text)
+    result = ring.zero()
+    i = 0
+    n = len(tokens)
+    while i < n:
+        sign = 1
+        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= n:
+            raise ValueError("dangling sign in polynomial text")
+        coeff = sign
+        exps = [0] * ring.nvars
+        saw_factor = False
+        while i < n:
+            kind, val = tokens[i]
+            if kind in ("num", "name") and saw_factor:
+                raise ValueError("factors must be joined by '*'")
+            if kind == "num":
+                coeff *= val
+                i += 1
+            elif kind == "name":
+                idx = ring.index(val)
+                i += 1
+                power = 1
+                if i < n and tokens[i] == ("op", "^"):
+                    i += 1
+                    if i >= n or tokens[i][0] != "num":
+                        raise ValueError("exponent must be a literal integer")
+                    power = tokens[i][1]
+                    i += 1
+                exps[idx] += power
+            elif (kind, val) == ("op", "*"):
+                i += 1
+                if not saw_factor or i >= n or tokens[i][0] not in ("num", "name"):
+                    raise ValueError("'*' must stand between two factors")
+                saw_factor = False
+                continue
+            else:
+                break
+            saw_factor = True
+        if not saw_factor:
+            raise ValueError("empty term in polynomial text")
+        result = result + ring.monomial(exps, coeff)
+    return result
 
 
 def recursive_monomial_basis(degree: int, weights) -> tuple:

@@ -376,20 +376,20 @@ def test_a_cli_call_loads_only_its_suites_modules():
     assert "bpuverify.intlinalg" in loaded("coker", "--max-degree", "4")
 
 
-def test_a_suite_that_parses_no_text_leaves_the_token_pattern_uncompiled():
-    """poly compiles its token pattern on the first parse, not at import:
-    re.compile, spied on before bpuverify is imported, never sees it in k4."""
+def test_a_suite_that_parses_no_text_never_scans_polynomial_text():
+    """poly scans polynomial text only when a suite parses some: the
+    scanner, spied on in a fresh interpreter, is never called in k4."""
     probe = (
-        "import re, sys\n"
-        "seen, real = [], re.compile\n"
-        "re.compile = lambda pattern, flags=0: seen.append(pattern) or real(pattern, flags)\n"
+        "import sys\n"
         "import bpuverify.cli\n"
         "from bpuverify import poly\n"
+        "seen, real = [], poly._scan\n"
+        "poly._scan = lambda text: seen.append(text) or real(text)\n"
         "code = bpuverify.cli.main(sys.argv[1:])\n"
-        "sys.stderr.write(f'{code} {seen.count(poly._TOKEN)}')\n"
+        "sys.stderr.write(f'{code} {len(seen)}')\n"
     )
 
-    def compiled(*argv):
+    def scanned(*argv):
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe, *argv],
             capture_output=True, text=True, env=_src_env(),
@@ -397,8 +397,8 @@ def test_a_suite_that_parses_no_text_leaves_the_token_pattern_uncompiled():
         code, count = result.stderr.split()
         return int(code), int(count)
 
-    assert compiled("k4", "--max-degree", "8") == (1, 0)
-    code, count = compiled("dga", "--max-degree", "8")
+    assert scanned("k4", "--max-degree", "8") == (1, 0)
+    code, count = scanned("dga", "--max-degree", "8")
     assert code == 0 and count > 0
 
 

@@ -16,13 +16,17 @@ from bpuverify.dga import (
     verify_sq1_correspondence,
     w_algebra,
 )
+from bpuverify.mod2alg import rings
+from bpuverify.mod2alg.algebra import AlgebraMap, PresentedAlgebra
 from bpuverify.mod2alg.rings import toda_action, toda_ring
+from bpuverify.mod2alg.steenrod import SteenrodAction
 from oracles import (
     DgaTables,
     dga_homology_dimension,
     dga_rank_of_d,
     dga_squares_to_zero_at,
     ker_d_generators_check,
+    sweep_sq1_correspondence,
     verify_homotopy,
 )
 
@@ -123,6 +127,92 @@ def test_sq1_line_states_its_sweep_bound(capsys):
         line = capsys.readouterr().out.splitlines()[-2]
         assert line.startswith("pass sq1-correspondence: "), line
         assert line.endswith(f"(basis sweep to degree {top})"), line
+
+
+def _sq1_verdicts():
+    """The generator certificate's and the sweep's verdicts at each bound 0..20."""
+    box = dga._Box()
+    return ([verify_sq1_correspondence(n, box) for n in range(21)],
+            [sweep_sq1_correspondence(n) for n in range(21)])
+
+
+def _sq1_line(capsys):
+    assert cli.main(["dga", "--max-degree", "20"]) == 1
+    return next(line for line in capsys.readouterr().out.splitlines() if "sq1-correspondence" in line)
+
+
+def test_sq1_certificate_matches_the_sweep_on_clean_tables():
+    certified, swept = _sq1_verdicts()
+    assert certified == swept == [True] * 21
+
+
+@pytest.fixture
+def fresh_toda_action():
+    rings.toda_action.cache_clear()  # the action is shared by every test
+    yield
+    rings.toda_action.cache_clear()
+
+
+@pytest.mark.parametrize("gen, value, own_witness, top_witness", [
+    ("y3", "y2^2", "D(x3) maps to 0, Sq^1 of the image of x3 is y2^2",
+     "Sq^1(y3*y2) = y2^3 mod the relations"),
+    ("y5", "y2^3", "D(x5) maps to y3^2, Sq^1 of the image of x5 is y2^3",
+     "Sq^1(y5*y2) = y2^4 mod the relations"),
+    ("y8", "y9", "D(x8) maps to 0, Sq^1 of the image of x8 is y9 + y3^3",
+     "Sq^1(y9^2 + y12*y3^2 + y8*y5^2) = y9*y5^2 + y5^2*y3^3 mod the relations"),
+    ("y9", "y2^5", "D(x9) maps to y5^2, Sq^1 of the image of x9 is y2^5",
+     "Sq^1(y9*y2) = y2^6 mod the relations"),
+    ("y12", "y5*y8", "D(x12) maps to 0, Sq^1 of the image of x12 is y8*y5 + y5^2*y3",
+     "Sq^1(y9^2 + y12*y3^2 + y8*y5^2) = y8*y5*y3^2 + y5^2*y3^3 mod the relations"),
+])
+def test_a_corrupted_generator_square_fails_the_certificate_where_the_sweep_fails(
+        monkeypatch, capsys, fresh_toda_action, gen, value, own_witness, top_witness):
+    """Sq^1 of one generator replaced by another value of its degree: the
+    certificate fails from that degree on, as the sweep does, on the
+    generator while the relation carrying it lies above the bound and on
+    the relation after."""
+    monkeypatch.setitem(rings.TODA_SQ_TABLE[gen], 1, value)
+    certified, swept = _sq1_verdicts()
+    assert certified == swept
+    degree = int(gen[1:])
+    assert certified == [True] * degree + [False] * (21 - degree)
+    assert dga._sq1_witness(dga._Box(), degree) == own_witness
+    assert dga._sq1_witness(dga._Box(), 20) == top_witness
+    assert _sq1_line(capsys).startswith("fail sq1-correspondence: ")
+
+
+def test_a_d_table_breaking_leibniz_fails_the_certificate_where_the_sweep_fails(monkeypatch, capsys):
+    """D(x5^2) = x5*x3^2 keeps degrees but is no Leibniz value: both routes
+    fail from degree 10 on."""
+    monkeypatch.setattr(dga, "_D_TABLE", _parity_blind_d_table())
+    certified, swept = _sq1_verdicts()
+    assert certified == swept == [True] * 10 + [False] * 11
+    assert dga._sq1_witness(dga._Box(), 20) == "D(x5^2) = x5*x3^2, the Leibniz rule gives 0"
+    assert _sq1_line(capsys).startswith("fail sq1-correspondence: ")
+
+
+def test_sq1_is_certified_with_no_basis_listing_and_no_call_per_monomial(monkeypatch, capsys):
+    listed = []
+    real_listing = PresentedAlgebra.monomials_of_degree
+    monkeypatch.setattr(PresentedAlgebra, "monomials_of_degree",
+                        lambda self, d: listed.append(d) or real_listing(self, d))
+    assert cli.main(["dga", "--max-degree", "54"]) == 0
+    assert listed == []
+    # built before the spies, so that only the certificate's own calls count
+    box = dga._Box()
+    assert not box.first_failures and toda_action() and toda_identification()
+    calls = {"sq": 0, "apply": 0}
+    for owner, name in ((SteenrodAction, "sq"), (AlgebraMap, "apply")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args, name=name, real=real:
+                            calls.update({name: calls[name] + 1}) or real(self, *args))
+    assert verify_sq1_correspondence(20, box)
+    assert listed == []
+    # Sq^1 of each relation and each generator's image; the images of each
+    # generator and of its D; against 69 normal-form monomials through degree 20
+    W = w_algebra()
+    assert calls == {"sq": len(toda_ring().relations) + len(W.gen_names), "apply": 2 * len(W.gen_names)}
+    assert sum(len(W.monomials_of_degree(d)) for d in range(21)) == 69
 
 
 def test_normal_form_shape():

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,11 @@ from bpuverify.poly import (
     parse_polynomial,
 )
 
-from oracles import recursive_monomial_basis
+from bpuverify.dga import KERNEL_GENERATORS, w_algebra
+from bpuverify.mod2alg.rings import KZ3_SQ_TABLE, TODA_SQ_TABLE
+from oracles import recursive_monomial_basis, regex_parse_polynomial
+
+ROOT = Path(__file__).resolve().parent.parent
 
 V2 = Ring(("v1", "v2"), (1, 1))
 V4 = Ring(("v1", "v2", "v3", "v4"), (1, 1, 1, 1))
@@ -314,12 +320,73 @@ def test_parse_rejects_garbage():
         parse_polynomial("s1^", SIGMA4)
 
 
-@pytest.mark.parametrize("text", [
-    "s1 +", "+", "s1*", "s1 -", "-", "*s1", "s1 * + s2", "2*", "s1 s2", "s1 2", "2 3 s1",
-])
+DANGLING = ["s1 +", "+", "s1*", "s1 -", "-", "*s1", "s1 * + s2", "2*", "s1 s2", "s1 2", "2 3 s1"]
+
+
+@pytest.mark.parametrize("text", DANGLING)
 def test_parse_rejects_dangling_operators(text):
     with pytest.raises(ValueError):
         parse_polynomial(text, SIGMA4)
+
+
+def _corpus_texts():
+    """(text, ring) for every generator name, relation and map value in the
+    ring data and the algebra fixtures, every tabled square of the
+    six-generator ring and K(Z,3), and dga's kernel generators."""
+    rings, out = {}, []
+    shipped = [*(ROOT / "src/bpuverify/data").glob("*.alg"), *(ROOT / "fixtures/algebras").glob("*.alg")]
+    for path in sorted(shipped):
+        lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
+        gens = [line.split()[1:] for line in lines if line.startswith("gen ")]
+        ring = rings[path.stem] = Ring(tuple(g for g, _ in gens), tuple(int(d) for _, d in gens), 2)
+        out += [(g, ring) for g in ring.variables]
+        out += [(line[4:], ring) for line in lines if line.startswith("rel ")]
+    for raw in (ROOT / "src/bpuverify/data/maps.txt").read_text().splitlines():
+        if raw.startswith("map "):
+            target = raw.split("->")[1].split(":")[0].strip()
+            out.append((raw.split("=", 1)[1], rings[target]))
+    for table, ring in ((TODA_SQ_TABLE, rings["toda"]), (KZ3_SQ_TABLE, rings["kz3"])):
+        out += [(text, ring) for entries in table.values() for text in entries.values()]
+    return out + [(text, w_algebra()._parse_ring) for text in KERNEL_GENERATORS]
+
+
+def _outcome(parse, text, ring):
+    try:
+        return parse(text, ring)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_parser_matches_the_regex_oracle_on_every_shipped_text():
+    corpus = _corpus_texts()
+    assert corpus
+    for text, ring in corpus:
+        assert parse_polynomial(text, ring) == regex_parse_polynomial(text, ring), text
+
+
+@pytest.mark.parametrize("text", [
+    "q7 + 1", "3 -", "s1^", *DANGLING, "s1 $ s2", "s1 +    @@", "2s1", "s1s2", "(s1)", "s1 + ^2",
+    "s1^s2", "s1^-1", "", "   ", "0", "-s1 + - - s2", " 2 * 3 * s1 ", "s1^0 - 1", "s1 - s1 + s1",
+    "8*s2 - 3*s1^2", "s1\u00a0+\ts2", "\u0663*s\u0661", "s\u0661", "\u0663*s1^\u0662", "s1 + \u00b2",
+])
+def test_parser_matches_the_regex_oracle_on_values_and_errors(text):
+    """The same value, or the same exception type and message."""
+    for ring in (SIGMA4, Ring(SIGMA4.variables, SIGMA4.weights, 2)):
+        assert _outcome(parse_polynomial, text, ring) == _outcome(regex_parse_polynomial, text, ring)
+
+
+def test_poly_reads_its_text_without_re():
+    tree = ast.parse(Path(poly.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "re" not in imported and "re" not in vars(poly)
+
+
+def test_a_wrong_length_exponent_is_refused():
+    with pytest.raises(ValueError, match="^exponent tuple length mismatch$"):
+        Polynomial(V2, {(1, 0): 1, (1,): 2})
+    with pytest.raises(ValueError, match="^exponent tuple length mismatch$"):
+        Polynomial(V2, {(1, 0, 0): 1})
 
 
 def test_rank_over_the_rationals():
