@@ -25,26 +25,26 @@ def _run_coker(opts) -> VerificationReport:
     """Orders in the cokernel of the divergence: every monomial in the
     degree-4 and degree-6 generators (1 included) has order exactly 4.
 
-    Each order rests on two certificates and no Smith normal form: the slice
-    identity divergence(s1*f) == 4*f bounds it by 4, and a functional found
-    by elimination over Z/2^E, vanishing on the divergence matrix modulo 2^E
-    but not on 2*f, shows that 2*f is not in the image.  Only order/s1,
-    whose divergence is not zero, takes the Smith normal form route."""
-    from . import poly, symfun
+    The orders come from ``symfun.monomial_coker_orders``: the slice bounds
+    each by 4, and a monomial with a multiple of order 4 has order 4, since
+    multiplying by a divergence-free generator keeps the divergence's image.
+    Only the others, here the monomials of degree above max_degree - 4, get
+    their own lower bound from ``coker_order``: a functional found by
+    elimination over Z/2^E, vanishing on the divergence matrix modulo 2^E
+    but not on 2*f.  So only the two top even degrees are eliminated.  Only
+    order/s1, whose divergence is not zero, takes the Smith normal form route."""
+    from . import symfun
     report = VerificationReport("coker")
     ctx = symfun.SymmetricContext(4)
     al = symfun.alpha_generators(ctx)
-    max_degree = opts.max_degree or 16
-    for d in range(0, max_degree + 1):
-        for c, e in reversed(poly.monomial_basis(d, (4, 6))):
-            f = al.a4 ** c * al.a6 ** e
-            order = symfun.coker_order(ctx, f)
-            label = f"a4^{c}*a6^{e}" if (c or e) else "1"
-            report.add(
-                f"order/{label}",
-                order == 4,
-                f"order of {label} in the degree-{d} cokernel is {order}",
-            )
+    orders = symfun.monomial_coker_orders(ctx, (al.a4, al.a6), opts.max_degree or 16)
+    for (c, e), order in orders.items():
+        label = f"a4^{c}*a6^{e}" if (c or e) else "1"
+        report.add(
+            f"order/{label}",
+            order == 4,
+            f"order of {label} in the degree-{4 * c + 6 * e} cokernel is {order}",
+        )
     sigma1_order = symfun.coker_order(ctx, ctx.sigma(1))
     report.add(
         "order/s1",

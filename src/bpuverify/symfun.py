@@ -347,13 +347,15 @@ def coker_order(ctx: SymmetricContext, f: Polynomial):
     The zero polynomial has order 1 in every degree.
 
     A divergence-free f is settled by two certificates.  The upper bound:
-    divergence(s1*f) == n*f, since s1/n is a slice, so the order divides n.
-    The lower bound: for each prime p dividing n, a functional y from the
-    local row form at p of A, the divergence into degree d on sparse rows and
-    shown onto by ``divergence_onto_shape``, with y*A == 0 and
-    y*(n/p)*f != 0 modulo p^E, checked against A, so (n/p)*f is not in the
-    image.  Inputs with nonzero divergence, and kernel elements whose order
-    is below n, take the Smith normal form route.
+    the divergence is the Leibniz extension of its rule, so divergence(s1*f)
+    is image(s1)*f, and the rule's image of s1 must be the constant n (else
+    ArithmeticError): the order divides n.  The lower bound: for each prime
+    p dividing n, a functional y from the local row form at p of A, the
+    divergence into degree d on sparse rows and shown onto by
+    ``divergence_onto_shape``, with y*A == 0 and y*(n/p)*f != 0 modulo p^E,
+    checked against A, so (n/p)*f is not in the image.  Inputs with nonzero
+    divergence, and kernel elements whose order is below n, take the Smith
+    normal form route.
     """
     from .intlinalg import _is_prime, check_cokernel_witness, element_order_in_cokernel
     d = f.homogeneous_degree()
@@ -362,8 +364,7 @@ def coker_order(ctx: SymmetricContext, f: Polynomial):
     x = coordinates(ctx, f, d)
     n = ctx.n
     if ctx.nabla_sigma(f).is_zero():
-        if ctx.nabla_sigma(ctx.sigma(1) * f) != n * f:
-            raise ArithmeticError("divergence(s1*f) differs from n*f")
+        _check_slice(ctx)
         for p in (q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)):
             rows, form = _divergence_local_form(ctx, d + 1, p)
             target = [n // p * t for t in x]
@@ -374,6 +375,49 @@ def coker_order(ctx: SymmetricContext, f: Polynomial):
         else:
             return n
     return element_order_in_cokernel(nabla_matrix(ctx, d + 1), x)
+
+
+def _check_slice(ctx: SymmetricContext) -> None:
+    """Refuse a rule whose image of s1 is not the constant n: then s1/n is
+    no slice, and n need not bound the orders of kernel elements."""
+    if ctx.divergence_rule[0] != ctx.sigma_ring.const(ctx.n):
+        raise ArithmeticError(f"the divergence of s1 is {ctx.divergence_rule[0]}, not {ctx.n}")
+
+
+def monomial_coker_orders(ctx: SymmetricContext, gens, max_degree: int) -> dict:
+    """The order in the cokernel of the divergence of every monomial in the
+    divergence-free ``gens`` of degree at most ``max_degree``, keyed by its
+    exponents, in order of degree and, within one degree, in the reverse of
+    ``monomial_basis`` order.
+
+    The divergence is a derivation, so for a divergence-free g it sends g*h
+    to g*divergence(h): multiplying by g keeps the image, and the order of
+    g*f divides that of f.  The slice bounds every kernel order by n.  So a
+    monomial m with a multiple g*m of order n, g a generator, has order n,
+    and ``coker_order`` runs only on the others: the monomials with no such
+    multiple within the bound (degree above max_degree less the least
+    generator degree), and those whose multiples all came out below n.
+    Walking from the top degree down, every multiple is settled before its
+    divisors.  The generators must be homogeneous of positive degree.  A rule
+    not sending s1 to n, or a generator with nonzero divergence, raises
+    ArithmeticError.
+    """
+    weights = tuple(g.homogeneous_degree() for g in gens)
+    _check_slice(ctx)
+    for i, g in enumerate(gens):
+        if not ctx.nabla_sigma(g).is_zero():
+            raise ArithmeticError(f"generator {i + 1} of degree {weights[i]} is not "
+                                  "divergence-free")
+    n = ctx.n
+    orders = {}
+    for d in range(max_degree, -1, -1):
+        for e in monomial_basis(d, weights):
+            if any(orders.get((*e[:j], x + 1, *e[j + 1:])) == n for j, x in enumerate(e)):
+                orders[e] = n
+            else:
+                orders[e] = coker_order(ctx, math.prod(
+                    (g ** x for g, x in zip(gens, e)), start=ctx.sigma_ring.one()))
+    return dict(reversed(orders.items()))
 
 
 # -- the cyclic-restriction map ---------------------------------------------

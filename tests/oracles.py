@@ -33,6 +33,11 @@ suite: the 3-adic factors of B_d's stack from the square M_d, B_d written in
 the monomials in a2, a3 and u, over Z/3^E with E carried from one degree to
 the next, in place of the closed form 3^k.
 
+Per monomial, for bpuverify.symfun.monomial_coker_orders: ``coker_order``
+on every monomial a4^c*a6^e through the bound, and the coker suite's report
+built from those orders, in place of the walk that settles each divisor of a
+monomial of order n from that multiple.
+
 By recursion, for bpuverify.poly: the exponent tuples of a weighted degree,
 each exponent searched largest first and the last one solved, in place of
 the cached suffix tables.  By regular expression, for the same module: the
@@ -97,6 +102,8 @@ from bpuverify.report import VerificationReport
 from bpuverify.symfun import (
     AlphaGenerators,
     SymmetricContext,
+    alpha_generators,
+    coker_order,
     coordinates,
     power_sums,
     standard_exponents,
@@ -763,6 +770,27 @@ def generator_monomial_stack(ctx: SymmetricContext, alphas: AlphaGenerators, d: 
     its exponents (of a2, a3, a4, a6)."""
     return {e: coordinates(ctx, alpha_monomial(alphas, e), d)
             for e in monomial_basis(d, (2, 3, 4, 6))}
+
+
+def per_monomial_coker_orders(ctx: SymmetricContext, alphas: AlphaGenerators,
+                              max_degree: int) -> dict:
+    """The cokernel order of every a4^c*a6^e of degree at most max_degree, each
+    by its own ``coker_order`` call, keyed by (c, e) in the coker report's order."""
+    return {(c, e): coker_order(ctx, alphas.a4 ** c * alphas.a6 ** e)
+            for d in range(max_degree + 1) for c, e in reversed(monomial_basis(d, (4, 6)))}
+
+
+def coker_report_by_monomial(max_degree: int) -> VerificationReport:
+    """The coker suite's report, its orders from ``per_monomial_coker_orders``."""
+    report = VerificationReport("coker")
+    ctx = SymmetricContext(4)
+    for (c, e), order in per_monomial_coker_orders(ctx, alpha_generators(ctx), max_degree).items():
+        label = f"a4^{c}*a6^{e}" if (c or e) else "1"
+        report.add(f"order/{label}", order == 4,
+                   f"order of {label} in the degree-{4 * c + 6 * e} cokernel is {order}")
+    order = coker_order(ctx, ctx.sigma(1))
+    report.add("order/s1", order == 1, f"s1 lies in the image (order {order}): gcd(8,3) = 1")
+    return report
 
 
 def toda_dimension_oracle(d: int) -> int:

@@ -14,6 +14,7 @@ from bpuverify.intlinalg import (
     solve_integer,
 )
 from bpuverify.poly import Polynomial, monomial_basis, parse_polynomial
+from bpuverify.report import serialize, strip_elapsed
 from bpuverify.series import geometric_product
 from bpuverify.symfun import (
     AlphaGenerators,
@@ -25,6 +26,7 @@ from bpuverify.symfun import (
     divergence_onto_shape,
     h3_order,
     kernel_basis,
+    monomial_coker_orders,
     nabla_matrix,
     power_sums,
     standard_exponents,
@@ -36,6 +38,7 @@ from test_intlinalg import _time_limit
 
 from oracles import (
     alpha_monomial,
+    coker_report_by_monomial,
     delta_polynomial,
     delta_sigma,
     divergence_onto_shape_by_columns,
@@ -49,6 +52,7 @@ from oracles import (
     k4_three_adic_factors_by_elimination,
     nabla,
     nonzero_invariant_factors,
+    per_monomial_coker_orders,
     to_sigma,
     tuple_delta_sigma,
     vandermonde,
@@ -183,10 +187,11 @@ CORRUPTED_RULES = {
 
 
 def _corrupt_rule(monkeypatch, name):
-    """Give every context built from now on the corrupted rule ``name``, and
-    return the least degree at which it shows."""
+    """Give every context built from now on the corrupted rule ``name``, or
+    the rule a callable ``name`` makes of the context, and return the least
+    degree at which a named rule shows (None for a callable)."""
     real = SymmetricContext.__init__
-    corrupt, first = CORRUPTED_RULES[name]
+    corrupt, first = CORRUPTED_RULES[name] if isinstance(name, str) else (name, None)
 
     def corrupted(self, n):
         real(self, n)
@@ -721,11 +726,13 @@ def test_coker_order_matches_the_smith_route_on_kernel_bases(n):
 
 
 def test_coker_order_checks_the_slice(monkeypatch):
+    # a wrong slice: with s1 |-> 2, divergence(s1*f) is 2*f, not n*f; the
+    # constant 1 stays divergence-free, so it reaches the slice check
+    _corrupt_rule(monkeypatch, _with_image(1, "2"))
     ctx = SymmetricContext(4)
-    f = alpha_generators(ctx).a4
-    # a wrong slice: divergence(2*s1*f) is 2n*f, not n*f
-    monkeypatch.setattr(ctx, "sigma", lambda k: 2 * ctx.sigma_ring.var(f"s{k}"))
-    with pytest.raises(ArithmeticError):
+    f = ctx.sigma_ring.one()
+    assert ctx.nabla_sigma(f).is_zero() and ctx.nabla_sigma(ctx.sigma(1) * f) == 2 * f
+    with pytest.raises(ArithmeticError, match="the divergence of s1 is 2, not 4"):
         coker_order(ctx, f)
 
 
@@ -793,6 +800,105 @@ def test_coker_order_refuses_an_image_of_the_wrong_degree(monkeypatch):
         # degree 3 does not, but its column s3 leaves the rows
         with pytest.raises(ArithmeticError, match="leaves degree 2"):
             coker_order(ctx, a2)
+
+
+def test_monomial_coker_orders_match_the_per_monomial_oracle():
+    oracle = per_monomial_coker_orders(CTX4, ALPHA, 40)
+    assert set(oracle.values()) == {4}
+    for bound in [*range(1, 25), 40]:
+        expected = {e: order for e, order in oracle.items() if 4 * e[0] + 6 * e[1] <= bound}
+        orders = monomial_coker_orders(CTX4, (ALPHA.a4, ALPHA.a6), bound)
+        # equal, and in the report's order
+        assert list(orders.items()) == list(expected.items()), bound
+
+
+@pytest.mark.parametrize("bound", [1, 5, 17, 24])
+def test_coker_report_equals_the_per_monomial_report(bound, capsys):
+    assert cli.main(["coker", "--max-degree", str(bound)]) == 0
+    expected = serialize(coker_report_by_monomial(bound), "text")
+    assert strip_elapsed(capsys.readouterr().out) == strip_elapsed(expected)
+
+
+def _spy_coker(monkeypatch, low=()):
+    """Record the coker suite's ``coker_order`` calls, as (c, e) for a4^c*a6^e
+    and "s1", with order 2 for the exponents in ``low``; also record the
+    degrees of the local forms asked for and the eliminations run."""
+    real_order, real_form = symfun.coker_order, symfun._divergence_local_form
+    real_elimination = intlinalg.full_rank_local_row_form
+    names = {ALPHA.a4 ** c * ALPHA.a6 ** e: (c, e)
+             for d in range(18) for c, e in monomial_basis(d, (4, 6))}
+    names[CTX4.sigma(1)] = "s1"
+    calls, degrees, eliminations = [], [], []
+
+    def order(ctx, f):
+        calls.append(names[f])
+        return 2 if names[f] in low else real_order(ctx, f)
+
+    def local_form(ctx, degree, p):
+        degrees.append(degree)
+        return real_form(ctx, degree, p)
+
+    def elimination(rows, p):
+        eliminations.append(len(rows))
+        return real_elimination(rows, p)
+
+    monkeypatch.setattr(symfun, "coker_order", order)
+    monkeypatch.setattr(symfun, "_divergence_local_form", local_form)
+    monkeypatch.setattr(intlinalg, "full_rank_local_row_form", elimination)
+    return calls, degrees, eliminations
+
+
+def test_coker_runs_coker_order_on_the_maximal_monomials_only(monkeypatch, capsys):
+    # at N = 17 the monomials of degree above 13 have no multiple in bound:
+    # a4^4 and a4*a6^2 at 16, a4^2*a6 at 14; the other seven follow from them
+    calls, degrees, eliminations = _spy_coker(monkeypatch)
+    assert cli.main(["coker", "--max-degree", "17"]) == 0
+    assert calls == [(4, 0), (1, 2), (2, 1), "s1"]
+    assert set(degrees) == {15, 17} and len(eliminations) == 2
+    assert capsys.readouterr().out.count("pass order/") == 11
+
+
+@pytest.mark.parametrize("low, own", [
+    # a4^3's one multiple in bound is a4^4; a4^2 and a4 keep a4^2*a6 and a4*a6
+    ([(4, 0)], [(3, 0)]),
+    # with a4^3 and a4^2*a6 low as well, a4^2 has no multiple of order 4
+    ([(4, 0), (3, 0), (2, 1)], [(3, 0), (2, 0)]),
+], ids=["a4^4", "a4^4+a4^3+a4^2*a6"])
+def test_a_low_coker_order_leaves_its_divisors_to_their_own_calls(monkeypatch, capsys, low, own):
+    calls, _, _ = _spy_coker(monkeypatch, low)
+    assert cli.main(["coker", "--max-degree", "17"]) == 1
+    assert calls == [(4, 0), (1, 2), (2, 1), *own, "s1"]
+    lines = capsys.readouterr().out.splitlines()
+    failed = sorted(line.split(":")[0] for line in lines if line.startswith("fail "))
+    assert failed == sorted(f"fail order/a4^{c}*a6^{e}" for c, e in low)
+    assert sum(line.startswith("pass order/") for line in lines) == 11 - len(low)
+
+
+@pytest.mark.parametrize("corruption", ["divergent-generator", "no-slice"])
+def test_coker_refuses_a_failed_divisor_certificate(monkeypatch, capsys, corruption):
+    if corruption == "divergent-generator":
+        # s2 in place of a6: divergence(s2) = 3*s1
+        real = symfun.alpha_generators
+
+        def with_s2(ctx):
+            alpha = real(ctx)
+            alpha.a6 = ctx.sigma(2)
+            return alpha
+
+        monkeypatch.setattr(symfun, "alpha_generators", with_s2)
+        message = "generator 2 of degree 2 is not divergence-free"
+    else:
+        # s1 |-> 2: s1/4 is no slice, and 4 no longer bounds the orders
+        _corrupt_rule(monkeypatch, _with_image(1, "2"))
+        message = "the divergence of s1 is 2, not 4"
+    ctx = SymmetricContext(4)
+    alpha = symfun.alpha_generators(ctx)
+    with pytest.raises(ArithmeticError, match=message):
+        monomial_coker_orders(ctx, (alpha.a4, alpha.a6), 17)
+    assert cli.main(["coker", "--max-degree", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def theta_by_expansion(ctx, f):
