@@ -19,7 +19,7 @@ import itertools
 import operator
 
 from .. import gf2
-from ..poly import Polynomial, Ring, parse_polynomial
+from ..poly import Polynomial, Ring, monomial_basis, parse_polynomial
 
 Monomial = tuple
 Poly = frozenset  # of Monomial
@@ -191,72 +191,28 @@ class PresentedAlgebra:
         return self.normal_form(poly_mul(a, b))
 
     def power(self, a: Poly, k: int) -> Poly:
+        if k < 0:
+            raise ValueError("negative power")
         out = self.one()
         for _ in range(k):
             out = self.mul(out, a)
         return out
 
     # -- graded pieces -------------------------------------------------------
-    @functools.cached_property
-    def _raise_plan(self) -> tuple:
-        """For each generator x_j, the (b, tests) of each bucket b it raises:
-        ``tests`` holds lead/x_j for each lead with last generator x_j that can
-        divide m*x_j for a normal form m in bucket b, as lead divides m*x_j
-        exactly when lead/x_j divides m.  A bucket whose least monomial (1 or
-        x_b) times x_j is a lead multiple is left out."""
-        n = len(self.gen_degrees)
-        least = [(0,) * n] + [tuple(int(k == b) for k in range(n)) for b in range(n)]
-        plan = []
-        for j in range(n):
-            ends = [lead[:j] + (lead[j] - 1,) + lead[j + 1:]
-                    for lead, _ in self.groebner if lead[j] and not any(lead[j + 1:])]
-            tests = [[lead for lead in ends if not any(lead[b:]) and (b <= j or lead[j])]
-                     for b in range(j + 2)]
-            plan.append([(b, t) for b, t in enumerate(tests)
-                         if not any(mono_divides(lead, least[b]) for lead in t)])
-        return tuple(plan)
-
     def monomials_of_degree(self, d: int) -> tuple:
-        """Normal-form monomials of weighted degree d, order-descending.
-
-        Normal-form monomials are an order ideal, so those of degree e are the
-        m*x_j, for m of degree e - deg x_j with no generator after x_j, that
-        no Groebner lead divides.  Such a lead has last generator x_j, as m
-        has no later one and is a normal form, so ``_raise_plan`` indexes the
-        leads by last generator, once per algebra.  Each degree keeps its
-        monomials in order-descending buckets by last generator.  A bucket-x_b
-        monomial is tested only against leads with no generator after x_b but
-        x_j, and x_j skips the bucket when x_b*x_j is a lead (its own bucket
-        when x_j^2 is); a generator with no lead raises with no test.  Every
-        degree up to d not yet cached is filled in ascending order; buckets
-        are kept only for the degrees a later fill reads.
-        """
-        if d < 0:
-            raise ValueError("degree must be >= 0")
-        cache = self._graded_cache
-        if d not in cache:
-            plan = self._raise_plan
-            n, top = len(self.gen_degrees), max(self.gen_degrees, default=0)
-            unit = (0,) * n
-            units = [] if any(lead == unit for lead, _ in self.groebner) else [unit]
-            for e in range(d + 1):
-                if e in cache:
-                    continue
-                # buckets[0] holds the unit, buckets[j + 1] those whose last generator is x_j
-                buckets = [units if e == 0 else []]
-                for j, (w, steps) in enumerate(zip(self.gen_degrees, plan)):
-                    zeros = unit[j + 1:]
-                    raised = [m[:j] + (m[j] + 1,) + zeros
-                              for b, tests in (steps if w <= e else ())
-                              for m in cache[e - w][1][b]
-                              if not tests or not any(mono_divides(t, m) for t in tests)]
-                    raised.sort(reverse=True)
-                    buckets.append(raised)
-                monos = tuple(sorted(itertools.chain(*buckets), reverse=True))
-                cache[e] = (monos, buckets)
-                if e >= top:  # later fills read the buckets above degree e - top only
-                    cache[e - top] = cache[e - top][:1]
-        return cache[d][0]
+        """Normal-form monomials of weighted degree d, order-descending: the
+        exponent tuples of ``monomial_basis`` no Groebner lead divides, as a
+        Groebner basis's normal forms are its standard monomials.  Within one
+        degree ``monomial_basis`` is lexicographically descending, which is
+        the monomial order's descending listing.  Cached per degree; a
+        negative d raises ValueError."""
+        if d not in self._graded_cache:
+            leads = [lead for lead, _ in self.groebner]
+            self._graded_cache[d] = tuple([
+                m for m in monomial_basis(d, self.gen_degrees)
+                if not any(mono_divides(lead, m) for lead in leads)
+            ])
+        return self._graded_cache[d]
 
     def basis_index(self, d: int) -> dict:
         """{monomial: bit} over monomials_of_degree(d), built on the first call
@@ -392,6 +348,8 @@ class AlgebraMap:
         self.target = target
         imgs = {}
         for gname, value in images.items():
+            if gname not in source.gen_names:
+                raise MapNotWellDefined(f"{name}: {gname} is not a generator of {source.name}")
             p = target.parse(value) if isinstance(value, str) else frozenset(value)
             p = target.normal_form(p)
             gdeg = source.gen_degrees[source.gen_names.index(gname)]
@@ -445,9 +403,9 @@ def load_algebra(text: str, name: str) -> PresentedAlgebra:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("gen "):
-            _, gname, deg = line.split()
-            gens.append((gname, int(deg)))
+        words = line.split()
+        if words[0] == "gen" and len(words) == 3 and words[2].isdecimal():
+            gens.append((words[1], int(words[2])))
         elif line.startswith("rel "):
             rels.append(line[4:].strip())
         else:
@@ -462,10 +420,10 @@ def load_map_tables(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not line.startswith("map "):
+        head, colon, assign = line[4:].partition(":")
+        ends, sides = head.split("->"), assign.split("=", 1)
+        if not line.startswith("map ") or not colon or len(ends) != 2 or len(sides) != 2:
             raise ValueError(f"bad map line: {raw!r}")
-        head, assign = line[4:].split(":", 1)
-        src, tgt = (part.strip() for part in head.split("->"))
-        gname, value = (part.strip() for part in assign.split("=", 1))
+        src, tgt, gname, value = (part.strip() for part in ends + sides)
         out.setdefault((src, tgt), {})[gname] = value
     return out

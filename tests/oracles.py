@@ -8,11 +8,11 @@ as the sum of the partial derivatives, the leading-term rewrite back into
 sigma coordinates, and the alternating product built as a v-polynomial.  Expansions are cached per variable count.
 
 Over all ambient monomials, for bpuverify.mod2alg: the normal-form monomials
-of a degree as the ambient ones no Groebner lead divides, and subalgebra
-ranks from a product of generator powers per monomial.  By a full scan, for
-the same module: each generator x_j raising every normal-form monomial of
-the degree below, dropping those with a generator after x_j, in place of
-the buckets kept by last generator.
+of a degree as the ambient ones that reduction leaves unchanged, in place of
+the Groebner-lead filter, and subalgebra ranks from a product of generator
+powers per monomial.  By a full scan, for the same module: each generator
+x_j raising every normal-form monomial of the degree below, dropping those
+with a generator after x_j, in place of one degree's lead filter.
 
 By fixed decompositions, for bpuverify.mod2alg.steenrod: Sq^3, Sq^5, Sq^6 and
 Sq^7 on generators as composites of Sq^1, Sq^2 and Sq^4, in place of the Adem
@@ -326,13 +326,12 @@ def vistoli_by_expansion(p: int) -> VerificationReport:
     return report
 
 
-def lead_filter_monomials(algebra, d: int) -> tuple:
+def irreducible_monomials(algebra, d: int) -> tuple:
     """The normal-form monomials of degree d, order-descending: every ambient
-    exponent tuple of that degree that no Groebner lead divides."""
-    leads = [lead for lead, _ in algebra.groebner]
+    exponent tuple of that degree that reduction leaves unchanged."""
     return tuple(
         m for m in monomial_basis(d, algebra.gen_degrees)
-        if not any(mono_divides(lead, m) for lead in leads)
+        if algebra.normal_form(frozenset({m})) == frozenset({m})
     )
 
 

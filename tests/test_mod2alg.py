@@ -39,7 +39,7 @@ from bpuverify.poly import monomial_basis
 
 from oracles import (
     full_scan_monomials,
-    lead_filter_monomials,
+    irreducible_monomials,
     product_loop_ranks,
     toda_dimension_oracle,
 )
@@ -302,6 +302,37 @@ def test_loader_round_trip():
         load_algebra("gen a 2\nbogus line", "x")
 
 
+@pytest.mark.parametrize(
+    "line, kind",
+    [
+        ("gen x 2 extra", "presentation"),
+        ("gen x", "presentation"),
+        ("gen x two", "presentation"),
+        ("map a b: x = y", "map"),
+        ("map a -> b: x y", "map"),
+    ],
+)
+def test_a_malformed_corpus_line_is_named(line, kind):
+    load = load_algebra if kind == "presentation" else lambda text, _: load_map_tables(text)
+    raw = f"{line}  # trailing"
+    with pytest.raises(ValueError, match=re.escape(f"bad {kind} line: {raw!r}")):
+        load(f"# a comment\n{raw}\n", "x")
+
+
+def test_an_image_for_a_non_generator_is_refused():
+    B = bso3_ring()
+    images = {"wp2": "wp2", "wp3": "wp3", "wp4": "wp2^2"}
+    with pytest.raises(MapNotWellDefined, match="wp4 is not a generator of bso3"):
+        AlgebraMap("extra", B, B, images)
+
+
+def test_a_negative_power_is_refused():
+    B = bso3_ring()
+    assert B.power(B.gen("wp2"), 0) == B.one()
+    with pytest.raises(ValueError, match="negative power"):
+        B.power(B.gen("wp2"), -1)
+
+
 def test_inhomogeneous_relation_rejected():
     with pytest.raises(ValueError):
         PresentedAlgebra("bad", [("a", 2), ("b", 3)], ["a + b"])
@@ -437,8 +468,10 @@ def test_subalgebra_ranks_refuse_a_product_of_the_wrong_degree(monkeypatch):
 
 @pytest.mark.parametrize("algebra", _oracle_corpus(), ids=lambda a: a.name)
 def test_monomials_of_degree_match_the_lead_filter_oracle(algebra):
+    # the lead filter lists the standard monomials; the oracle lists the
+    # ambient monomials that are their own normal form under reduction
     for d in range(41):
-        assert algebra.monomials_of_degree(d) == lead_filter_monomials(algebra, d), d
+        assert algebra.monomials_of_degree(d) == irreducible_monomials(algebra, d), d
 
 
 @pytest.mark.parametrize(
@@ -449,8 +482,8 @@ def test_monomials_of_degree_match_the_lead_filter_oracle(algebra):
     ids=lambda a: a.name,
 )
 def test_bucketed_fill_matches_the_full_scan_oracle_through_degree_60(algebra):
-    # the oracle tests each candidate against every lead involving x_j, the
-    # fill only against those whose x_j-exponent the candidate just reached
+    # the oracle raises each degree from the ones below it; the lead filter
+    # reads no other degree
     expected = full_scan_monomials(algebra, 60)
     assert [algebra.monomials_of_degree(d) for d in range(61)] == expected
     for d, monos in enumerate(expected):
@@ -458,78 +491,53 @@ def test_bucketed_fill_matches_the_full_scan_oracle_through_degree_60(algebra):
 
 
 def test_the_fill_holds_no_index_dict():
-    """monomials_of_degree keeps the monomials and the buckets later fills
-    read; basis_index builds a degree's {monomial: bit} dict on its first call."""
+    """monomials_of_degree caches the monomial tuple of the degree asked for
+    and of no other; basis_index builds a degree's {monomial: bit} dict on
+    its first call."""
     fresh = w_algebra.__wrapped__()
-    fresh.monomials_of_degree(60)
+    monos = fresh.monomials_of_degree(60)
     assert fresh._basis_indexes == {}
-    assert not [part for entry in fresh._graded_cache.values() for part in entry
-                if isinstance(part, dict)]
+    assert fresh._graded_cache == {60: monos} and type(monos) is tuple
+    assert fresh.monomials_of_degree(60) is monos
     index = fresh.basis_index(40)
     assert fresh.basis_index(40) is index and list(fresh._basis_indexes) == [40]
 
 
 def test_monomials_of_degree_queried_out_of_order():
     fresh = load_algebra((ROOT / "src/bpuverify/data/toda.alg").read_text(), "toda")
-    assert fresh.monomials_of_degree(40) == lead_filter_monomials(fresh, 40)
-    assert fresh.monomials_of_degree(17) == lead_filter_monomials(fresh, 17)
+    expected = full_scan_monomials(fresh, 40)
+    assert fresh.monomials_of_degree(40) == expected[40]
+    assert fresh.monomials_of_degree(17) == expected[17]
     with pytest.raises(ValueError):
         fresh.monomials_of_degree(-1)
 
 
-def _skipped_buckets(algebra):
-    """(x_j, bucket) for each bucket x_j does not read: "1" for the unit's,
-    else the name of the bucket's last generator."""
-    names = ("1",) + algebra.gen_names
-    return {
-        (algebra.gen_names[j], names[b])
-        for j, steps in enumerate(algebra._raise_plan)
-        for b in range(j + 2) if b not in {read for read, _ in steps}
-    }
-
-
 # five generators g0..g4, in listing order; two-generator leads x_b*x_j at the
-# first, middle and last positions, near misses that must not skip a bucket,
-# squares, a killed generator, a lead from a relation that is not a
-# monomial, and the unit ideal
-_SKIP_CASES = [
-    (["g0*g1"], {("g1", "g0")}),
-    (["g1*g3"], {("g3", "g1")}),
-    (["g3*g4"], {("g4", "g3")}),
-    (["g0*g4", "g2*g3"], {("g4", "g0"), ("g3", "g2")}),
-    (["g1*g3 + g2^7"], {("g3", "g1")}),
-    (["g1^2*g3"], set()),
-    (["g1*g3^2"], set()),
-    (["g0*g1*g3"], set()),
-    (["g1^2*g3", "g1*g3^2", "g0*g1*g3", "g2^3*g4"], set()),
-    (["g0^2", "g3^2", "g1*g4^2"], {("g0", "g0"), ("g3", "g3")}),
-    (["g2", "g0*g3"], {("g2", "1"), ("g2", "g0"), ("g2", "g1"), ("g3", "g0")}),
-    (["1"], set()),
+# first, middle and last positions and their near misses, squares, a killed
+# generator, a lead from a relation that is not a monomial, and the unit ideal
+_HAND_PRESENTATIONS = [
+    ["g0*g1"],
+    ["g1*g3"],
+    ["g3*g4"],
+    ["g0*g4", "g2*g3"],
+    ["g1*g3 + g2^7"],
+    ["g1^2*g3"],
+    ["g1*g3^2"],
+    ["g0*g1*g3"],
+    ["g1^2*g3", "g1*g3^2", "g0*g1*g3", "g2^3*g4"],
+    ["g0^2", "g3^2", "g1*g4^2"],
+    ["g2", "g0*g3"],
+    ["1"],
 ]
 
 
-@pytest.mark.parametrize(
-    "relations, skipped", _SKIP_CASES, ids=[", ".join(r) for r, _ in _SKIP_CASES]
-)
-def test_bucket_skips_match_both_oracles_through_degree_40(relations, skipped):
+@pytest.mark.parametrize("relations", _HAND_PRESENTATIONS, ids=", ".join)
+def test_bucket_skips_match_both_oracles_through_degree_40(relations):
     gens = [("g0", 2), ("g1", 3), ("g2", 1), ("g3", 4), ("g4", 2)]
     algebra = PresentedAlgebra("hand", gens, relations)
-    assert _skipped_buckets(algebra) == skipped
     expected = full_scan_monomials(algebra, 40)
     for d in range(41):
-        assert algebra.monomials_of_degree(d) == expected[d] == lead_filter_monomials(algebra, d), d
-    # each skipped bucket holds monomials in some degree: the skip drops candidates
-    def last(m):
-        return next((algebra.gen_names[k] for k in reversed(range(5)) if m[k]), "1")
-
-    for gen, bucket in skipped:
-        w = algebra.gen_degrees[algebra.gen_names.index(gen)]
-        assert any(last(m) == bucket for monos in expected[: 41 - w] for m in monos), (gen, bucket)
-
-
-def test_w_skips_the_x3_x5_and_x9_buckets_under_x2_and_x9_under_itself():
-    skipped = {("x2", "x3"), ("x2", "x5"), ("x2", "x9"), ("x9", "x9")}
-    assert _skipped_buckets(w_algebra()) == skipped
+        assert algebra.monomials_of_degree(d) == expected[d] == irreducible_monomials(algebra, d), d
 
 
 def _corpus_maps():
