@@ -147,20 +147,18 @@ class _Box:
     def __init__(self):
         alg = self.alg = w_algebra()
         self.rules = {"D": (_d_rule, 1), "P": (_p_rule, -1), "projection": (_projection_rule, 0)}
-        self.leads = [lead for lead, _ in alg.groebner]
         entries = [e for t in (_D_TABLE, _P_TABLE, _PROJECTION_TABLE) for e in t]
         n = len(alg.gen_degrees)
         threshold, shift = [None] * n, [0] * n
         reads = [(g, 0 if op == "%2" else c) for guards, _ in entries for g, op, c in guards]
         if {op for guards, _ in entries for _, op, _ in guards} - {">=", "<", "%2"}:
             raise ValueError("a guard's op must be '>=', '<' or '%2'")
-        for g, c in reads + [(g, e) for lead in self.leads for g, e in enumerate(lead) if e]:
+        for g, c in reads + [(g, e) for lead in alg.leads for g, e in enumerate(lead) if e]:
             threshold[g] = max(threshold[g] or 0, c)
         for g, k in ((g, k) for _, moves in entries for g, k in moves.items()):
             shift[g] = max(shift[g], abs(k))
         box = [(0,) if t is None else range(t + s + 2) for t, s in zip(threshold, shift)]
-        cells = set(itertools.product(*box)).difference(
-            *(itertools.product(*(r[e:] for r, e in zip(box, lead))) for lead in self.leads))
+        cells = filter(alg.is_normal, itertools.product(*box))
         self.cells = sorted(sorted(cells, reverse=True), key=self.degree)
         self.threshold, self._values = threshold, {name: {} for name in self.rules}
 
@@ -168,7 +166,7 @@ class _Box:
         return sum(map(operator.mul, m, self.alg.gen_degrees))
 
     def normal(self, m: Monomial) -> bool:
-        return min(m) >= 0 and not any(all(map(operator.le, lead, m)) for lead in self.leads)
+        return min(m) >= 0 and self.alg.is_normal(m)
 
     def value(self, name: str, p) -> Poly:
         """The rule's value on an element given by its normal-form monomials."""
@@ -416,26 +414,56 @@ def verify_sq1_correspondence(max_degree: int, box: _Box | None = None) -> bool:
     return not _sq1_witness(box or _Box(), max_degree)
 
 
-def dga_suite(max_degree: int) -> VerificationReport:
-    """The homotopy certificate, read through max_degree, with ker D checked
-    against the subalgebra on ``KERNEL_GENERATORS`` through min(30,
-    max_degree), and D against Sq^1 through N = min(20, max_degree) by the
-    generator certificate of ``verify_sq1_correspondence``: D is Leibniz
-    through N, Sq^1 of each ring relation of degree at most N reduces to 0,
-    and D and Sq^1 agree on each generator of degree at most N.
+def _kernel_witness(box: _Box, top: int) -> str:
+    """Why ker D = S through degree top is not certified, or ''; S is the
+    subalgebra on ``KERNEL_GENERATORS`` and K those of degree at most top.
+    (1) D(K) = 0, so D(S) = 0.  (2) Each generator in a monomial that the
+    projection fixes is in K, so S holds the projection's image; a cell
+    stands for the exponents e + 2k where e is at least its threshold.
+    (3) Each other generator x of degree at most top has x^2 in K, x^2 not
+    normal or 2|x| > top, so a normal monomial of degree at most top is s*g,
+    s a monomial in K and g a square-free product of the others.  (4) D(g)
+    is in S if |g| < top.  By the homotopy identity, z in ker D is then
+    projection(z) + D(P z), where D(s*g) = s*D(g)."""
+    alg = box.alg
+    kernel = [alg.normal_form(alg.parse(s)) for s in KERNEL_GENERATORS]
+    fixed = [m for m in box.cells if box.degree(m) <= top and box.value("projection", (m,)) == {m}]
+    others = [u for (u,) in map(alg.gen, alg.gen_names)
+              if box.degree(u) <= top and {u} not in kernel]
+    products = [(0,) * len(alg.gen_names)]
+    for u in others:
+        products += [mono_mul(m, u) for m in products]
+    products = [m for m in products[1:] if box.degree(m) < top and alg.is_normal(m)]
+    values = [box.value("D", (m,)) for m in products]
+    outside = alg.first_nonmember(values, kernel)  # refuses a zero or inhomogeneous generator
+    for k in kernel:
+        if alg.poly_degree(k) <= top and (value := box.value("D", k)):
+            return f"kernel generator {alg.format(k)} has D = {alg.format(value)}"
+    for u in others:
+        name, square, g = alg.format({u}), mono_mul(u, u), u.index(1)
+        if any(m[g] or not box.threshold[g] for m in fixed):
+            return f"the projection fixes monomials with {name}, which is not a kernel generator"
+        if box.degree(square) <= top and alg.is_normal(square) and {square} not in kernel:
+            return f"{name}^2 is normal, and neither {name} nor {name}^2 is a kernel generator"
+    if outside is not None:
+        return "D({}) = {} lies outside the kernel generators' subalgebra".format(
+            alg.format({products[outside]}), alg.format(values[outside]))
+    return ""
 
-    The dimension of ker D comes from the certified homology h and the
-    normal-form counts w: k_d = h_d + rank D_(d-1) = h_d + w_(d-1) - k_(d-1)."""
+
+def dga_suite(max_degree: int) -> VerificationReport:
+    """The homotopy certificate, read through max_degree, with ker D equal to
+    the subalgebra on ``KERNEL_GENERATORS`` through min(30, max_degree) by
+    the generator certificate of ``_kernel_witness``, and D against Sq^1
+    through N = min(20, max_degree) by the generator certificate of
+    ``verify_sq1_correspondence``: D is Leibniz through N, Sq^1 of each ring
+    relation of degree at most N reduces to 0, and D and Sq^1 agree on each
+    generator of degree at most N."""
     box = _Box()
     counts, image = box.series(max_degree)
     report = _certificate_checks(box, counts, image)
-    alg, top, kernel = box.alg, min(30, max_degree), []
-    for d in range(top + 1):
-        kernel.append(image[d] + (counts[d - 1] - kernel[-1] if d else 0))
-    ranks = alg.subalgebra_ranks([alg.parse(s) for s in KERNEL_GENERATORS], top)
-    first_bad = next(((d, kernel[d], sub) for d, (sub, _) in enumerate(ranks)
-                      if sub != kernel[d]), None)
-    witness = first_bad and "degree {}: kernel {} vs subalgebra {}".format(*first_bad) or ""
+    top = min(30, max_degree)
+    witness = _kernel_witness(box, top)
     if report.failures:
         witness = "rests on homology-dimensions"
     report.add("kernel-generators", not witness,

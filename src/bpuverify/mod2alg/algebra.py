@@ -81,6 +81,7 @@ class PresentedAlgebra:
             rels.append(p)
         self.relations = tuple(rels)
         self.groebner = self._buchberger(self.relations)
+        self.leads = [lead for lead, _ in self.groebner]
         for r in self.relations:
             if self.normal_form(r):
                 raise ArithmeticError("a defining relation does not reduce to zero")
@@ -112,15 +113,18 @@ class PresentedAlgebra:
         return frozenset(p.terms.keys())
 
     def gen(self, name: str) -> Poly:
-        e = [0] * len(self.gen_names)
-        e[self.gen_names.index(name)] = 1
-        return frozenset({tuple(e)})
+        if name not in self.gen_names:
+            raise KeyError(f"unknown variable {name!r}")
+        return frozenset({tuple(int(g == name) for g in self.gen_names)})
 
     def one(self) -> Poly:
         return frozenset({(0,) * len(self.gen_names)})
 
     def monomial(self, exponents) -> Poly:
-        return frozenset({tuple(exponents)})
+        m = tuple(exponents)
+        if len(m) != len(self.gen_names):
+            raise ValueError(f"{len(m)} exponents for {len(self.gen_names)} generators")
+        return frozenset({m})
 
     def format(self, p: Poly) -> str:
         return str(Polynomial(self._parse_ring, dict.fromkeys(p, 1)))
@@ -198,6 +202,10 @@ class PresentedAlgebra:
             out = self.mul(out, a)
         return out
 
+    def is_normal(self, m: Monomial) -> bool:
+        """Whether the monomial m is a normal form: no Groebner lead divides it."""
+        return not any(mono_divides(lead, m) for lead in self.leads)
+
     # -- graded pieces -------------------------------------------------------
     def monomials_of_degree(self, d: int) -> tuple:
         """Normal-form monomials of weighted degree d, order-descending: the
@@ -207,11 +215,8 @@ class PresentedAlgebra:
         the monomial order's descending listing.  Cached per degree; a
         negative d raises ValueError."""
         if d not in self._graded_cache:
-            leads = [lead for lead, _ in self.groebner]
-            self._graded_cache[d] = tuple([
-                m for m in monomial_basis(d, self.gen_degrees)
-                if not any(mono_divides(lead, m) for lead in leads)
-            ])
+            basis = monomial_basis(d, self.gen_degrees)
+            self._graded_cache[d] = tuple(filter(self.is_normal, basis))
         return self._graded_cache[d]
 
     def basis_index(self, d: int) -> dict:
@@ -241,90 +246,30 @@ class PresentedAlgebra:
         monos = self.monomials_of_degree(d)
         return frozenset(monos[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def subalgebra_ranks(self, generators, max_degree: int) -> list:
-        """(rank, count) for each degree 0..max_degree: the GF(2) rank of the
-        span of the monomials in the generators h_0, h_1, ... of that degree,
-        and how many there are.  The rank is the dimension of the generated
-        subalgebra in that degree; rank < count marks a linear dependence.
-
-        A generator monomial of degree d whose last generator is h_i is one of
-        degree d - deg h_i whose last generator is at most i, times h_i.  So
-        its coordinate mask is the XOR, over the set bits k of the lower mask,
-        of the column of m_k * h_i: the XOR over the terms t of h_i of the
-        masks of nf(m_k * t).  Each degree numbers its normal-form monomials
-        as they first appear, not as ``monomials_of_degree`` lists them, and
-        keeps one product -> mask dict and one ``_monomial_nf`` memo, dropped
-        with that degree; a new monomial of the wrong degree or divisible by
-        a Groebner lead raises ValueError.  Masks and each degree's monomial
-        list are kept for the last max(deg h) degrees.
-
-        Raises ValueError on a generator that is zero, inhomogeneous or of
-        degree 0, naming its index.
-        """
+    def first_nonmember(self, elements, generators):
+        """The index of the first of ``elements`` outside the subalgebra that
+        ``generators`` generate, or None.  An element of degree d lies there
+        when its normal form is in the span of the products of generator
+        powers of degree d, one per exponent tuple of ``monomial_basis`` in
+        the generator degrees: one GF(2) solve.  Zero and a generator pass at
+        once.  Raises ValueError on a generator that is zero, inhomogeneous
+        or of degree 0, naming its index, and on an inhomogeneous element."""
         gens = [self.normal_form(g) for g in generators]
-        degrees = []
-        for i, g in enumerate(gens):
-            if not g:
-                raise ValueError(f"generator {i} is zero")
-            try:
-                degree = self.poly_degree(g)
-            except ValueError:
-                raise ValueError(f"generator {i} is inhomogeneous") from None
-            if degree == 0:
-                raise ValueError(f"generator {i} has degree 0")
-            degrees.append(degree)
-        depth = max(degrees, default=0)
-        # by_last[d] = (monos, lists): monos[k] is the monomial of bit k, and
-        # lists[i + 1] holds the masks of the degree-d generator monomials whose
-        # last generator is h_i; lists[0] is the empty monomial's in degree 0
-        by_last = {}
-        out = []
-        for d in range(max_degree + 1):
-            index, products, memo = {}, {}, {}
-
-            def mask_of(p):
-                mask = 0
-                for m in p:
-                    if m not in index:
-                        degree = sum(map(operator.mul, m, self.gen_degrees))
-                        if degree != d or any(mono_divides(g, m) for g, _ in self.groebner):
-                            raise ValueError(
-                                f"not a degree-{d} normal-form element: {self.format(p)}"
-                            )
-                        index[m] = len(index)
-                    mask |= 1 << index[m]
-                return mask
-
-            if d == 0:
-                lists = [[mask_of(self.one())]] + [[] for _ in gens]
-            else:
-                lists = [[]]
-                for i, (h, w) in enumerate(zip(gens, degrees)):
-                    masks = []
-                    if d - w in by_last:
-                        lower_monos, lower = by_last[d - w]
-                        columns = {}
-                        for v in itertools.chain.from_iterable(lower[: i + 2]):
-                            mask = 0
-                            while v:
-                                k = (v & -v).bit_length() - 1
-                                if k not in columns:
-                                    columns[k] = 0
-                                    for t in h:
-                                        prod = mono_mul(lower_monos[k], t)
-                                        if prod not in products:
-                                            nf = self._monomial_nf(prod, self.groebner, memo)
-                                            products[prod] = mask_of(nf)
-                                        columns[k] ^= products[prod]
-                                mask ^= columns[k]
-                                v ^= 1 << k
-                            masks.append(mask)
-                    lists.append(masks)
-            by_last[d] = list(index), lists
-            by_last.pop(d - depth, None)
-            vectors = list(itertools.chain.from_iterable(lists))
-            out.append((gf2.rank(vectors), len(vectors)))
-        return out
+        degrees = [{self.degree(m) for m in g} for g in gens]
+        for i, found in enumerate(degrees):
+            if len(found) != 1 or found == {0}:
+                raise ValueError(f"generator {i} " + ("is zero" if not found else
+                                 "has degree 0" if found == {0} else "is inhomogeneous"))
+        degrees = [found.pop() for found in degrees]
+        for i, p in enumerate(map(self.normal_form, elements)):
+            if p and p not in gens:
+                d = self.poly_degree(p)
+                columns = [self.coordinates(functools.reduce(self.mul, (
+                    self.power(g, k) for g, k in zip(gens, e) if k), self.one()), d)
+                    for e in monomial_basis(d, degrees)]
+                if gf2.solve_affine(columns, self.coordinates(p, d)) is None:
+                    return i
+        return None
 
     def with_relations(self, extra, name: str | None = None) -> "PresentedAlgebra":
         """Quotient by additional homogeneous relations (e.g. truncations)."""

@@ -317,7 +317,10 @@ def _first_outside(expos, divergent, zero) -> tuple:
     """The first exponent in ``expos`` whose generator monomial is nonzero (no
     factor flagged ``zero``: a domain) and outside the kernel (a factor flagged
     ``divergent``: the kernel of a locally nilpotent derivation of a
-    characteristic-0 domain is factorially closed), or None."""
+    characteristic-0 domain is factorially closed), or None: at once when no
+    generator is divergent."""
+    if not any(divergent):
+        return None
     return next((e for e in expos if not any(x and z for x, z in zip(e, zero))
                  and any(x and bad for x, bad in zip(e, divergent))), None)
 

@@ -10,9 +10,15 @@ sigma coordinates, and the alternating product built as a v-polynomial.  Expansi
 Over all ambient monomials, for bpuverify.mod2alg: the normal-form monomials
 of a degree as the ambient ones that reduction leaves unchanged, in place of
 the Groebner-lead filter, and subalgebra ranks from a product of generator
-powers per monomial.  By a full scan, for the same module: each generator
-x_j raising every normal-form monomial of the degree below, dropping those
-with a generator after x_j, in place of one degree's lead filter.
+powers per monomial.  By sweep, for the same module: the dimension of a
+generated subalgebra in each degree, from the span ranks of its generator
+monomials, built degree by degree from masks of lower degrees; the dga
+kernel-generator line and section10's subalgebra equality from those
+dimensions (equality from three lists through the largest generator degree),
+in place of the generator-membership certificates.  By a full scan, for the
+same module: each generator x_j raising every normal-form monomial of the
+degree below, dropping those with a generator after x_j, in place of one
+degree's lead filter.
 
 By fixed decompositions, for bpuverify.mod2alg.steenrod: Sq^3, Sq^5, Sq^6 and
 Sq^7 on generators as composites of Sq^1, Sq^2 and Sq^4, in place of the Adem
@@ -94,7 +100,7 @@ import re
 
 from bpuverify import dga, gf2, intlinalg
 from bpuverify.intlinalg import IntMatrix, rank_mod_p
-from bpuverify.mod2alg.algebra import mono_divides
+from bpuverify.mod2alg.algebra import mono_divides, mono_mul
 from bpuverify.mod2alg.rings import toda_action
 from bpuverify.mod2alg.steenrod import SteenrodAction
 from bpuverify.poly import Polynomial, Ring, monomial_basis
@@ -354,6 +360,112 @@ def full_scan_monomials(algebra, max_degree: int) -> list:
                     found.append(m)
         out.append(tuple(sorted(found, reverse=True)))
     return out
+
+
+def subalgebra_ranks(algebra, generators, max_degree: int) -> list:
+    """(rank, count) for each degree 0..max_degree: the GF(2) rank of the
+    span of the monomials in the generators h_0, h_1, ... of that degree,
+    and how many there are.  The rank is the dimension of the generated
+    subalgebra in that degree; rank < count marks a linear dependence.
+
+    A generator monomial of degree d whose last generator is h_i is one of
+    degree d - deg h_i whose last generator is at most i, times h_i.  So
+    its coordinate mask is the XOR, over the set bits k of the lower mask,
+    of the column of m_k * h_i: the XOR over the terms t of h_i of the
+    masks of nf(m_k * t).  Each degree numbers its normal-form monomials
+    as they first appear, not as ``monomials_of_degree`` lists them, and
+    keeps one product -> mask dict and one ``_monomial_nf`` memo, dropped
+    with that degree; a new monomial of the wrong degree or divisible by
+    a Groebner lead raises ValueError.  Masks and each degree's monomial
+    list are kept for the last max(deg h) degrees.
+
+    Raises ValueError on a generator that is zero, inhomogeneous or of
+    degree 0, naming its index.
+    """
+    gens = [algebra.normal_form(g) for g in generators]
+    degrees = []
+    for i, g in enumerate(gens):
+        if not g:
+            raise ValueError(f"generator {i} is zero")
+        try:
+            degree = algebra.poly_degree(g)
+        except ValueError:
+            raise ValueError(f"generator {i} is inhomogeneous") from None
+        if degree == 0:
+            raise ValueError(f"generator {i} has degree 0")
+        degrees.append(degree)
+    depth = max(degrees, default=0)
+    # by_last[d] = (monos, lists): monos[k] is the monomial of bit k, and
+    # lists[i + 1] holds the masks of the degree-d generator monomials whose
+    # last generator is h_i; lists[0] is the empty monomial's in degree 0
+    by_last = {}
+    out = []
+    for d in range(max_degree + 1):
+        index, products, memo = {}, {}, {}
+
+        def mask_of(p):
+            mask = 0
+            for m in p:
+                if m not in index:
+                    if algebra.degree(m) != d or not algebra.is_normal(m):
+                        raise ValueError(
+                            f"not a degree-{d} normal-form element: {algebra.format(p)}"
+                        )
+                    index[m] = len(index)
+                mask |= 1 << index[m]
+            return mask
+
+        if d == 0:
+            lists = [[mask_of(algebra.one())]] + [[] for _ in gens]
+        else:
+            lists = [[]]
+            for i, (h, w) in enumerate(zip(gens, degrees)):
+                masks = []
+                if d - w in by_last:
+                    lower_monos, lower = by_last[d - w]
+                    columns = {}
+                    for v in itertools.chain.from_iterable(lower[: i + 2]):
+                        mask = 0
+                        while v:
+                            k = (v & -v).bit_length() - 1
+                            if k not in columns:
+                                columns[k] = 0
+                                for t in h:
+                                    prod = mono_mul(lower_monos[k], t)
+                                    if prod not in products:
+                                        nf = algebra._monomial_nf(prod, algebra.groebner, memo)
+                                        products[prod] = mask_of(nf)
+                                    columns[k] ^= products[prod]
+                            mask ^= columns[k]
+                            v ^= 1 << k
+                        masks.append(mask)
+                lists.append(masks)
+        by_last[d] = list(index), lists
+        by_last.pop(d - depth, None)
+        vectors = list(itertools.chain.from_iterable(lists))
+        out.append((gf2.rank(vectors), len(vectors)))
+    return out
+
+
+def three_list_equality_failure(algebra, image, stated) -> str:
+    """Empty when ``image`` and ``stated`` generate the same subalgebra;
+    otherwise the first degree where the dimensions differ.
+
+    With top the largest generator degree, S(image) lies in S(image + stated),
+    so equal dimensions in every degree <= top put each stated generator in
+    S(image), and then the two are equal in every degree; likewise for
+    S(stated).  So the three dimension lists are compared through top only.
+    """
+    # a zero generator counts as degree 0 here and is refused by subalgebra_ranks
+    top = max(algebra.poly_degree(h) or 0 for h in [*image, *stated])
+    dims = [[rank for rank, _ in subalgebra_ranks(algebra, gens, top)]
+            for gens in (image, [*image, *stated], stated)]
+    differ = next((d for d, row in enumerate(zip(*dims)) if len(set(row)) > 1), None)
+    if differ is None:
+        return ""
+    image_dim, both_dim, stated_dim = (row[differ] for row in dims)
+    return (f"dimensions at degree {differ}: image {image_dim}, stated {stated_dim}, "
+            f"both together {both_dim}")
 
 
 def product_loop_ranks(algebra, generators, max_degree: int) -> list:
@@ -672,7 +784,7 @@ def ker_d_generators_check(max_degree: int) -> VerificationReport:
     alg = tables.alg
     gens = [alg.parse(s) for s in dga.KERNEL_GENERATORS]
     first_bad = None
-    for d, (sub_dim, _) in enumerate(alg.subalgebra_ranks(gens, max_degree)):
+    for d, (sub_dim, _) in enumerate(subalgebra_ranks(alg, gens, max_degree)):
         kernel_dim = len(alg.monomials_of_degree(d)) - tables.rank(d)
         if sub_dim != kernel_dim and first_bad is None:
             first_bad = (d, kernel_dim, sub_dim)

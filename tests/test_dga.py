@@ -308,6 +308,63 @@ def test_the_certificate_matches_the_sweep_oracle_through_degree_60():
         ], bound
 
 
+def _without(*dropped):
+    return "KERNEL_GENERATORS", tuple(k for k in dga.KERNEL_GENERATORS if k not in dropped)
+
+
+def _replacing(old, new):
+    return "KERNEL_GENERATORS", tuple(new if k == old else k for k in dga.KERNEL_GENERATORS)
+
+
+# (corruption, the first bound whose kernel-generators line fails, the bounds
+# where the sweep oracle still passes, and the line's witness)
+_KERNEL_CORRUPTIONS = {
+    "clean": (None, None, (), ""),
+    "without-x5^2": (lambda: _without("x5^2"), 10, (),
+                     "x5^2 is normal, and neither x5 nor x5^2 is a kernel generator"),
+    "without-x3^2*x9+x5^3": (
+        lambda: _without("x3^2*x9 + x5^3"), 15, (),
+        "D(x9*x5) = x9*x3^2 + x5^3 lies outside the kernel generators' subalgebra"),
+    # x3^2*x9 is outside ker D from degree 15, but the sweep compares only
+    # dimensions, which agree through degree 29
+    "x3^2*x9-for-x3^2*x9+x5^3": (lambda: _replacing("x3^2*x9 + x5^3", "x3^2*x9"), 15,
+                                  range(15, 30), "kernel generator x9*x3^2 has D = x5^2*x3^2"),
+    "x5-for-x5^2": (lambda: _replacing("x5^2", "x5"), 5, (), "kernel generator x5 has D = x3^2"),
+    "without-x8": (lambda: _without("x8"), 8, (),
+                   "the projection fixes monomials with x8, which is not a kernel generator"),
+    # D^2 fails from bound 8, and the line rests on it; ker D and the
+    # subalgebra first differ in dimension at degree 10
+    "parity-blind-d": (lambda: ("_D_TABLE", _parity_blind_d_table()), 8, (8, 9),
+                       "rests on homology-dimensions"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(_KERNEL_CORRUPTIONS))
+def test_kernel_certificate_against_the_sweep_oracle_through_bound_40(
+        monkeypatch, capsys, corruption):
+    """The kernel-generators line at every bound 0..40 against the oracle's
+    per-degree dimensions through min(30, bound): a pass is a pass there, and
+    the verdicts differ only at the listed bounds, where the line fails."""
+    corrupt, first, diverging, witness = _KERNEL_CORRUPTIONS[corruption]
+    if corrupt:
+        monkeypatch.setattr(dga, *corrupt())
+    oracle = {top: ker_d_generators_check(top).checks[0].status for top in range(31)}
+    lines = [_lines(dga_suite(bound))["kernel-generators"] for bound in range(41)]
+    statuses = [line.status for line in lines]
+    assert all(s == "fail" for s in statuses[first or 41:]) and "fail" not in statuses[:first]
+    assert [b for b in range(41) if statuses[b] != oracle[min(30, b)]] == list(diverging)
+    assert {line.witness for line in lines} == {"", witness}
+    if first is not None:
+        assert cli.main(["dga", "--max-degree", "30"]) == 1
+        assert "\nfail kernel-generators: " in capsys.readouterr().out
+
+
+def test_kernel_certificate_refuses_a_zero_kernel_generator(monkeypatch):
+    monkeypatch.setattr(dga, "KERNEL_GENERATORS", dga.KERNEL_GENERATORS + ("x2*x3",))
+    with pytest.raises(ValueError, match="generator 6 is zero"):
+        dga_suite(20)
+
+
 def test_series_match_the_normal_form_counts_and_the_ranks_through_degree_60():
     """The certificate's counts: W's Hilbert series from the leads, and the
     projection's image from its table; the kernel dimensions they give by

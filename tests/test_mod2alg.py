@@ -41,6 +41,7 @@ from oracles import (
     full_scan_monomials,
     irreducible_monomials,
     product_loop_ranks,
+    subalgebra_ranks,
     toda_dimension_oracle,
 )
 
@@ -390,7 +391,7 @@ def _subalgebra_cases():
 @pytest.mark.parametrize("case", _subalgebra_cases(), ids=lambda case: case[0])
 def test_subalgebra_ranks_match_the_product_loop_oracle(case):
     _, algebra, generators, max_degree = case
-    assert algebra.subalgebra_ranks(generators, max_degree) == product_loop_ranks(
+    assert subalgebra_ranks(algebra, generators, max_degree) == product_loop_ranks(
         algebra, generators, max_degree
     )
 
@@ -398,23 +399,81 @@ def test_subalgebra_ranks_match_the_product_loop_oracle(case):
 def test_subalgebra_ranks_see_a_dependence():
     # y3^2 is both a generator and the square of y3 in degree 6
     T = toda_ring()
-    ranks = T.subalgebra_ranks([T.parse(s) for s in ("y3", "y2^3", "y3^2")], 6)
+    ranks = subalgebra_ranks(T, [T.parse(s) for s in ("y3", "y2^3", "y3^2")], 6)
     assert ranks[6] == (2, 3)
     assert all(rank == count for rank, count in ranks[:6])
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ("y2*y3", "generator 1 is zero"),
-        ("1", "generator 1 has degree 0"),
-        ("y2 + y3", "generator 1 is inhomogeneous"),
-    ],
-)
+_BAD_GENERATORS = [
+    ("y2*y3", "generator 1 is zero"),
+    ("1", "generator 1 has degree 0"),
+    ("y2 + y3", "generator 1 is inhomogeneous"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_GENERATORS)
 def test_subalgebra_ranks_reject_a_bad_generator(bad, message):
     T = toda_ring()
     with pytest.raises(ValueError, match=message):
-        T.subalgebra_ranks([T.gen("y2"), T.parse(bad)], 10)
+        subalgebra_ranks(T, [T.gen("y2"), T.parse(bad)], 10)
+
+
+@pytest.mark.parametrize("bad, message", _BAD_GENERATORS)
+def test_membership_refuses_a_bad_generator_as_the_sweep_does(bad, message):
+    # refused before any element is read, also with no element at all
+    T = toda_ring()
+    for elements in ([], [T.gen("y2")], [T.parse("y3^2")]):
+        with pytest.raises(ValueError, match=message):
+            T.first_nonmember(elements, [T.gen("y2"), T.parse(bad)])
+
+
+def _in_span_by_the_sweep(algebra, generators, p, d):
+    """p of degree d lies in the subalgebra when adding it as a generator
+    leaves the sweep's degree-d rank unchanged."""
+    ranks = [subalgebra_ranks(algebra, gens, d)[d][0] for gens in (generators, [*generators, p])]
+    return ranks[0] == ranks[1]
+
+
+@pytest.mark.parametrize("case", _subalgebra_cases(), ids=lambda case: case[0])
+def test_membership_matches_the_sweep_oracle(case):
+    """Every normal-form monomial through degree 12, and the sum of each
+    consecutive pair, is a member exactly when the sweep's rank says so."""
+    _, algebra, generators, _ = case
+    for d in range(1, 13):
+        monos = [frozenset({m}) for m in algebra.monomials_of_degree(d)]
+        elements = monos + [a | b for a, b in zip(monos, monos[1:])]
+        got = [algebra.first_nonmember([p], generators) is None for p in elements]
+        assert got == [_in_span_by_the_sweep(algebra, generators, p, d) for p in elements], d
+        outside = [i for i, member in enumerate(got) if not member]
+        assert algebra.first_nonmember(elements, generators) == (outside[0] if outside else None)
+
+
+def test_membership_passes_zero_one_and_a_generator_with_no_solve(monkeypatch):
+    """Zero and an element equal to a generator pass before any product is
+    listed; 1, the empty product, passes by the solve in degree 0."""
+    T = toda_ring()
+    gens = [T.parse(s) for s in ("y2^2", "y3", "y8 + y3*y5")]
+    monkeypatch.setattr("bpuverify.mod2alg.algebra.monomial_basis", None)
+    assert T.first_nonmember([frozenset(), T.parse("y3*y5 + y8"), T.parse("y3")], gens) is None
+    monkeypatch.undo()
+    assert T.first_nonmember([T.one(), T.parse("y2^2*y3 + y8"), T.gen("y2")], gens) == 1
+    with pytest.raises(ValueError, match="inhomogeneous element"):
+        T.first_nonmember([T.parse("y2^2 + y3")], gens)
+
+
+def test_an_unknown_generator_name_is_named():
+    with pytest.raises(KeyError, match="unknown variable 'zz'"):
+        bso3_ring().gen("zz")
+    with pytest.raises(KeyError, match="unknown variable 'zz'"):
+        bso3_ring().parse("zz")
+
+
+def test_a_monomial_of_the_wrong_length_is_refused():
+    B = bso3_ring()
+    assert B.monomial((1, 2)) == frozenset({(1, 2)})
+    for exponents in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=f"{len(exponents)} exponents for 2 generators"):
+            B.monomial(exponents)
 
 
 def _fresh_bso6_and_g1_g4():
@@ -432,15 +491,15 @@ def test_subalgebra_ranks_build_no_ambient_monomial_table(monkeypatch):
         raise AssertionError(f"monomials_of_degree({d}) called")
 
     monkeypatch.setattr(W6, "monomials_of_degree", refuse)
-    assert W6.subalgebra_ranks(gens, 24) == expected
+    assert subalgebra_ranks(W6, gens, 24) == expected
 
 
 def _refusal(algebra, generators, monkeypatch, patched_nf):
-    """Run subalgebra_ranks with ``_monomial_nf`` patched; return the degree
-    named by the ValueError and the element it names."""
+    """Run the subalgebra_ranks oracle with ``_monomial_nf`` patched; return
+    the degree named by the ValueError and the element it names."""
     monkeypatch.setattr(algebra, "_monomial_nf", patched_nf)
     with pytest.raises(ValueError, match=r"not a degree-\d+ normal-form element") as caught:
-        algebra.subalgebra_ranks(generators, 24)
+        subalgebra_ranks(algebra, generators, 24)
     monkeypatch.undo()
     match = re.fullmatch(r"not a degree-(\d+) normal-form element: (.*)", str(caught.value))
     return int(match.group(1)), algebra.parse(match.group(2))

@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bpuverify import cli
-from bpuverify.mod2alg import PresentedAlgebra, suites
+from bpuverify.mod2alg import algebra, suites
 from bpuverify.mod2alg.rings import bso6_ring, reduction_map, toda_ring
 from bpuverify.mod2alg.suites import (
     expected_square,
@@ -13,6 +15,8 @@ from bpuverify.mod2alg.suites import (
     verify_reduction_image_claims,
     verify_steenrod_theorem,
 )
+
+from oracles import subalgebra_ranks, three_list_equality_failure
 
 
 def test_steenrod_suite_all_squares_unique():
@@ -112,36 +116,60 @@ def test_equality_certificate_refuses_a_short_stated_generator(monkeypatch):
     image, stated = _image_and_stated(SHORT_STATED)
     T = toda_ring()
     assert suites._equal_subalgebras_failure(T, image, stated) == (
+        "stated generator y9*y3^2 lies outside the image subalgebra")
+    # the three-list oracle sees it at degree 15, the old per-degree dimension
+    # comparison only at degree 30
+    assert three_list_equality_failure(T, image, stated) == (
         "dimensions at degree 15: image 3, stated 3, both together 4")
-    # the old per-degree dimension comparison sees it only at degree 30
-    old_image = [rank for rank, _ in T.subalgebra_ranks(image, 32)]
-    old_stated = [rank for rank, _ in T.subalgebra_ranks(stated, 32)]
+    old_image = [rank for rank, _ in subalgebra_ranks(T, image, 32)]
+    old_stated = [rank for rank, _ in subalgebra_ranks(T, stated, 32)]
     assert old_image[:30] == old_stated[:30] and old_image[30] != old_stated[30]
     monkeypatch.setattr(suites, "STATED_IMAGE_GENERATORS", SHORT_STATED)
     by_name = {c.name: c for c in verify_reduction_image_claims(16).checks}
     line = by_name["image-subalgebra-dimensions"]
-    assert line.status == "fail" and line.witness.startswith("dimensions at degree 15:")
+    assert (line.status, line.witness) == (
+        "fail", "stated generator y9*y3^2 lies outside the image subalgebra")
+
+
+def _dropping_one(stated=suites.STATED_IMAGE_GENERATORS):
+    return [stated[:i] + stated[i + 1:] for i in range(len(stated))]
+
+
+@pytest.mark.parametrize(
+    "stated", [suites.STATED_IMAGE_GENERATORS, SHORT_STATED, *_dropping_one()],
+    ids=["clean", "short", *(f"without-{s}" for s in suites.STATED_IMAGE_GENERATORS)])
+def test_equality_certificate_matches_the_three_list_oracle(stated):
+    image, stated = _image_and_stated(stated)
+    T = toda_ring()
+    failure = suites._equal_subalgebras_failure(T, image, stated)
+    assert (failure == "") == (three_list_equality_failure(T, image, stated) == "")
+    assert (failure == "") == (stated == _image_and_stated()[1])
+    if len(stated) < len(suites.STATED_IMAGE_GENERATORS):
+        # each stated generator is needed: the image holds the dropped one
+        assert failure.startswith("image generator ")
 
 
 def test_certificates_agree_with_the_per_degree_route_through_degree_32():
     W6, T = bso6_ring(), toda_ring()
     assert suites._lead_independence_failure(W6, _g_generators(), 32, suites.G_LEAD_ORDER) == ""
-    assert all(rank == count for rank, count in W6.subalgebra_ranks(_g_generators(), 32))
+    assert all(rank == count for rank, count in subalgebra_ranks(W6, _g_generators(), 32))
     image, stated = _image_and_stated()
     assert suites._equal_subalgebras_failure(T, image, stated) == ""
-    assert ([rank for rank, _ in T.subalgebra_ranks(image, 32)]
-            == [rank for rank, _ in T.subalgebra_ranks(stated, 32)])
+    assert ([rank for rank, _ in subalgebra_ranks(T, image, 32)]
+            == [rank for rank, _ in subalgebra_ranks(T, stated, 32)])
 
 
 def test_section10_sweeps_no_subalgebra_above_the_generator_degrees(monkeypatch, capsys):
+    # every generator product the membership certificate forms has the degree
+    # of a generator, 15 at most
     degrees = []
-    real = PresentedAlgebra.subalgebra_ranks
+    real = algebra.monomial_basis
 
-    def spy(self, generators, max_degree):
-        degrees.append(max_degree)
-        return real(self, generators, max_degree)
+    def spy(degree, weights):
+        degrees.append(degree)
+        return real(degree, weights)
 
-    monkeypatch.setattr(PresentedAlgebra, "subalgebra_ranks", spy)
+    monkeypatch.setattr(algebra, "monomial_basis", spy)
     assert cli.main(["section10", "--max-degree", "80"]) == 0
     out = capsys.readouterr().out
     assert "pass g-independence: " in out and "pass image-subalgebra-dimensions: " in out

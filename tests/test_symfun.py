@@ -481,6 +481,22 @@ def test_k4_membership_matches_the_per_monomial_route(monkeypatch, swap):
     assert bool(outside) == bool(swap)
 
 
+def test_first_outside_reads_no_exponent_when_no_generator_is_divergent(monkeypatch):
+    """With no divergent generator every generator monomial lies in the
+    kernel, so no exponent is read; a divergent one keeps its witness line."""
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("an exponent was read")
+
+    assert symfun._first_outside(Unread(), [False] * 4, [True, False, False, False]) is None
+    real = symfun.alpha_generators
+    monkeypatch.setattr(symfun, "alpha_generators", lambda ctx: AlphaGenerators(
+        **{**real(ctx).as_dict(), "a2": sp("8*s2 - 2*s1^2")}))
+    lines = {c.name: c for c in certify_k4_presentation(8).checks}
+    assert (lines["lattice/d05"].status, lines["lattice/d05"].detail) == (
+        "fail", "monomial a^(1, 1, 0, 0) outside the kernel lattice")
+
+
 def test_standard_monomials_span_the_generator_monomial_lattice():
     counts = geometric_product((2, 3, 4, 6), 40)
     for d in range(41):
